@@ -47,7 +47,8 @@
 # `make fuzz-long` runs the trace-format fuzzers for 30 s each and is not
 # part of the gate.
 #
-# `make bench` snapshots the benchmark suite (with allocation stats) to
+# `make bench` snapshots the benchmark suite (with allocation stats), the
+# root package's plus the cache and engine layer benchmarks, to
 # BENCH_<date>.json via cmd/bench2json. Compare two snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
@@ -251,8 +252,12 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed, skipping"; \
 	fi
 
+# The root package holds the figure and whole-simulator benchmarks; the
+# cache and engine packages hold the per-layer ones (one access per
+# geometry, the behavioural pass and the timing replay).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . | $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/cache/ ./internal/engine/ \
+		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:
 	$(GO) clean ./...

@@ -166,6 +166,40 @@ type Victim struct {
 	WritebackWords int
 }
 
+// Writeback returns the victim's register-sized form, as the fast access
+// path reports it.
+func (v Victim) Writeback() Writeback {
+	return Writeback{BlockAddr: v.BlockAddr, Words: v.WritebackWords, DirtyWords: v.DirtyWords}
+}
+
+// Writeback is the register-sized report of the line an access displaced,
+// returned by the fast access path (ReadOutcome, WriteOutcome). It has
+// three word-sized fields, so the compiler keeps it in registers; the
+// seven-field Result is too large for that and is assembled in memory on
+// every access. BlockAddr is the displaced block's extended word address
+// (zero when nothing was displaced). Words is how many words its write
+// back transfers and DirtyWords how many of its words were dirty; both are
+// zero unless the displaced line was dirty.
+type Writeback struct {
+	BlockAddr  uint64
+	Words      int
+	DirtyWords int
+}
+
+// set fills the victim from evict's register-sized report, field by field:
+// assembling a Victim and copying it whole makes the compiler move it with
+// 16-byte loads straight after byte-wide stores, which stalls
+// store-to-load forwarding. A dirty line always holds at least one dirty
+// word, so it always writes back a positive number of words: Words > 0
+// exactly when the victim was dirty.
+func (v *Victim) set(valid bool, wb Writeback) {
+	v.Valid = valid
+	v.BlockAddr = wb.BlockAddr
+	v.Dirty = wb.Words > 0
+	v.DirtyWords = wb.DirtyWords
+	v.WritebackWords = wb.Words
+}
+
 // Result reports the outcome of a single access.
 type Result struct {
 	// Hit reports whether the block was present.
@@ -289,26 +323,25 @@ func (c *Cache) victimWay(set int) int {
 	}
 }
 
-// evict captures and clears the line, returning its victim description.
-func (c *Cache) evict(line int) Victim {
-	v := Victim{}
+// evict captures and clears the line, reporting whether it held a valid
+// block and that block's write back.
+func (c *Cache) evict(line int) (valid bool, wb Writeback) {
 	if c.valid[line] {
-		v.Valid = true
-		v.BlockAddr = c.tags[line] << c.blockShift
-		v.Dirty = c.dirty[line]
-		if v.Dirty {
+		valid = true
+		wb.BlockAddr = c.tags[line] << c.blockShift
+		if c.dirty[line] {
 			for i := 0; i < c.maskWords; i++ {
-				v.DirtyWords += bits.OnesCount64(c.masks[line*c.maskWords+i])
+				wb.DirtyWords += bits.OnesCount64(c.masks[line*c.maskWords+i])
 			}
 			if c.vmask == nil {
 				// Whole-block caches transfer the entire block
 				// regardless of which words were dirty.
-				v.WritebackWords = c.cfg.BlockWords
+				wb.Words = c.cfg.BlockWords
 			} else {
 				// Sub-block caches write back dirty sub-blocks.
 				for s := 0; s < c.cfg.BlockWords; s += c.fetchWords {
 					if c.maskAny(c.masks, line, s, c.fetchWords) {
-						v.WritebackWords += c.fetchWords
+						wb.Words += c.fetchWords
 					}
 				}
 			}
@@ -324,7 +357,7 @@ func (c *Cache) evict(line int) Victim {
 			c.vmask[line*c.maskWords+i] = 0
 		}
 	}
-	return v
+	return valid, wb
 }
 
 // maskAny reports whether any of the n mask bits starting at word offset
@@ -378,30 +411,76 @@ func (c *Cache) fill(line int, block uint64) {
 	c.used[line] = c.tick
 }
 
+// Read, ReadOutcome, Write and WriteOutcome each spell out their own
+// control flow over the shared steps below (touch, allocate, markDirty):
+// a common core returning everything would cost every access an extra
+// call, and Read and Write are on the system simulator's per-reference
+// path. TestOutcomeMatchesResult keeps the two pairs in lockstep.
+
+// touch records a hit on line for LRU replacement.
+func (c *Cache) touch(line int) {
+	c.tick++
+	c.used[line] = c.tick
+}
+
+// allocate brings addr's fetch unit into a new line of block's set,
+// displacing a victim, and returns the line, whether the victim held a
+// valid block, and that block's write back.
+func (c *Cache) allocate(block, addr uint64) (line int, displaced bool, wb Writeback) {
+	line = c.victimWay(int(block & c.setMask))
+	displaced, wb = c.evict(line)
+	c.fill(line, block)
+	c.fillSub(line, addr)
+	return line, displaced, wb
+}
+
+// markDirty dirties addr's word in line under write-back; write-through
+// lines never hold dirty state.
+func (c *Cache) markDirty(line int, addr uint64) {
+	if c.cfg.WritePolicy == WriteBack {
+		c.dirty[line] = true
+		c.setDirtyWord(line, addr)
+	}
+}
+
 // Read performs a load or instruction fetch of the word at addr. On a miss
 // the fetch unit containing the word is brought in — the whole block for
 // the paper's base system, or one sub-block under sub-block placement —
 // displacing a victim if a new line was needed.
-func (c *Cache) Read(addr uint64) Result {
+func (c *Cache) Read(addr uint64) (r Result) {
 	block := addr >> c.blockShift
-	_, line := c.lookup(block)
-	if line >= 0 {
-		c.tick++
-		c.used[line] = c.tick
+	if _, line := c.lookup(block); line >= 0 {
+		c.touch(line)
 		if c.wordValid(line, addr) {
-			return Result{Hit: true}
+			r.Hit = true
+			return r
 		}
 		// Sub-block miss within a present line: fetch just the
 		// sub-block; nothing is displaced.
 		c.fillSub(line, addr)
-		return Result{Allocated: true}
+		r.Allocated = true
+		return r
 	}
-	set := int(block & c.setMask)
-	line = c.victimWay(set)
-	v := c.evict(line)
-	c.fill(line, block)
-	c.fillSub(line, addr)
-	return Result{Allocated: true, Victim: v}
+	_, displaced, wb := c.allocate(block, addr)
+	r.Allocated = true
+	r.Victim.set(displaced, wb)
+	return r
+}
+
+// ReadOutcome is Read for callers that need only the hit and the displaced
+// line: the same state transition, with every result in registers.
+func (c *Cache) ReadOutcome(addr uint64) (hit bool, wb Writeback) {
+	block := addr >> c.blockShift
+	if _, line := c.lookup(block); line >= 0 {
+		c.touch(line)
+		if c.wordValid(line, addr) {
+			return true, Writeback{}
+		}
+		c.fillSub(line, addr)
+		return false, Writeback{}
+	}
+	_, _, wb = c.allocate(block, addr)
+	return false, wb
 }
 
 // Write performs a store of the word at addr according to the configured
@@ -409,45 +488,59 @@ func (c *Cache) Read(addr uint64) Result {
 // with no write-allocate leaves the cache unchanged (the word goes directly
 // toward memory, which the caller models). With write-allocate the block is
 // fetched and then dirtied.
-func (c *Cache) Write(addr uint64) Result {
+func (c *Cache) Write(addr uint64) (r Result) {
 	block := addr >> c.blockShift
-	_, line := c.lookup(block)
-	if line >= 0 {
-		c.tick++
-		c.used[line] = c.tick
+	if _, line := c.lookup(block); line >= 0 {
+		c.touch(line)
 		if c.wordValid(line, addr) {
-			if c.cfg.WritePolicy == WriteBack {
-				c.dirty[line] = true
-				c.setDirtyWord(line, addr)
-			}
-			return Result{Hit: true}
+			c.markDirty(line, addr)
+			r.Hit = true
+			return r
 		}
 		// The word's sub-block is not resident: with write-allocate
 		// the sub-block is fetched and dirtied; without, the word
 		// passes toward memory like any other write miss.
-		if !c.cfg.WriteAllocate {
-			return Result{}
+		if c.cfg.WriteAllocate {
+			c.fillSub(line, addr)
+			c.markDirty(line, addr)
+			r.Allocated = true
 		}
-		c.fillSub(line, addr)
-		if c.cfg.WritePolicy == WriteBack {
-			c.dirty[line] = true
-			c.setDirtyWord(line, addr)
-		}
-		return Result{Allocated: true}
+		return r
 	}
 	if !c.cfg.WriteAllocate {
-		return Result{}
+		return r
 	}
-	set := int(block & c.setMask)
-	line = c.victimWay(set)
-	v := c.evict(line)
-	c.fill(line, block)
-	c.fillSub(line, addr)
-	if c.cfg.WritePolicy == WriteBack {
-		c.dirty[line] = true
-		c.setDirtyWord(line, addr)
+	line, displaced, wb := c.allocate(block, addr)
+	c.markDirty(line, addr)
+	r.Allocated = true
+	r.Victim.set(displaced, wb)
+	return r
+}
+
+// WriteOutcome is Write for callers that need only the hit, the fill and
+// the displaced line: the same state transition, with every result in
+// registers.
+func (c *Cache) WriteOutcome(addr uint64) (hit, allocated bool, wb Writeback) {
+	block := addr >> c.blockShift
+	if _, line := c.lookup(block); line >= 0 {
+		c.touch(line)
+		if c.wordValid(line, addr) {
+			c.markDirty(line, addr)
+			return true, false, Writeback{}
+		}
+		if !c.cfg.WriteAllocate {
+			return false, false, Writeback{}
+		}
+		c.fillSub(line, addr)
+		c.markDirty(line, addr)
+		return false, true, Writeback{}
 	}
-	return Result{Allocated: true, Victim: v}
+	if !c.cfg.WriteAllocate {
+		return false, false, Writeback{}
+	}
+	line, _, wb := c.allocate(block, addr)
+	c.markDirty(line, addr)
+	return false, true, wb
 }
 
 func (c *Cache) setDirtyWord(line int, addr uint64) {
@@ -470,7 +563,9 @@ func (c *Cache) Invalidate(addr uint64) Victim {
 	if line < 0 {
 		return Victim{}
 	}
-	return c.evict(line)
+	var v Victim
+	v.set(c.evict(line))
+	return v
 }
 
 // Reset invalidates every line.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +349,46 @@ func TestSequentialMissCount(t *testing.T) {
 	}
 	if misses != 4096/8 {
 		t.Fatalf("sequential scan misses = %d, want %d", misses, 4096/8)
+	}
+}
+
+// TestOutcomeMatchesResult runs one access stream through two identical
+// caches, one by Read/Write and one by ReadOutcome/WriteOutcome, across
+// every replacement policy, write policy, allocation policy and sub-block
+// geometry: each access must report the same outcome and leave the two
+// caches in the same state.
+func TestOutcomeMatchesResult(t *testing.T) {
+	for _, rep := range []Replacement{Random, LRU, FIFO} {
+		for _, wp := range []WritePolicy{WriteBack, WriteThrough} {
+			for _, alloc := range []bool{false, true} {
+				for _, geo := range []struct{ assoc, block, fetch int }{{1, 4, 0}, {2, 8, 0}, {8, 4, 0}, {1, 16, 4}, {4, 32, 8}} {
+					cfg := Config{SizeWords: 512, BlockWords: geo.block, Assoc: geo.assoc, FetchWords: geo.fetch,
+						Replacement: rep, WritePolicy: wp, WriteAllocate: alloc, Seed: 3}
+					ref, fast := MustNew(cfg), MustNew(cfg)
+					rng := rand.New(rand.NewPCG(uint64(geo.assoc), uint64(geo.block)))
+					for i := 0; i < 20000; i++ {
+						addr := uint64(rng.IntN(4096)) | uint64(rng.IntN(2))<<32
+						if rng.IntN(3) == 0 {
+							want := ref.Write(addr)
+							hit, allocated, wb := fast.WriteOutcome(addr)
+							if hit != want.Hit || allocated != want.Allocated || wb != want.Victim.Writeback() {
+								t.Fatalf("%v access %d: WriteOutcome (%v, %v, %+v), Write %+v", cfg, i, hit, allocated, wb, want)
+							}
+						} else {
+							want := ref.Read(addr)
+							hit, wb := fast.ReadOutcome(addr)
+							if hit != want.Hit || wb != want.Victim.Writeback() {
+								t.Fatalf("%v access %d: ReadOutcome (%v, %+v), Read %+v", cfg, i, hit, wb, want)
+							}
+						}
+					}
+					for set := 0; set < cfg.Sets(); set++ {
+						if !reflect.DeepEqual(ref.SetState(set), fast.SetState(set)) {
+							t.Fatalf("%v: set %d state differs after the stream", cfg, set)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,79 @@
+package engine
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/cache"
+	"repro/internal/mem"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// benchTrace is the scaled mu3 trace the layer benchmarks run over.
+func benchTrace(b *testing.B) *trace.Trace {
+	b.Helper()
+	spec, err := workload.ByName("mu3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := spec.Generate(0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// benchOrg is the paper's base organization at 16 KB per side and the
+// given set size.
+func benchOrg(assoc int) Org {
+	cfg := cache.Config{SizeWords: 4096, BlockWords: 4, Assoc: assoc,
+		Replacement: cache.Random, WritePolicy: cache.WriteBack, Seed: 1988}
+	return Org{ICache: cfg, DCache: cfg}
+}
+
+// retainedBytes is the heap a finished profile keeps alive: the Profile
+// and its event stream.
+func (p *Profile) retainedBytes() int {
+	return int(unsafe.Sizeof(*p)) + cap(p.events)*int(unsafe.Sizeof(event{}))
+}
+
+// BenchmarkBuildProfile times the behavioural pass on the fast access
+// path, reporting ns per reference and the bytes each profile retains.
+func BenchmarkBuildProfile(b *testing.B) {
+	tr := benchTrace(b)
+	for _, g := range []struct {
+		name  string
+		assoc int
+	}{{"dm", 1}, {"2way", 2}, {"8way", 8}} {
+		b.Run(g.name, func(b *testing.B) {
+			org := benchOrg(g.assoc)
+			var p *Profile
+			for i := 0; i < b.N; i++ {
+				var err error
+				if p, err = BuildProfile(org, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/ref")
+			b.ReportMetric(float64(p.retainedBytes()), "B/profile")
+		})
+	}
+}
+
+// BenchmarkReplay times the timing replay of a direct-mapped profile at the
+// paper's base timing, reporting ns per recorded event.
+func BenchmarkReplay(b *testing.B) {
+	p, err := BuildProfile(benchOrg(1), benchTrace(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm := Timing{CycleNs: 40, Mem: mem.DefaultConfig(), WriteBufDepth: 4}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Replay(tm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Events()), "ns/event")
+}

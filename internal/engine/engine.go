@@ -28,12 +28,40 @@ import (
 	"repro/internal/trace"
 )
 
-// l1cache is the cache interface the behavioural pass drives: satisfied by
-// *cache.Cache directly and by *check.Shadow in selfcheck mode.
+// l1cache is the cache interface the instrumented behavioural pass drives:
+// satisfied by *cache.Cache directly and by *check.Shadow in selfcheck
+// mode.
 type l1cache interface {
 	Read(addr uint64) cache.Result
 	Write(addr uint64) cache.Result
-	Config() cache.Config
+}
+
+// side is one L1 as the behavioural pass drives it. The unchecked,
+// unexplained pass (slow == nil) calls the concrete cache's register-sized
+// ReadOutcome and WriteOutcome, so no access builds a cache.Result. With a
+// checker or an explain probe attached, every access takes the interface
+// route instead (readSlow, writeSlow): the shadow oracle diffs, and the
+// probe observes, the full Result. Both routes run the same state
+// transition and report it in the same form, so they record identical
+// events and counters (the fast-path equivalence test pins this). The pass
+// branches on slow at each access site rather than through a method: a
+// method holding both calls is too large for the compiler to inline.
+type side struct {
+	c     *cache.Cache
+	slow  l1cache        // the checked or explained route; nil for the fast path
+	probe *explain.Probe // nil unless explanations are armed
+}
+
+func (s *side) readSlow(addr uint64) (bool, cache.Writeback) {
+	res := s.slow.Read(addr)
+	s.probe.OnRead(addr, res)
+	return res.Hit, res.Victim.Writeback()
+}
+
+func (s *side) writeSlow(addr uint64) (bool, bool, cache.Writeback) {
+	res := s.slow.Write(addr)
+	s.probe.OnWrite(addr, res)
+	return res.Hit, res.Allocated, res.Victim.Writeback()
 }
 
 // Org is the timing-independent part of a system configuration: the cache
@@ -51,9 +79,15 @@ func (o Org) Validate() error {
 		if err := o.ICache.Validate(); err != nil {
 			return fmt.Errorf("engine: icache: %w", err)
 		}
+		if o.ICache.BlockWords > maxEventWords {
+			return fmt.Errorf("engine: icache: block %d words exceeds the %d-word limit of a miss event", o.ICache.BlockWords, maxEventWords)
+		}
 	}
 	if err := o.DCache.Validate(); err != nil {
 		return fmt.Errorf("engine: dcache: %w", err)
+	}
+	if o.DCache.BlockWords > maxEventWords {
+		return fmt.Errorf("engine: dcache: block %d words exceeds the %d-word limit of a miss event", o.DCache.BlockWords, maxEventWords)
 	}
 	return nil
 }
@@ -74,21 +108,91 @@ const (
 // any store that must pass toward memory), plus the run of untimed couplets
 // preceding it. A marker event carries no couplet at all: it pins the
 // warm-start boundary inside the replay.
+//
+// An event is 40 bytes. Extended addresses are 40 bits wide (an 8-bit PID
+// above a 32-bit word address), so each side's reference packs into one
+// word with room above it for the victim's write-back size (16 bits) and
+// a tag byte: the I word's tag holds the flag* bits, the D word's the dOp.
+// The victim block addresses are stored only for dirty victims, the only
+// ones the replay writes back.
 type event struct {
 	gap          uint32 // non-event couplets since the previous event
 	gapStoreHits uint32 // how many of those contained a store hit (cost 2)
-	marker       bool
+	i            uint64 // ifetch address | victim write-back words | flags
+	iVic         uint64 // ifetch victim block address (dirty victims only)
+	d            uint64 // data address | victim write-back words | dOp
+	dVic         uint64 // data victim block address (dirty victims only)
+}
 
-	hasI  bool
-	iMiss bool
-	iAddr uint64 // extended address of the missing ifetch
-	iVic  uint64 // victim block address
-	iVicW uint16 // victim write-back words (0 = clean or no victim)
+// Event word layout.
+const (
+	addrBits = 40 // extended word address: 8-bit PID above 32 address bits
+	wbShift  = addrBits
+	wbBits   = 16
+	tagShift = wbShift + wbBits
 
-	d     dOp
-	dAddr uint64 // extended address of the data reference
-	dVic  uint64
-	dVicW uint16
+	addrMask      = 1<<addrBits - 1
+	maxEventWords = 1<<wbBits - 1 // largest victim write back an event holds
+)
+
+// Flags in the I word's tag byte.
+const (
+	flagMarker = 1 << iota // warm-start boundary, no couplet
+	flagHasI               // the couplet has an ifetch
+	flagIMiss              // the ifetch missed
+)
+
+// packRef packs one side of an event into a word.
+func packRef(addr uint64, wbWords uint64, tag uint8) uint64 {
+	return addr | wbWords<<wbShift | uint64(tag)<<tagShift
+}
+
+func (e *event) flags() uint8   { return uint8(e.i >> tagShift) }
+func (e *event) iAddr() uint64  { return e.i & addrMask }
+func (e *event) iVicW() int     { return int(e.i >> wbShift & maxEventWords) }
+func (e *event) dOp() dOp       { return dOp(e.d >> tagShift) }
+func (e *event) dAddr() uint64  { return e.d & addrMask }
+func (e *event) dVicW() int     { return int(e.d >> wbShift & maxEventWords) }
+func (e *event) isMarker() bool { return e.flags()&flagMarker != 0 }
+
+// eventLog accumulates a build's events in chunks that double in size up
+// to maxChunkEvents, so appending never copies the events already logged;
+// take copies them once into an exact-size slice. The chunks die with the
+// build, so a retained profile holds exactly its events and no append
+// slack.
+type eventLog struct {
+	full [][]event // filled chunks, in order
+	cur  []event   // the chunk being filled
+	n    int       // events logged
+}
+
+const (
+	minChunkEvents = 256
+	maxChunkEvents = 1 << 16
+)
+
+func (l *eventLog) add(e event) {
+	if len(l.cur) == cap(l.cur) {
+		l.grow()
+	}
+	l.cur = append(l.cur, e)
+	l.n++
+}
+
+func (l *eventLog) grow() {
+	if cap(l.cur) > 0 {
+		l.full = append(l.full, l.cur)
+	}
+	l.cur = make([]event, 0, min(max(2*cap(l.cur), minChunkEvents), maxChunkEvents))
+}
+
+// take returns the logged events as one exact-size slice.
+func (l *eventLog) take() []event {
+	out := make([]event, 0, l.n)
+	for _, c := range l.full {
+		out = append(out, c...)
+	}
+	return append(out, l.cur...)
 }
 
 // Profile is the behavioural digest of (organization × trace): everything
@@ -118,8 +222,8 @@ func (p *Profile) WarmCounters() system.Counters { return p.total.Sub(p.warmSnap
 // Events returns the number of recorded miss events (markers excluded).
 func (p *Profile) Events() int {
 	n := 0
-	for _, e := range p.events {
-		if !e.marker {
+	for k := range p.events {
+		if !p.events[k].isMarker() {
 			n++
 		}
 	}
@@ -151,11 +255,16 @@ func BuildProfileChecked(org Org, t *trace.Trace, opts *check.Options) (*Profile
 // the profile's own miss counters. The behavioural pass sees every
 // reference exactly once, so the recorder observes the same stream the
 // system simulator would. A nil exp is exactly BuildProfileChecked.
+//
+// With neither opts nor an armed exp, the pass takes the fast access path
+// (see side); otherwise every access takes the instrumented route.
 func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *explain.Recorder) (*Profile, error) {
 	if err := org.Validate(); err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
+	// Reference kinds are checked inside the pass, which visits every
+	// reference anyway.
+	if err := t.ValidateWarmStart(); err != nil {
 		return nil, err
 	}
 	dreal, err := cache.New(org.DCache)
@@ -163,7 +272,7 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		return nil, err
 	}
 	var chk *check.Checker
-	var dc, ic l1cache = dreal, dreal
+	dc := side{c: dreal}
 	if opts != nil {
 		chk = check.New(opts)
 		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", t.Name, org.DCache))
@@ -171,24 +280,23 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		if org.Unified {
 			label = "U"
 		}
-		if dc, err = chk.Shadow(label, dreal); err != nil {
+		if dc.slow, err = chk.Shadow(label, dreal); err != nil {
 			return nil, err
 		}
-		ic = dc
 	}
+	ic := dc
 	if !org.Unified {
 		ireal, err := cache.New(org.ICache)
 		if err != nil {
 			return nil, err
 		}
-		ic = ireal
+		ic = side{c: ireal}
 		if chk != nil {
-			if ic, err = chk.Shadow("I", ireal); err != nil {
+			if ic.slow, err = chk.Shadow("I", ireal); err != nil {
 				return nil, err
 			}
 		}
 	}
-	var expI, expD *explain.Probe
 	// exp.On() rather than a nil check: a recorder whose Options arm no
 	// instrument attaches no probes, so the disarmed build runs the same
 	// code path as a nil recorder.
@@ -197,151 +305,30 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		if org.Unified {
 			label = "U"
 		}
-		if expD, err = exp.Probe(label, org.DCache); err != nil {
+		if dc.probe, err = exp.Probe(label, org.DCache); err != nil {
 			return nil, err
 		}
 		if org.Unified {
-			expI = expD
-		} else if expI, err = exp.Probe("I", org.ICache); err != nil {
+			ic.probe = dc.probe
+		} else if ic.probe, err = exp.Probe("I", org.ICache); err != nil {
 			return nil, err
+		}
+		for _, s := range []*side{&ic, &dc} {
+			if s.slow == nil {
+				s.slow = s.c
+			}
 		}
 		if chk != nil {
 			chk.AddInvariant("explain-3c", exp.CheckConservation)
 		}
 	}
+
 	p := &Profile{Org: org, TraceName: t.Name}
-	wtThrough := org.DCache.WritePolicy == cache.WriteThrough
-	ifw := ic.Config().EffectiveFetchWords()
-	dfw := dc.Config().EffectiveFetchWords()
-
-	// recordMiss accounts the traffic of a read (or write-allocate) miss
-	// and returns the victim's write-back size.
-	recordMiss := func(fetchWords int, res cache.Result) uint16 {
-		p.total.ReadWordsFetched += int64(fetchWords)
-		if res.Victim.Valid && res.Victim.Dirty {
-			p.total.WritebackBlocks++
-			p.total.WritebackWords += int64(res.Victim.WritebackWords)
-			p.total.WritebackDirtyWords += int64(res.Victim.DirtyWords)
-			return uint16(res.Victim.WritebackWords)
-		}
-		return 0
+	var log eventLog
+	if err := p.simulate(t, &ic, &dc, chk, exp, &log); err != nil {
+		return nil, err
 	}
-
-	refs := t.Refs
-	var gap, gapStoreHits uint32
-	warmTaken := t.WarmStart == 0
-	flushGapAsMarker := func() {
-		p.events = append(p.events, event{gap: gap, gapStoreHits: gapStoreHits, marker: true})
-		gap, gapStoreHits = 0, 0
-	}
-
-	for i := 0; i < len(refs); {
-		if chk != nil {
-			if err := chk.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if !warmTaken && i >= t.WarmStart {
-			flushGapAsMarker()
-			p.warmSnap = p.total
-			exp.MarkWarm()
-			warmTaken = true
-		}
-		n := trace.CoupletLen(refs, i)
-		p.total.Couplets++
-		p.total.Refs += int64(n)
-
-		var ev event
-		interacts := false
-
-		first := refs[i]
-		var dref *trace.Ref
-		if first.Kind == trace.Ifetch {
-			p.total.Ifetches++
-			ev.hasI = true
-			res := ic.Read(first.Extended())
-			expI.OnRead(first.Extended(), res)
-			if !res.Hit {
-				p.total.IfetchMisses++
-				ev.iMiss = true
-				ev.iAddr = first.Extended()
-				interacts = true
-				ev.iVicW = recordMiss(ifw, res)
-				ev.iVic = res.Victim.BlockAddr
-			}
-			if n == 2 {
-				dref = &refs[i+1]
-			}
-		} else {
-			dref = &refs[i]
-		}
-
-		if dref != nil {
-			ev.dAddr = dref.Extended()
-			switch dref.Kind {
-			case trace.Load:
-				p.total.Loads++
-				res := dc.Read(ev.dAddr)
-				expD.OnRead(ev.dAddr, res)
-				if res.Hit {
-					ev.d = dLoadHit
-				} else {
-					p.total.LoadMisses++
-					ev.d = dLoadMiss
-					interacts = true
-					ev.dVicW = recordMiss(dfw, res)
-					ev.dVic = res.Victim.BlockAddr
-				}
-			case trace.Store:
-				p.total.Stores++
-				res := dc.Write(ev.dAddr)
-				expD.OnWrite(ev.dAddr, res)
-				switch {
-				case res.Hit:
-					p.total.StoreHits++
-					ev.d = dStoreHit
-					if wtThrough {
-						p.total.StoreThroughWords++
-						interacts = true
-					}
-				case !res.Allocated:
-					p.total.StoreMisses++
-					p.total.StoreThroughWords++
-					ev.d = dStoreMissNoAlloc
-					interacts = true
-				default:
-					p.total.StoreMisses++
-					ev.d = dStoreMissAlloc
-					interacts = true
-					if wtThrough {
-						p.total.StoreThroughWords++
-					}
-					ev.dVicW = recordMiss(dfw, res)
-					ev.dVic = res.Victim.BlockAddr
-				}
-			}
-		}
-
-		if interacts {
-			ev.gap = gap
-			ev.gapStoreHits = gapStoreHits
-			gap, gapStoreHits = 0, 0
-			p.events = append(p.events, ev)
-		} else {
-			gap++
-			if ev.d == dStoreHit {
-				gapStoreHits++
-			}
-		}
-		i += n
-	}
-	if !warmTaken {
-		flushGapAsMarker()
-		p.warmSnap = p.total
-		exp.MarkWarm()
-	}
-	p.tailGap = gap
-	p.tailGapStoreHits = gapStoreHits
+	p.events = log.take()
 	if chk != nil {
 		tally := p.total.SelfCheckTally()
 		if err := chk.Finish(&tally); err != nil {
@@ -352,4 +339,173 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		return nil, err
 	}
 	return p, nil
+}
+
+// simulate is the behavioural pass proper: it drives every couplet of the
+// trace through the caches, accumulates the profile's counters and gaps,
+// and logs the events.
+func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp *explain.Recorder, log *eventLog) error {
+	org := p.Org
+	wtThrough := org.DCache.WritePolicy == cache.WriteThrough
+	ifw := org.ICache.EffectiveFetchWords()
+	if org.Unified {
+		ifw = org.DCache.EffectiveFetchWords()
+	}
+	dfw := org.DCache.EffectiveFetchWords()
+
+	refs := t.Refs
+	var gap, gapStoreHits uint32
+	warmTaken := t.WarmStart == 0
+
+	for i := 0; i < len(refs); {
+		if chk != nil {
+			if err := chk.Err(); err != nil {
+				return err
+			}
+		}
+		if !warmTaken && i >= t.WarmStart {
+			p.markWarm(log, gap, gapStoreHits, exp)
+			gap, gapStoreHits = 0, 0
+			warmTaken = true
+		}
+		n := trace.CoupletLen(refs, i)
+		p.total.Couplets++
+		p.total.Refs += int64(n)
+
+		var (
+			iWord, iVic, dWord, dVic uint64
+			op                       = dNone
+			interacts                bool
+		)
+		di := i // index of the couplet's data reference, -1 for none
+		switch first := refs[i]; first.Kind {
+		case trace.Ifetch:
+			p.total.Ifetches++
+			addr := first.Extended()
+			flags := uint8(flagHasI)
+			var wbWords uint64
+			var hit bool
+			var wb cache.Writeback
+			if ic.slow == nil {
+				hit, wb = ic.c.ReadOutcome(addr)
+			} else {
+				hit, wb = ic.readSlow(addr)
+			}
+			if !hit {
+				p.total.IfetchMisses++
+				flags |= flagIMiss
+				interacts = true
+				wbWords, iVic = p.fill(ifw, wb)
+			}
+			iWord = packRef(addr, wbWords, flags)
+			di = -1
+			if n == 2 {
+				di = i + 1
+			}
+		case trace.Load, trace.Store:
+		default:
+			return t.KindError(i)
+		}
+
+		if di >= 0 {
+			// CoupletLen pairs an ifetch only with a load or store, so
+			// the data reference's kind is one of the two.
+			dref := refs[di]
+			addr := dref.Extended()
+			var wbWords uint64
+			if dref.Kind == trace.Load {
+				p.total.Loads++
+				var hit bool
+				var wb cache.Writeback
+				if dc.slow == nil {
+					hit, wb = dc.c.ReadOutcome(addr)
+				} else {
+					hit, wb = dc.readSlow(addr)
+				}
+				if hit {
+					op = dLoadHit
+				} else {
+					p.total.LoadMisses++
+					op = dLoadMiss
+					interacts = true
+					wbWords, dVic = p.fill(dfw, wb)
+				}
+			} else {
+				p.total.Stores++
+				var hit, allocated bool
+				var wb cache.Writeback
+				if dc.slow == nil {
+					hit, allocated, wb = dc.c.WriteOutcome(addr)
+				} else {
+					hit, allocated, wb = dc.writeSlow(addr)
+				}
+				switch {
+				case hit:
+					p.total.StoreHits++
+					op = dStoreHit
+					if wtThrough {
+						p.total.StoreThroughWords++
+						interacts = true
+					}
+				case !allocated:
+					p.total.StoreMisses++
+					p.total.StoreThroughWords++
+					op = dStoreMissNoAlloc
+					interacts = true
+				default:
+					p.total.StoreMisses++
+					op = dStoreMissAlloc
+					interacts = true
+					if wtThrough {
+						p.total.StoreThroughWords++
+					}
+					wbWords, dVic = p.fill(dfw, wb)
+				}
+			}
+			dWord = packRef(addr, wbWords, uint8(op))
+		}
+
+		if interacts {
+			log.add(event{gap: gap, gapStoreHits: gapStoreHits,
+				i: iWord, iVic: iVic, d: dWord, dVic: dVic})
+			gap, gapStoreHits = 0, 0
+		} else {
+			gap++
+			if op == dStoreHit {
+				gapStoreHits++
+			}
+		}
+		i += n
+	}
+	if !warmTaken {
+		p.markWarm(log, gap, gapStoreHits, exp)
+		gap, gapStoreHits = 0, 0
+	}
+	p.tailGap = gap
+	p.tailGapStoreHits = gapStoreHits
+	return nil
+}
+
+// markWarm snapshots the counters at the warm-start boundary and appends
+// the marker event that carries the gap pending there. (A method rather
+// than a closure: a closure capturing the gap counters would keep them in
+// memory for the whole pass.)
+func (p *Profile) markWarm(log *eventLog, gap, gapStoreHits uint32, exp *explain.Recorder) {
+	p.warmSnap = p.total
+	exp.MarkWarm()
+	log.add(event{gap: gap, gapStoreHits: gapStoreHits, i: packRef(0, 0, flagMarker)})
+}
+
+// fill accounts the traffic of a read (or write-allocate) miss and returns
+// what the event records of its victim: the write-back size and block
+// address of a dirty victim, zeros for a clean one.
+func (p *Profile) fill(fetchWords int, wb cache.Writeback) (wbWords, vicAddr uint64) {
+	p.total.ReadWordsFetched += int64(fetchWords)
+	if wb.Words == 0 {
+		return 0, 0
+	}
+	p.total.WritebackBlocks++
+	p.total.WritebackWords += int64(wb.Words)
+	p.total.WritebackDirtyWords += int64(wb.DirtyWords)
+	return uint64(wb.Words), wb.BlockAddr
 }

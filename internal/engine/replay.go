@@ -49,18 +49,24 @@ type replayer struct {
 	rec  *simtrace.Recorder // nil unless instrumentation is armed
 }
 
+// fetchUnit is one cache's fetch size and its transfer time at the
+// replay's timing, computed once per replay rather than on every miss.
+type fetchUnit struct {
+	words, cycles int
+}
+
 // missFetch mirrors system.(*System).missFetch for the whole-block
-// completion policy with main memory downstream. fetchWords is the cache's
-// fetch unit; wbWords is the victim's write-back size (0 for a clean miss).
-func (r *replayer) missFetch(start int64, fetchWords int, addr uint64, wbWords int, vicAddr uint64) int64 {
-	fetchAddr := addr &^ uint64(fetchWords-1)
+// completion policy with main memory downstream. f is the cache's fetch
+// unit; wbWords is the victim's write-back size (0 for a clean miss).
+func (r *replayer) missFetch(start int64, f fetchUnit, addr uint64, wbWords int, vicAddr uint64) int64 {
+	fetchAddr := addr &^ uint64(f.words-1)
 	r.buf.Drain(start)
-	matched := r.buf.FlushMatching(start, fetchAddr, fetchWords)
+	matched := r.buf.FlushMatching(start, fetchAddr, f.words)
 	mw0, mr0 := r.unit.ReadWaitCycles, r.unit.ReadRecoveryWaitCycles
-	dataAt, fillStart := r.unit.StartReadBlocked(start, fetchWords, wbWords)
+	dataAt, fillStart := r.unit.StartFill(start, f.cycles, wbWords)
 	if r.rec != nil {
 		r.rec.NoteFetch(r.unit.ReadWaitCycles-mw0, r.unit.ReadRecoveryWaitCycles-mr0, matched)
-		r.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, fetchWords)
+		r.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, f.words)
 	}
 	complete := dataAt
 	if wbWords > 0 {
@@ -168,13 +174,16 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 		ifw = p.Org.DCache.EffectiveFetchWords()
 	}
 	dfw := p.Org.DCache.EffectiveFetchWords()
+	ifetch := fetchUnit{ifw, tm.TransferCycles(ifw)}
+	dfetch := fetchUnit{dfw, tm.TransferCycles(dfw)}
 	wt := p.Org.DCache.WritePolicy == cache.WriteThrough
 
 	var now int64
 	var warmTiming system.Counters
 	warmSeen := false
 
-	for _, ev := range p.events {
+	for k := range p.events {
+		ev := &p.events[k] // read in place: no copy per event
 		if chk != nil {
 			if err := chk.Err(); err != nil {
 				return system.Result{}, err
@@ -186,7 +195,8 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 			// cycle per contained store hit — attributed in bulk.
 			rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
 		}
-		if ev.marker {
+		flags := ev.flags()
+		if flags&flagMarker != 0 {
 			rec.MarkWarm()
 			warmTiming = system.Counters{
 				Cycles:             now,
@@ -204,12 +214,12 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 			rec.BeginCouplet(now)
 		}
 		comp := now + 1
-		if ev.hasI {
-			if ev.iMiss {
-				c := r.missFetch(now+1, ifw, ev.iAddr, int(ev.iVicW), ev.iVic)
+		if flags&flagHasI != 0 {
+			if flags&flagIMiss != 0 {
+				c := r.missFetch(now+1, ifetch, ev.iAddr(), ev.iVicW(), ev.iVic)
 				if rec != nil {
 					rec.NoteRef(simtrace.Ifetch, c)
-					rec.Event(simtrace.EvIfetchMiss, now, c, ev.iAddr, 0)
+					rec.Event(simtrace.EvIfetchMiss, now, c, ev.iAddr(), 0)
 				}
 				if c > comp {
 					comp = c
@@ -218,7 +228,7 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 				rec.NoteRef(simtrace.Ifetch, now+1)
 			}
 		}
-		switch ev.d {
+		switch ev.dOp() {
 		case dNone:
 			// no data reference in this couplet
 		case dLoadHit:
@@ -229,7 +239,7 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 		case dStoreHit:
 			done := now + 2
 			if wt {
-				done = r.storeThrough(now, done, ev.dAddr)
+				done = r.storeThrough(now, done, ev.dAddr())
 			}
 			if rec != nil {
 				rec.NoteRef(simtrace.Store, done)
@@ -238,16 +248,16 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 				comp = done
 			}
 		case dLoadMiss:
-			c := r.missFetch(now+1, dfw, ev.dAddr, int(ev.dVicW), ev.dVic)
+			c := r.missFetch(now+1, dfetch, ev.dAddr(), ev.dVicW(), ev.dVic)
 			if rec != nil {
 				rec.NoteRef(simtrace.Load, c)
-				rec.Event(simtrace.EvLoadMiss, now, c, ev.dAddr, 0)
+				rec.Event(simtrace.EvLoadMiss, now, c, ev.dAddr(), 0)
 			}
 			if c > comp {
 				comp = c
 			}
 		case dStoreMissNoAlloc:
-			done := r.storeThrough(now, now+2, ev.dAddr)
+			done := r.storeThrough(now, now+2, ev.dAddr())
 			if rec != nil {
 				rec.NoteRef(simtrace.Store, done)
 			}
@@ -255,14 +265,14 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 				comp = done
 			}
 		case dStoreMissAlloc:
-			c := r.missFetch(now+1, dfw, ev.dAddr, int(ev.dVicW), ev.dVic)
+			c := r.missFetch(now+1, dfetch, ev.dAddr(), ev.dVicW(), ev.dVic)
 			c++
 			if wt {
-				c = r.storeThrough(now, c, ev.dAddr)
+				c = r.storeThrough(now, c, ev.dAddr())
 			}
 			if rec != nil {
 				rec.NoteRef(simtrace.Store, c)
-				rec.Event(simtrace.EvStoreMiss, now, c, ev.dAddr, 0)
+				rec.Event(simtrace.EvStoreMiss, now, c, ev.dAddr(), 0)
 			}
 			if c > comp {
 				comp = c

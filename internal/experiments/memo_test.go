@@ -1,0 +1,94 @@
+package experiments
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/runner"
+)
+
+// TestCellMemoSingleFlight: concurrent sweeps whose cells share keys, within
+// and across sweeps, compute each distinct cell exactly once and serve every
+// other copy from the memo. Run with -race to check the memo's
+// synchronization.
+func TestCellMemoSingleFlight(t *testing.T) {
+	const keys, copies, sweeps = 16, 4, 3
+	s := MustNewSuiteWithTracesForTest(t)
+	reg := obs.NewRegistry()
+	s.SetExec(ExecOptions{Workers: 8, Metrics: reg})
+	var runs [keys]atomic.Int64
+	sweep := func() []runner.Cell[cellOut] {
+		var cells []runner.Cell[cellOut]
+		for c := 0; c < copies; c++ {
+			for k := 0; k < keys; k++ {
+				cells = append(cells, runner.Cell[cellOut]{Key: fmt.Sprintf("cell-%d", k),
+					Run: func(context.Context) (cellOut, error) {
+						runs[k].Add(1)
+						return cellOut{CPR: float64(k)}, nil
+					}})
+			}
+		}
+		return cells
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < sweeps; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs, err := s.runCells(context.Background(), sweep())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, o := range outs {
+				if o.CPR != float64(i%keys) {
+					t.Errorf("output %d is cell-%v's", i, o.CPR)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range runs {
+		if n := runs[k].Load(); n != 1 {
+			t.Errorf("cell-%d computed %d times, want once", k, n)
+		}
+	}
+	if hits, want := reg.Counter(obs.MCellsMemoHits).Value(), int64(sweeps*copies*keys-keys); hits != want {
+		t.Errorf("memo hits = %d, want %d", hits, want)
+	}
+}
+
+// TestCellMemoSkipsFailures: a panicking or failing computation is not
+// memoized; the next sweep needing the cell computes it afresh, and only
+// its success is reused.
+func TestCellMemoSkipsFailures(t *testing.T) {
+	s := MustNewSuiteWithTracesForTest(t)
+	var attempts atomic.Int64
+	cell := []runner.Cell[cellOut]{{Key: "flaky", Run: func(context.Context) (cellOut, error) {
+		switch attempts.Add(1) {
+		case 1:
+			panic("injected")
+		case 2:
+			return cellOut{}, errors.New("transient")
+		}
+		return cellOut{CPR: 7}, nil
+	}}}
+	ctx := context.Background()
+	for i, wantErr := range []bool{true, true, false, false} {
+		outs, err := s.runCells(ctx, cell)
+		if (err != nil) != wantErr {
+			t.Fatalf("sweep %d: err = %v, want failure %v", i, err, wantErr)
+		}
+		if err == nil && outs[0].CPR != 7 {
+			t.Fatalf("sweep %d: output %+v", i, outs[0])
+		}
+	}
+	if n := attempts.Load(); n != 3 {
+		t.Errorf("cell ran %d times, want 3 (two failures, then one success reused)", n)
+	}
+}

@@ -51,10 +51,13 @@ var (
 	SetSizes = []int{1, 2, 4, 8}
 )
 
-// Suite holds the generated traces and the profile cache. The profile
-// cache is safe for concurrent use: sweep cells running on the worker pool
-// share behavioural profiles through it, with single-flight construction
-// so concurrent cells needing the same profile build it exactly once.
+// Suite holds the generated traces, the profile cache and the cell memo.
+// Both caches are safe for concurrent use and live as long as the Suite:
+// sweep cells running on the worker pool share behavioural profiles
+// through the profile cache, with single-flight construction so concurrent
+// cells needing the same profile build it exactly once, and every distinct
+// sweep cell's output is computed once and then served from the memo to
+// any later sweep that needs it (see memoize).
 type Suite struct {
 	Scale  float64
 	Traces []*trace.Trace
@@ -63,6 +66,7 @@ type Suite struct {
 
 	mu       sync.Mutex
 	profiles map[profileKey]*profileEntry
+	cells    map[string]*cellEntry // by runner key
 
 	fpOnce sync.Once
 	fps    []string // per-trace checkpoint fingerprints
@@ -110,11 +114,7 @@ func NewSuite(scale float64) (*Suite, error) {
 			return nil, fmt.Errorf("experiments: generated trace %s: %w", t.Name, err)
 		}
 	}
-	return &Suite{
-		Scale:    scale,
-		Traces:   traces,
-		profiles: make(map[profileKey]*profileEntry),
-	}, nil
+	return newSuite(traces, scale), nil
 }
 
 // MustNewSuite is NewSuite that panics on error, for tests and benchmarks
@@ -130,7 +130,16 @@ func MustNewSuite(scale float64) *Suite {
 // NewSuiteWithTraces builds a suite over caller-provided traces (tests use
 // tiny synthetic ones).
 func NewSuiteWithTraces(traces []*trace.Trace) *Suite {
-	return &Suite{Scale: 1, Traces: traces, profiles: make(map[profileKey]*profileEntry)}
+	return newSuite(traces, 1)
+}
+
+func newSuite(traces []*trace.Trace, scale float64) *Suite {
+	return &Suite{
+		Scale:    scale,
+		Traces:   traces,
+		profiles: make(map[profileKey]*profileEntry),
+		cells:    make(map[string]*cellEntry),
+	}
 }
 
 // l1Config builds the standard split-cache configuration for one side:

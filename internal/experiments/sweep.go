@@ -112,6 +112,84 @@ type cellOut struct {
 	Explain *explain.Report `json:"explain,omitempty"`
 }
 
+// cellEntry is a single-flight slot in the Suite's cell memo.
+type cellEntry struct {
+	done chan struct{} // closed when the computing cell returns
+	out  cellOut
+	ok   bool // the computation succeeded; only then is out memoized
+}
+
+// memoize wraps each cell so that the Suite computes every distinct cell
+// once in its lifetime. Cells are identified by their runner key, which
+// already names everything the output depends on (cell kind and version,
+// trace fingerprint, scale and the full configuration). It follows the
+// profile cache's single-flight pattern: the first cell to need a key
+// computes it and every other cell with that key, in the same sweep or a
+// later one, waits for and reuses the result. A failed, cancelled or
+// panicking computation is not memoized: the slot is dropped and the next
+// attempt computes afresh. The memo is what lets Figure 4-2 reuse the
+// direct-mapped cells SpeedSizeGrid(…, 1) already replayed.
+//
+// A memo hit returns the stored output without running the cell, so it
+// adds nothing to the simulated-reference and attribution metrics; it
+// counts in obs.MCellsMemoHits instead. An output computed while
+// ExecOptions.SelfCheck, Trace or Explain was armed is reused as is, like
+// the profile cache's profiles: options changed between sweeps apply to
+// cells not yet computed.
+func (s *Suite) memoize(cells []runner.Cell[cellOut]) []runner.Cell[cellOut] {
+	var hits *obs.Counter
+	if s.exec.Metrics != nil {
+		hits = s.exec.Metrics.Counter(obs.MCellsMemoHits)
+	}
+	out := make([]runner.Cell[cellOut], len(cells))
+	for i, c := range cells {
+		run, key := c.Run, c.Key
+		out[i] = runner.Cell[cellOut]{Key: key, Run: func(ctx context.Context) (cellOut, error) {
+			for {
+				s.mu.Lock()
+				e, found := s.cells[key]
+				if !found {
+					e = &cellEntry{done: make(chan struct{})}
+					s.cells[key] = e
+				}
+				s.mu.Unlock()
+				if !found {
+					return s.compute(ctx, key, e, run)
+				}
+				select {
+				case <-e.done:
+				case <-ctx.Done():
+					return cellOut{}, ctx.Err()
+				}
+				if e.ok {
+					if hits != nil {
+						hits.Add(1)
+					}
+					return e.out, nil
+				}
+				// The computing cell failed; take its place.
+			}
+		}}
+	}
+	return out
+}
+
+// compute runs a memo slot's cell and publishes its output, dropping the
+// slot instead when the cell fails or panics.
+func (s *Suite) compute(ctx context.Context, key string, e *cellEntry, run func(context.Context) (cellOut, error)) (v cellOut, err error) {
+	defer func() {
+		if !e.ok {
+			s.mu.Lock()
+			delete(s.cells, key)
+			s.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	v, err = run(ctx)
+	e.out, e.ok = v, err == nil
+	return v, err
+}
+
 // cellRecorder builds the per-cell simtrace recorder, or nil when tracing
 // is off. Interval windows are stripped: cells report attribution and
 // events only.
@@ -295,7 +373,7 @@ func (s *Suite) systemCell(i int, cfg system.Config) runner.Cell[cellOut] {
 // cell outputs in input order, or a *runner.SweepError naming every failed
 // or cancelled cell.
 func (s *Suite) runCells(ctx context.Context, cells []runner.Cell[cellOut]) ([]cellOut, error) {
-	cells = s.instrument(cells)
+	cells = s.memoize(s.instrument(cells))
 	// Fault wrappers go outermost so an injected panic or delay hits the
 	// runner exactly as a real one would, outside all instrumentation.
 	cells = faultinject.Wrap(s.exec.Faults, cells)

@@ -200,8 +200,10 @@ func TestConcurrentProfileCacheSingleFlight(t *testing.T) {
 		}
 	}
 	// The same (org, cycle) cell computed twice gives identical floats —
-	// the determinism the byte-identical resume rests on.
-	again, err := s.runCells(context.Background(), s.replayCellsFor(nil, org, baseTiming(20)))
+	// the determinism the byte-identical resume rests on. A fresh Suite
+	// over the same traces recomputes it; this one would serve its memo.
+	fresh := NewSuiteWithTraces(s.Traces)
+	again, err := fresh.runCells(context.Background(), fresh.replayCellsFor(nil, org, baseTiming(20)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,10 @@
 // These rules reproduce the paper's Table 2 exactly (see the unit tests).
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Rate is a rational transfer rate: Num words move per Den cycles. The
 // paper varies the rate from four words per cycle down to one word per four
@@ -140,7 +143,14 @@ func (t Timing) TransferCycles(words int) int {
 	if words <= 0 {
 		return 0
 	}
-	cycles := ceilDiv(words*t.Transfer.Den, t.Transfer.Num)
+	var cycles int
+	if num := t.Transfer.Num; num&(num-1) == 0 {
+		// Every rate the paper sweeps moves a power-of-two number of
+		// words per period: shift rather than divide on each transfer.
+		cycles = (words*t.Transfer.Den + num - 1) >> bits.TrailingZeros(uint(num))
+	} else {
+		cycles = ceilDiv(words*t.Transfer.Den, num)
+	}
 	if cycles < 1 {
 		cycles = 1
 	}
@@ -214,6 +224,13 @@ func (u *Unit) StartRead(now int64, blockWords int) (dataAt int64) {
 // at which the first word began transferring (used by early-continuation
 // variants).
 func (u *Unit) StartReadBlocked(now int64, blockWords, victimOutWords int) (dataAt, fillStart int64) {
+	return u.StartFill(now, u.Timing.TransferCycles(blockWords), victimOutWords)
+}
+
+// StartFill is StartReadBlocked with the fill's transfer time supplied in
+// cycles, for callers that fetch one fixed size at one timing and compute
+// Timing.TransferCycles once rather than on every miss.
+func (u *Unit) StartFill(now int64, transferCycles, victimOutWords int) (dataAt, fillStart int64) {
 	start := now
 	if u.FreeAt > start {
 		wait := u.FreeAt - start
@@ -230,7 +247,7 @@ func (u *Unit) StartReadBlocked(now int64, blockWords, victimOutWords int) (data
 	if v := now + int64(victimOutWords); v > fillStart {
 		fillStart = v
 	}
-	dataAt = fillStart + int64(u.Timing.TransferCycles(blockWords))
+	dataAt = fillStart + int64(transferCycles)
 	u.FreeAt = dataAt + int64(u.Timing.RecoveryCycles)
 	u.BusyCycles += u.FreeAt - start
 	u.ReadServiceCycles += dataAt - now
@@ -247,8 +264,9 @@ func (u *Unit) StartWrite(now int64, words int) (acceptedAt int64) {
 		u.WaitCycles += u.FreeAt - start
 		start = u.FreeAt
 	}
-	accepted := start + int64(u.Timing.WriteAcceptCycles(words))
-	busy := start + int64(u.Timing.WriteBusyCycles(words))
+	// WriteAcceptCycles and WriteBusyCycles, sharing one transfer time.
+	accepted := start + 1 + int64(u.Timing.TransferCycles(words))
+	busy := accepted + int64(u.Timing.WriteLagCycles)
 	u.FreeAt = busy + int64(u.Timing.RecoveryCycles)
 	u.BusyCycles += u.FreeAt - start
 	u.Writes++

@@ -237,3 +237,20 @@ func TestQuantizationCoversNs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTransferCyclesShiftMatchesDivision: the shift taken for power-of-two
+// rates gives exactly the ceiling division taken for the others, over
+// every rate and transfer size up to 1 Ki words.
+func TestTransferCyclesShiftMatchesDivision(t *testing.T) {
+	for num := 1; num <= 16; num++ {
+		for den := 1; den <= 8; den++ {
+			tm := Timing{Transfer: Rate{num, den}}
+			for words := 1; words <= 1024; words++ {
+				want := max(1, ceilDiv(words*den, num))
+				if got := tm.TransferCycles(words); got != want {
+					t.Fatalf("rate %d/%d, %d words: %d cycles, want %d", num, den, words, got, want)
+				}
+			}
+		}
+	}
+}

@@ -126,10 +126,14 @@ type ManifestHost struct {
 	GitDescribe string `json:"git_describe,omitempty"`
 }
 
-// ManifestCells tallies cell outcomes.
+// ManifestCells tallies cell outcomes. Done counts every cell the runner
+// completed; of those, MemoHits were served from the Suite's in-process
+// cell memo and Cold were simulated.
 type ManifestCells struct {
 	Planned  int64 `json:"planned"`
 	Done     int64 `json:"done"`
+	Cold     int64 `json:"cold,omitempty"`
+	MemoHits int64 `json:"memo_hits,omitempty"`
 	Replayed int64 `json:"replayed"`
 	Failed   int64 `json:"failed"`
 	Panicked int64 `json:"panicked"`
@@ -219,11 +223,13 @@ func (m *Manifest) FillFromRegistry(reg *Registry, wall time.Duration) {
 	m.Cells = ManifestCells{
 		Planned:  reg.Counter(MCellsPlanned).Value(),
 		Done:     reg.Counter(MCellsDone).Value(),
+		MemoHits: reg.Counter(MCellsMemoHits).Value(),
 		Replayed: reg.Counter(MCellsReplayed).Value(),
 		Failed:   reg.Counter(MCellsFailed).Value(),
 		Panicked: reg.Counter(MCellsPanicked).Value(),
 		Retried:  reg.Counter(MCellsRetried).Value(),
 	}
+	m.Cells.Cold = m.Cells.Done - m.Cells.MemoHits
 	m.CellLatency = reg.Timing(MCellLatency).Snapshot()
 	if n := reg.Counter(MAttribCells).Value(); n > 0 {
 		m.AttribCells = n
@@ -248,7 +254,7 @@ func (m *Manifest) FillFromRegistry(reg *Registry, wall time.Duration) {
 	m.Throughput = ManifestThroughput{
 		RefsSimulated: refs,
 		RefsPerSec:    rate(refs, wall.Seconds()),
-		CellsPerSec:   rate(m.Cells.Done+m.Cells.Failed, wall.Seconds()),
+		CellsPerSec:   rate(m.Cells.Cold+m.Cells.Failed, wall.Seconds()),
 	}
 }
 

@@ -112,9 +112,10 @@ func (r *Reporter) Stop() {
 // tick emits one progress line. Split out (and clock-injected) so tests can
 // drive it without the goroutine.
 //
-// Rates and the ETA count only freshly simulated cells (done + failed).
-// Memoized cells — replayed from a checkpoint when a sweep or service job
-// resumes — land in a near-instant burst; folding them into the throughput
+// Rates and the ETA count only freshly simulated cells (done + failed,
+// less the Suite's in-process memo hits). Memoized cells — replayed from a
+// checkpoint when a sweep or service job resumes, or served from the memo
+// — land in a near-instant burst; folding them into the throughput
 // estimate made a half-restored grid report a rate (and an ETA) off by the
 // restored fraction. They still count toward the progress fraction, and the
 // line calls them out so X/N doesn't silently mix the two.
@@ -123,10 +124,11 @@ func (r *Reporter) tick() {
 	planned := r.reg.Counter(MCellsPlanned).Value()
 	done := r.reg.Counter(MCellsDone).Value()
 	replayed := r.reg.Counter(MCellsReplayed).Value()
+	memoHits := r.reg.Counter(MCellsMemoHits).Value()
 	failed := r.reg.Counter(MCellsFailed).Value()
 	refs := r.reg.Counter(MSimRefs).Value()
-	fresh := done + failed
-	finished := fresh + replayed
+	fresh := done - memoHits + failed
+	finished := done + failed + replayed
 
 	r.mu.Lock()
 	phase := "sweep"
@@ -151,6 +153,9 @@ func (r *Reporter) tick() {
 	line := fmt.Sprintf("[obs] %s: %d/%d cells", phase, finished, planned)
 	if replayed > 0 {
 		line += fmt.Sprintf(" (%d memoized)", replayed)
+	}
+	if memoHits > 0 {
+		line += fmt.Sprintf(" (%d memo hits)", memoHits)
 	}
 	if failed > 0 {
 		line += fmt.Sprintf(" (%d failed)", failed)

@@ -25,10 +25,15 @@ const (
 	// MCellsPlanned counts cells submitted to sweeps so far. It grows as
 	// figures start, so ETA estimates cover only the work announced yet.
 	MCellsPlanned = "cells_planned"
-	// MCellsDone counts freshly computed successful cells.
+	// MCellsDone counts successful cells the runner completed: freshly
+	// simulated cells plus MCellsMemoHits.
 	MCellsDone = "cells_done"
 	// MCellsReplayed counts cells served from the checkpoint log.
 	MCellsReplayed = "cells_replayed"
+	// MCellsMemoHits counts cells an experiments Suite served from its
+	// in-process cell memo: the runner completed them, so they are part of
+	// MCellsDone, but nothing was simulated.
+	MCellsMemoHits = "cells_memo_hits"
 	// MCellsFailed counts cells whose final attempt failed.
 	MCellsFailed = "cells_failed"
 	// MCellsPanicked counts failed cells whose final attempt panicked.

@@ -94,8 +94,9 @@ type MetricDef struct {
 var Defs = []MetricDef{
 	// Runner cell metrics (internal/obs).
 	{obs.MCellsPlanned, "counter", "Cells submitted to sweeps so far."},
-	{obs.MCellsDone, "counter", "Freshly simulated successful cells."},
+	{obs.MCellsDone, "counter", "Successful cells completed by the runner, cells_memo_hits included."},
 	{obs.MCellsReplayed, "counter", "Cells served memoized from the checkpoint cache."},
+	{obs.MCellsMemoHits, "counter", "Cells served from an experiments suite's in-process cell memo (no simulation ran)."},
 	{obs.MCellsFailed, "counter", "Cells whose final attempt failed."},
 	{obs.MCellsPanicked, "counter", "Failed cells whose final attempt panicked."},
 	{obs.MCellsRetried, "counter", "Cells that needed more than one attempt."},

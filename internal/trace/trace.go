@@ -84,15 +84,32 @@ func (t *Trace) Len() int { return len(t.Refs) }
 // Validate checks internal consistency: a sane warm-start boundary and at
 // least one measured reference.
 func (t *Trace) Validate() error {
-	if t.WarmStart < 0 || t.WarmStart >= len(t.Refs) {
-		return fmt.Errorf("trace %q: warm start %d outside [0, %d)", t.Name, t.WarmStart, len(t.Refs))
+	if err := t.ValidateWarmStart(); err != nil {
+		return err
 	}
 	for i, r := range t.Refs {
 		if r.Kind >= numKinds {
-			return fmt.Errorf("trace %q: ref %d has invalid kind %d", t.Name, i, r.Kind)
+			return t.KindError(i)
 		}
 	}
 	return nil
+}
+
+// ValidateWarmStart is the constant-time half of Validate: the warm-start
+// boundary lies inside the trace, so at least one reference is measured.
+// A pass that visits every reference anyway checks the kinds as it goes
+// and reports the first bad one with KindError, instead of scanning the
+// trace twice.
+func (t *Trace) ValidateWarmStart() error {
+	if t.WarmStart < 0 || t.WarmStart >= len(t.Refs) {
+		return fmt.Errorf("trace %q: warm start %d outside [0, %d)", t.Name, t.WarmStart, len(t.Refs))
+	}
+	return nil
+}
+
+// KindError is Validate's error for reference i, whose kind is invalid.
+func (t *Trace) KindError(i int) error {
+	return fmt.Errorf("trace %q: ref %d has invalid kind %d", t.Name, i, t.Refs[i].Kind)
 }
 
 // CoupletLen returns the number of references in the couplet starting at
