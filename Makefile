@@ -48,7 +48,7 @@
 # part of the gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
-# root package's plus the cache and engine layer benchmarks, to
+# root package's plus the workload, cache and engine layer benchmarks, to
 # BENCH_<date>.json via cmd/bench2json. Compare two snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
@@ -253,10 +253,11 @@ vulncheck:
 	fi
 
 # The root package holds the figure and whole-simulator benchmarks; the
-# cache and engine packages hold the per-layer ones (one access per
-# geometry, the behavioural pass and the timing replay).
+# workload, cache and engine packages hold the per-layer ones (trace
+# generation, one access per geometry, the behavioural pass and the timing
+# replay).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/cache/ ./internal/engine/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/engine/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:

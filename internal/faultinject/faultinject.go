@@ -70,6 +70,10 @@ type Plan struct {
 	TransientRate float64
 	// SlowFor is the injected delay for Slow cells (default 100ms).
 	SlowFor time.Duration
+	// SlowUntil, when non-nil, holds Slow cells until it is closed instead
+	// of delaying them by SlowFor, so a test can keep cells in flight for
+	// exactly as long as it needs them there.
+	SlowUntil <-chan struct{}
 	// TransientFails is how many attempts of a Transient cell fail before
 	// one succeeds (default 1).
 	TransientFails int
@@ -206,8 +210,13 @@ func Wrap[T any](p *Plan, cells []runner.Cell[T]) []runner.Cell[T] {
 		case Slow:
 			inner := c.Run
 			out[i].Run = func(ctx context.Context) (T, error) {
+				var timer <-chan time.Time // nil, never fires, when SlowUntil holds the cell
+				if p.SlowUntil == nil {
+					timer = time.After(p.slowFor())
+				}
 				select {
-				case <-time.After(p.slowFor()):
+				case <-timer:
+				case <-p.SlowUntil:
 				case <-ctx.Done():
 					var zero T
 					return zero, ctx.Err()

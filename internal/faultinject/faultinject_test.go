@@ -159,6 +159,31 @@ func TestWrapSlowHonoursDeadline(t *testing.T) {
 	}
 }
 
+func TestWrapSlowUntilHoldsCell(t *testing.T) {
+	gate := make(chan struct{})
+	p := &Plan{SlowRate: 1, SlowFor: time.Millisecond, SlowUntil: gate}
+	cells := Wrap(p, []runner.Cell[int]{okCell("held")})
+	done := make(chan runner.Result[int], 1)
+	go func() { done <- runner.Run(context.Background(), cells, runner.Options{})[0] }()
+	select {
+	case r := <-done:
+		t.Fatalf("cell finished before its gate opened (SlowFor ignored?): %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if r := <-done; !r.Done || r.Value != 42 {
+		t.Fatalf("held cell after the gate opened: %+v", r)
+	}
+
+	// A held cell still honours cancellation.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	p.SlowUntil = make(chan struct{})
+	if r := runner.Run(ctx, Wrap(p, []runner.Cell[int]{okCell("held")}), runner.Options{})[0]; r.Err == nil {
+		t.Fatal("held cell ignored its deadline")
+	}
+}
+
 func TestWrapNilPlanIsIdentity(t *testing.T) {
 	cells := []runner.Cell[int]{okCell("a")}
 	if got := Wrap[int](nil, cells); &got[0] == &cells[0] || got[0].Key != "a" {

@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 func TestBreakerTripOnceAndProbeReset(t *testing.T) {
@@ -83,8 +86,15 @@ func TestStorageBreakerDegradedMode(t *testing.T) {
 	cfg.CellWorkers = 1
 	cfg.BreakerThreshold = 3
 	cfg.ProbeInterval = 20 * time.Millisecond
-	// Slow every cell so the long job is still running when the disk dies.
-	cfg.Faults = &faultinject.Plan{SlowRate: 1, SlowFor: 50 * time.Millisecond}
+	// Hold every cell at a gate so the long job is still running when the
+	// disk dies, and none of its cells writes the cell cache (a success
+	// would reset the breaker's consecutive count) until the breaker has
+	// tripped.
+	gate := make(chan struct{})
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	defer release()
+	cfg.Faults = &faultinject.Plan{SlowRate: 1, SlowUntil: gate}
 	cfg.JournalWrap = func(w io.Writer) io.Writer {
 		gw.w = w
 		return gw
@@ -102,6 +112,16 @@ func TestStorageBreakerDegradedMode(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Once a cell is in flight the job has written its journal start
+	// entry, so from here on the submissions below are the only storage
+	// writes until the breaker trips.
+	inflight := s.Registry().Gauge(obs.MCellsInflight)
+	for deadline := time.Now().Add(30 * time.Second); inflight.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow job never started a cell")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// The disk dies. Failed submissions are honest journal errors until
@@ -155,6 +175,7 @@ func TestStorageBreakerDegradedMode(t *testing.T) {
 
 	// Degraded is not down: the in-flight job keeps computing and lands
 	// done, its journal entry parked for recovery.
+	release()
 	if st := waitTerminal(t, slow, 30*time.Second); st.State != StateDone {
 		t.Fatalf("in-flight job ended %s (%s) while degraded", st.State, st.Error)
 	}
@@ -196,5 +217,48 @@ func TestStorageBreakerDegradedMode(t *testing.T) {
 	}
 	if st := restored.Status(); st.State != StateDone {
 		t.Errorf("job finished while degraded restored as %s, want done (parked entry lost)", st.State)
+	}
+}
+
+// TestSubmitOnPausedJournalIsDegraded covers the window between
+// SubmitCtx's breaker check and its journal append: another job's write
+// can trip the breaker there, and the append then meets a paused journal.
+// The submission must be refused as degraded (503 with Retry-After,
+// counted as shed_degraded), not fail with a bare journal error.
+func TestSubmitOnPausedJournalIsDegraded(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.ProbeInterval = 3 * time.Second
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Kill()
+	ts := httptest.NewServer(NewServer(s))
+	defer ts.Close()
+
+	// Pause the journal behind a closed breaker: the breaker check passes
+	// and the append is the first to notice.
+	s.journal.SetPaused(true)
+	_, err = s.Submit(smallGrid())
+	var degraded *DegradedError
+	if !errors.As(err, &degraded) {
+		t.Fatalf("submit on a paused journal: %v, want *DegradedError", err)
+	}
+	if degraded.RetryAfter != cfg.ProbeInterval {
+		t.Errorf("RetryAfter = %v, want the probe interval %v", degraded.RetryAfter, cfg.ProbeInterval)
+	}
+	resp, _ := postJob(t, ts, smallGrid())
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("HTTP submit on a paused journal: status %d, want 503", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "3" {
+		t.Errorf("Retry-After = %q, want 3", ra)
+	}
+	if n := s.Registry().Counter(telemetry.MShedDegraded).Value(); n != 2 {
+		t.Errorf("shed_degraded = %d, want 2", n)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs accepted on a paused journal", n)
 	}
 }

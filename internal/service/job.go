@@ -151,8 +151,16 @@ type CellResult struct {
 
 // Simulate runs the cell: build the varied system, synthesize the
 // workload, replay it. ctx is consulted between the expensive phases; the
-// inner simulation is finite and bounded by the cell's scale.
+// inner simulation is finite and bounded by the cell's scale. It is the
+// reference for a served cell: a job runs the same code with one trace set
+// shared by all its cells, Simulate with a set of its own.
 func (c CellSpec) Simulate(ctx context.Context) (CellResult, error) {
+	return c.simulate(ctx, newTraceSet(nil))
+}
+
+// simulate runs the cell on the trace traces holds for its workload and
+// scale.
+func (c CellSpec) simulate(ctx context.Context, traces *traceSet) (CellResult, error) {
 	var vs []config.Variation
 	if c.SizeKB > 0 {
 		vs = append(vs, config.WithTotalSizeKB(c.SizeKB))
@@ -174,11 +182,7 @@ func (c CellSpec) Simulate(ctx context.Context) (CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return CellResult{}, err
 	}
-	wl, err := workload.ByName(c.Workload)
-	if err != nil {
-		return CellResult{}, err
-	}
-	tr, err := wl.Generate(c.Scale)
+	tr, err := traces.get(ctx, c.traceKey())
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -331,6 +335,10 @@ type Job struct {
 	rootSpan telemetry.SpanRef // http.request, ended by the HTTP handler
 	jobSpan  telemetry.SpanRef // submit → terminal, ended by finishJob
 
+	// accepted is the status at submission, which the 202 reply reports:
+	// a job worker may pick the job up before the reply is written.
+	accepted JobStatus
+
 	mu       sync.Mutex
 	status   JobStatus
 	events   []Event
@@ -364,6 +372,7 @@ func newJob(id, reqID, client string, req GridRequest, ctx context.Context, canc
 		},
 		changed: make(chan struct{}),
 	}
+	j.accepted = j.status
 	return j
 }
 

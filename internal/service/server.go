@@ -64,7 +64,7 @@ func NewServer(s *Service) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job.Status())
+		writeJSON(w, http.StatusAccepted, job.accepted)
 		job.EndRequestSpan(http.StatusAccepted)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

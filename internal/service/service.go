@@ -477,7 +477,8 @@ func (s *Service) Submit(req GridRequest) (*Job, error) {
 // SubmitCtx validates, admits, journals and enqueues a request. The job is
 // durable once SubmitCtx returns: a crash after this point requeues it on
 // restart. Shed submissions return *ShedError; a draining server returns
-// ErrDraining; a sick journal surfaces its write error. A request ID on
+// ErrDraining; a degraded server (breaker open or journal paused) returns
+// *DegradedError; a sick journal surfaces its write error. A request ID on
 // ctx (see WithRequestID) becomes the job's RequestID and its trace ID.
 func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) {
 	if err := req.Validate(s.cfg.MaxCellsPerJob); err != nil {
@@ -490,11 +491,7 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 		return nil, ErrDraining
 	}
 	if open, reason := s.breaker.state(); open {
-		// The journal cannot make this job durable; refuse honestly with
-		// the soonest the next probe could clear the breaker.
-		s.reg.Counter(MJobsShed).Add(1)
-		s.reg.Counter(telemetry.MShedDegraded).Add(1)
-		return nil, &DegradedError{Reason: reason, RetryAfter: s.cfg.ProbeInterval}
+		return nil, s.refuseDegraded(reason)
 	}
 	// Depth first (cheap, sheds the burst), then the client quota — before
 	// the global bucket, so a greedy client is charged its own budget
@@ -526,6 +523,15 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	reqID := RequestIDFrom(ctx)
 	if err := s.journal.Submit(id, reqID, client, req); err != nil {
 		// Not durable — reject rather than risk losing an accepted job.
+		if errors.Is(err, ErrJournalPaused) {
+			// Another job's write tripped the breaker since the check
+			// above: refuse exactly as a degraded server does.
+			_, reason := s.breaker.state()
+			if reason == "" {
+				reason = "journal paused"
+			}
+			return nil, s.refuseDegraded(reason)
+		}
 		return nil, err
 	}
 	jobCtx, cancel := context.WithCancelCause(s.ctx)
@@ -541,6 +547,15 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	s.log.Info("job accepted", "job", id, "cells", req.cellCount(),
 		"config", job.status.ConfigHash, "request_id", reqID, "client", client)
 	return job, nil
+}
+
+// refuseDegraded counts a submission the journal cannot make durable and
+// refuses it honestly, with the soonest the next probe could clear the
+// breaker as its Retry-After.
+func (s *Service) refuseDegraded(reason string) error {
+	s.reg.Counter(MJobsShed).Add(1)
+	s.reg.Counter(telemetry.MShedDegraded).Add(1)
+	return &DegradedError{Reason: reason, RetryAfter: s.cfg.ProbeInterval}
 }
 
 // estimateDrain guesses how long until a queue slot frees: queue depth
@@ -645,11 +660,16 @@ func (s *Service) runJob(job *Job) {
 		defer cancelTimeout()
 	}
 
+	// One trace set per job: each (workload, scale) trace is generated
+	// once, shared by the job's cells and dropped after the last of them
+	// finishes (OnCellDone below), or with the job.
 	specs := job.req.Cells()
+	traces := newTraceSet(specs)
 	cells := make([]runner.Cell[CellResult], len(specs))
 	for i, cs := range specs {
-		cs := cs
-		cells[i] = runner.Cell[CellResult]{Key: cs.Key(), Run: cs.Simulate}
+		cells[i] = runner.Cell[CellResult]{Key: cs.Key(), Run: func(ctx context.Context) (CellResult, error) {
+			return cs.simulate(ctx, traces)
+		}}
 	}
 	cells = faultinject.Wrap(s.cfg.Faults, cells)
 
@@ -690,6 +710,7 @@ func (s *Service) runJob(job *Job) {
 			a.EndAt(ev.End)
 		},
 		OnCellDone: func(ev runner.CellEvent) {
+			traces.release(specs[ev.Index])
 			if regDone != nil {
 				regDone(ev)
 			}
@@ -743,17 +764,17 @@ func (s *Service) ResultsFor(ctx context.Context, job *Job) ([]CellResult, error
 	req := job.Request()
 	specs := req.Cells()
 	out := make([]CellResult, len(specs))
+	traces := newTraceSet(specs)
 	for i, cs := range specs {
-		if raw, ok := s.cells.Lookup(cs.Key()); ok {
-			if err := json.Unmarshal(raw, &out[i]); err == nil {
-				continue
+		raw, ok := s.cells.Lookup(cs.Key())
+		if !ok || json.Unmarshal(raw, &out[i]) != nil {
+			r, err := cs.simulate(ctx, traces)
+			if err != nil {
+				return nil, fmt.Errorf("service: rebuilding results for %s: %w", job.ID(), err)
 			}
+			out[i] = r
 		}
-		r, err := cs.Simulate(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("service: rebuilding results for %s: %w", job.ID(), err)
-		}
-		out[i] = r
+		traces.release(cs)
 	}
 	job.setResults(out)
 	return job.Results(), nil
@@ -964,6 +985,10 @@ func (s *Service) Kill() {
 	// process death.
 	s.cells.Close()   //nolint:errcheck // crash semantics
 	s.journal.Close() //nolint:errcheck // crash semantics
+	// A job that finished as the kill landed may still be writing its
+	// ledger record and trace files under DataDir; return only once every
+	// job worker has exited, so nothing of this life writes after Kill.
+	s.wg.Wait()
 }
 
 // causeName canonicalizes a cancellation cause for statuses and journals.

@@ -127,16 +127,20 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 }
 
 // TestResultsBitIdenticalToDirect: the service returns exactly what a
-// direct in-process simulation of each cell returns.
+// direct in-process simulation of each cell returns. Four cell workers
+// share each workload's trace through the job's trace set, while every
+// direct Simulate generates its own.
 func TestResultsBitIdenticalToDirect(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(testConfig(dir))
+	cfg := testConfig(dir)
+	cfg.CellWorkers = 4
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
 	defer s.Drain(context.Background())
-	req := GridRequest{Workloads: []string{"mu3", "rd1n3"}, Scale: 0.01, Assocs: []int{1, 2}}
+	req := GridRequest{Workloads: []string{"mu3", "rd1n3"}, Scale: 0.01, SizesKB: []int{2, 8, 32}, Assocs: []int{1, 2}}
 	job, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -324,6 +325,10 @@ func TestAccessLogOneLinePerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Read to the end: the server finishes a response only after the
+		// handler chain (access log included) has returned, while closing
+		// an unread body lets the next request start before that.
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the ordering matters
 		resp.Body.Close()
 	}
 
