@@ -5,8 +5,9 @@
 #   vet          — static analysis
 #   test         — full unit-test suite
 #   race         — race-detector pass over the concurrent packages (the
-#                  sweep runner, the experiment suite, the observability
-#                  layer and the CLIs that drive them)
+#                  sweep runner, the experiment suite, the design-space
+#                  explorer, the observability layer and the CLIs that
+#                  drive them)
 #   fuzz         — fuzz seed corpora in regression mode (no new input
 #                  generation; just replays the checked-in seeds)
 #   selfcheck    — the differential-oracle pass: every simulator run in the
@@ -48,8 +49,9 @@
 # part of the gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
-# root package's plus the workload, cache and engine layer benchmarks, to
-# BENCH_<date>.json via cmd/bench2json. Compare two snapshots with:
+# root package's plus the workload, cache, write-buffer, memory and engine
+# layer benchmarks, to BENCH_<date>.json via cmd/bench2json. Compare two
+# snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
 
@@ -72,7 +74,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/obs/ ./internal/service/ ./cmd/...
+	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/core/ ./internal/obs/ ./internal/service/ ./cmd/...
 
 # Go runs fuzz seed corpora as ordinary tests when -fuzz is absent; this
 # target exists so the gate states the intent explicitly.
@@ -253,11 +255,11 @@ vulncheck:
 	fi
 
 # The root package holds the figure and whole-simulator benchmarks; the
-# workload, cache and engine packages hold the per-layer ones (trace
-# generation, one access per geometry, the behavioural pass and the timing
-# replay).
+# workload, cache, writebuf, mem and engine packages hold the per-layer ones
+# (trace generation, one access per geometry, write-buffer operations,
+# memory fills and writes, the behavioural pass and the timing replay).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/engine/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:

@@ -13,14 +13,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/stats"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -98,18 +100,19 @@ type Evaluation struct {
 	MissPenaltyCycles int
 }
 
-// Explorer evaluates design points against a fixed workload set. Profiles
-// are cached per organization, so cycle-time and memory sweeps over the
-// same organization are cheap. Safe for concurrent use.
+// Explorer evaluates design points against a fixed workload set. It is a
+// view over an experiments.Suite built on its traces: Evaluate runs the
+// Suite's replay cells, so a behavioural profile is built once per
+// (organization × trace), however many callers need it at once, and a
+// replay runs once per (organization × cycle-domain timing × trace), since
+// main memory's times quantize to whole cycles (engine.CycleTiming). Every
+// later evaluation needing that replay, at any cycle time with the same
+// quantized memory timing, is served from the Suite's cell memo. Profiles
+// and memoized replays are kept for the Explorer's life, so its memory
+// grows with the organizations and distinct timings it has evaluated.
+// Safe for concurrent use.
 type Explorer struct {
-	traces []*trace.Trace
-
-	mu       sync.Mutex
-	profiles map[orgKey][]*engine.Profile
-}
-
-type orgKey struct {
-	totalKB, blockWords, assoc int
+	suite *experiments.Suite
 }
 
 // NewExplorer builds an explorer over the given traces (at least one).
@@ -122,41 +125,16 @@ func NewExplorer(traces []*trace.Trace) (*Explorer, error) {
 			return nil, err
 		}
 	}
-	return &Explorer{traces: traces, profiles: make(map[orgKey][]*engine.Profile)}, nil
+	return &Explorer{suite: experiments.NewSuiteWithTraces(traces)}, nil
 }
 
 // Traces returns the workload set.
-func (e *Explorer) Traces() []*trace.Trace { return e.traces }
-
-func (e *Explorer) profilesFor(p DesignPoint) ([]*engine.Profile, error) {
-	key := orgKey{p.TotalKB, p.BlockWords, p.Assoc}
-	e.mu.Lock()
-	ps, ok := e.profiles[key]
-	e.mu.Unlock()
-	if ok {
-		return ps, nil
-	}
-	org, err := p.org()
-	if err != nil {
-		return nil, err
-	}
-	ps = make([]*engine.Profile, len(e.traces))
-	for i, t := range e.traces {
-		ps[i], err = engine.BuildProfile(org, t)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	e.profiles[key] = ps
-	e.mu.Unlock()
-	return ps, nil
-}
+func (e *Explorer) Traces() []*trace.Trace { return e.suite.Traces }
 
 // Evaluate runs the design point over every trace and aggregates.
 func (e *Explorer) Evaluate(point DesignPoint) (Evaluation, error) {
 	p := point.normalize()
-	ps, err := e.profilesFor(p)
+	org, err := p.org()
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -165,17 +143,17 @@ func (e *Explorer) Evaluate(point DesignPoint) (Evaluation, error) {
 		depth = 0
 	}
 	tm := engine.Timing{CycleNs: p.CycleNs, Mem: p.Mem, WriteBufDepth: depth}
-	execs := make([]float64, len(ps))
-	cprs := make([]float64, len(ps))
-	miss := make([]float64, len(ps))
-	for i, prof := range ps {
-		res, err := prof.Replay(tm)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		execs[i] = res.ExecTimeNs()
-		cprs[i] = res.Warm.CyclesPerRef()
-		m := res.Warm.ReadMissRatio()
+	warm, err := e.suite.ReplayWarm(context.Background(), org, tm)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	execs := make([]float64, len(warm))
+	cprs := make([]float64, len(warm))
+	miss := make([]float64, len(warm))
+	for i, w := range warm {
+		execs[i] = system.Result{CycleNs: p.CycleNs, Warm: w}.ExecTimeNs()
+		cprs[i] = w.CyclesPerRef()
+		m := w.ReadMissRatio()
 		if m <= 0 {
 			m = 1e-9
 		}

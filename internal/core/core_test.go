@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -187,20 +190,76 @@ func TestSlowerMemoryRaisesOptimalBlock(t *testing.T) {
 	}
 }
 
+// TestProfileCacheReuse: the Explorer sits on its Suite's profile cache and
+// cell memo. A second cycle time on the same organization builds no new
+// profile; two points sharing one cycle-domain timing run a single replay
+// per trace; and concurrent callers evaluating a cold organization build
+// each of its profiles exactly once.
 func TestProfileCacheReuse(t *testing.T) {
-	e := testExplorer(t)
+	traces := testExplorer(t).Traces()
+	if len(traces) != 4 {
+		t.Fatal("traces accessor wrong")
+	}
+	fresh := func() (*Explorer, *obs.Registry) {
+		e, err := NewExplorer(traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		e.suite.SetExec(experiments.ExecOptions{Metrics: reg})
+		return e, reg
+	}
+	built := func(reg *obs.Registry) int64 { return reg.Counter(obs.MProfilesBuilt).Value() }
+	hits := func(reg *obs.Registry) int64 { return reg.Counter(obs.MCellsMemoHits).Value() }
+	n := int64(len(traces))
+
+	e, reg := fresh()
 	if _, err := e.Evaluate(DesignPoint{TotalKB: 32}); err != nil {
 		t.Fatal(err)
 	}
-	n := len(e.profiles)
+	if got := built(reg); got != n {
+		t.Fatalf("first evaluation built %d profiles, want %d", got, n)
+	}
 	// A different cycle time must reuse the cached profiles.
-	if _, err := e.Evaluate(DesignPoint{TotalKB: 32, CycleNs: 60}); err != nil {
+	at60, err := e.Evaluate(DesignPoint{TotalKB: 32, CycleNs: 60})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.profiles) != n {
-		t.Fatal("cycle-time change rebuilt profiles")
+	if got := built(reg); got != n {
+		t.Fatalf("cycle-time change built %d more profiles", got-n)
 	}
-	if len(e.Traces()) != 4 {
-		t.Fatal("traces accessor wrong")
+	if got := hits(reg); got != 0 {
+		t.Fatalf("40 and 60 ns share no cycle-domain timing, yet %d replays were memo hits", got)
+	}
+	// At 60 and 80 ns the default memory quantizes alike (latency 4,
+	// write lag 2, recovery 2 cycles), so 80 ns replays nothing.
+	at80, err := e.Evaluate(DesignPoint{TotalKB: 32, CycleNs: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hits(reg); got != n {
+		t.Fatalf("80 ns after 60 ns: %d memo hits, want one per trace (%d)", got, n)
+	}
+	if at80.CyclesPerRef != at60.CyclesPerRef || at80.ExecNs <= at60.ExecNs {
+		t.Fatalf("shared replay aggregated wrongly: 60 ns %+v, 80 ns %+v", at60, at80)
+	}
+
+	// Concurrent callers on a cold organization, each at its own cycle
+	// time, build its profiles once between them.
+	e, reg = fresh()
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Evaluate(DesignPoint{TotalKB: 64, CycleNs: 20 + 4*g}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := built(reg); got != n {
+		t.Fatalf("%d concurrent callers built %d profiles, want %d", callers, got, n)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -62,18 +63,25 @@ func BenchmarkBuildProfile(b *testing.B) {
 }
 
 // BenchmarkReplay times the timing replay of a direct-mapped profile at the
-// paper's base timing, reporting ns per recorded event.
+// paper's base memory timings, one sub-benchmark per transfer rate of the
+// Section 5 sweep (slower rates keep memory busy longer, so more misses
+// wait), reporting ns per recorded event.
 func BenchmarkReplay(b *testing.B) {
 	p, err := BuildProfile(benchOrg(1), benchTrace(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	tm := Timing{CycleNs: 40, Mem: mem.DefaultConfig(), WriteBufDepth: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Replay(tm); err != nil {
-			b.Fatal(err)
-		}
+	for _, rate := range []mem.Rate{mem.Rate4PerCycle, mem.Rate2PerCycle, mem.Rate1PerCycle, mem.Rate1Per2, mem.Rate1Per4} {
+		b.Run(fmt.Sprintf("%dw_per_%dcycle", rate.Num, rate.Den), func(b *testing.B) {
+			cfg := mem.DefaultConfig()
+			cfg.Transfer = rate
+			tm := Timing{CycleNs: 40, Mem: cfg, WriteBufDepth: 4}
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Replay(tm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Events()), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Events()), "ns/event")
 }

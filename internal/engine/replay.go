@@ -32,6 +32,32 @@ func (t Timing) Validate() error {
 	return t.Mem.Validate()
 }
 
+// CycleTiming is the cycle-domain form of a Timing: everything a replay
+// depends on. Main memory's latency, transfer rate and recovery time are
+// quantized to whole CPU cycles, so a replay sees the cycle time only
+// through those cycle counts. Timings with equal cycle-domain forms replay
+// to identical counters; their Results differ only in CycleNs, and so in
+// execution time.
+type CycleTiming struct {
+	// Mem is the quantized memory timing, with CycleNs cleared.
+	Mem mem.Timing
+	// WriteBufDepth is the L1 write buffer depth.
+	WriteBufDepth int
+}
+
+// CycleDomain validates the timing and returns its cycle-domain form.
+func (t Timing) CycleDomain() (CycleTiming, error) {
+	if err := t.Validate(); err != nil {
+		return CycleTiming{}, err
+	}
+	tm, err := t.Mem.Quantize(t.CycleNs)
+	if err != nil {
+		return CycleTiming{}, err
+	}
+	tm.CycleNs = 0
+	return CycleTiming{Mem: tm, WriteBufDepth: t.WriteBufDepth}, nil
+}
+
 // memSink adapts the memory unit to the write buffer (addresses are
 // irrelevant to main memory timing).
 type memSink struct{ unit *mem.Unit }
@@ -109,7 +135,7 @@ func (r *replayer) enqueueTracked(now int64, addr uint64, words int, ready int64
 // (whole-block fetch, no L2). The cost is proportional to the number of
 // events, not the number of references.
 func (p *Profile) Replay(t Timing) (system.Result, error) {
-	return p.replay(t, nil, nil)
+	return p.ReplayTraced(t, nil, nil)
 }
 
 // ReplayChecked is Replay with the write buffer audited against the check
@@ -129,25 +155,34 @@ func (p *Profile) ReplayChecked(t Timing, opts *check.Options) (system.Result, e
 // couplet runs into gaps, so there is no per-couplet point at which to
 // sample write-buffer depth; use the system simulator for interval series.
 // A nil rec is exactly ReplayChecked.
+//
+// The replay itself sees only the timing's cycle-domain form (see
+// CycleTiming); the cycle time is stamped on the Result afterwards.
 func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Recorder) (system.Result, error) {
-	if opts == nil {
-		return p.replay(t, nil, rec)
-	}
-	chk := check.New(opts)
-	chk.SetContext(fmt.Sprintf("trace=%s dcache=%v cycle=%dns", p.TraceName, p.Org.DCache, t.CycleNs))
-	return p.replay(t, chk, rec)
-}
-
-func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (system.Result, error) {
-	if err := t.Validate(); err != nil {
-		return system.Result{}, err
-	}
-	tm, err := t.Mem.Quantize(t.CycleNs)
+	ct, err := t.CycleDomain()
 	if err != nil {
 		return system.Result{}, err
 	}
+	var chk *check.Checker
+	if opts != nil {
+		chk = check.New(opts)
+		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v cycle=%dns", p.TraceName, p.Org.DCache, t.CycleNs))
+	}
+	res, err := p.replay(ct, chk, rec)
+	if err != nil {
+		return system.Result{}, err
+	}
+	res.CycleNs = t.CycleNs
+	return res, nil
+}
+
+// replay runs the timing phase at a cycle-domain timing. The Result's
+// CycleNs is left zero: nothing here knows the cycle time.
+func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recorder) (system.Result, error) {
+	tm := ct.Mem
 	r := &replayer{unit: mem.NewUnit(tm), rec: rec}
-	if r.buf, err = writebuf.New(t.WriteBufDepth, &memSink{unit: r.unit}); err != nil {
+	var err error
+	if r.buf, err = writebuf.New(ct.WriteBufDepth, &memSink{unit: r.unit}); err != nil {
 		return system.Result{}, err
 	}
 	if rec.EventsOn() {
@@ -157,7 +192,7 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 		chk.AddInvariant("attrib-conservation", rec.CheckConservation)
 	}
 	if chk != nil {
-		bo := chk.BufOracle("l1buf", t.WriteBufDepth)
+		bo := chk.BufOracle("l1buf", ct.WriteBufDepth)
 		r.buf.SetAuditor(bo)
 		buf := r.buf
 		chk.AddInvariant("l1buf", buf.CheckInvariants)
@@ -315,5 +350,5 @@ func (p *Profile) replay(t Timing, chk *check.Checker, rec *simtrace.Recorder) (
 		warm.MemWaitCycles = warmTiming.MemWaitCycles
 		warm.MemBusyCycles = warmTiming.MemBusyCycles
 	}
-	return system.Result{CycleNs: t.CycleNs, Total: total, Warm: total.Sub(warm)}, nil
+	return system.Result{Total: total, Warm: total.Sub(warm)}, nil
 }

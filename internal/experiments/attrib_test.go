@@ -17,6 +17,9 @@ import (
 // and the event ring armed and checks the observability plumbing end to
 // end: per-component registry counters, the cells_attributed tally, the
 // manifest attribution block, and the captured representative event trace.
+// The grid's 60 and 80 ns columns share one cycle-domain timing, so the
+// 80 ns replays are memo hits, which simulate nothing and so carry no
+// attribution: exactly the freshly simulated cells are attributed.
 func TestSweepAttributionAggregation(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	reg := obs.NewRegistry()
@@ -29,12 +32,17 @@ func TestSweepAttributionAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cells := reg.Counter(obs.MCellsDone).Value()
-	if cells == 0 {
-		t.Fatal("sweep completed no cells")
+	done := reg.Counter(obs.MCellsDone).Value()
+	if want := int64(len(sweepSizes) * len(sweepCycles) * len(s.Traces)); done != want {
+		t.Fatalf("cells_done = %d, want %d", done, want)
 	}
+	hits := reg.Counter(obs.MCellsMemoHits).Value()
+	if want := int64(len(sweepSizes) * len(s.Traces)); hits != want {
+		t.Fatalf("cells_memo_hits = %d, want %d (the 80 ns column)", hits, want)
+	}
+	cells := done - hits
 	if got := reg.Counter(obs.MAttribCells).Value(); got != cells {
-		t.Fatalf("cells_attributed = %d, want %d", got, cells)
+		t.Fatalf("cells_attributed = %d, want cells_done - cells_memo_hits = %d", got, cells)
 	}
 	comps := reg.CounterValuesWithPrefix(obs.MAttribPrefix)
 	if comps["base_issue"] <= 0 {

@@ -81,7 +81,7 @@ func (s *Suite) RunFetchSize(ctx context.Context, totalKB, blockWords int, fetch
 		}
 		out.ReadMissRatio = append(out.ReadMissRatio, ratioGeoMean(miss))
 		out.ReadTraffic = append(out.ReadTraffic, ratioGeoMean(traffic))
-		exec, _, err := geoExecCPR(outs[base+n : base+2*n])
+		exec, _, err := geoExecCPR(outs[base+n:base+2*n], cycleNs)
 		if err != nil {
 			return nil, err
 		}

@@ -108,7 +108,7 @@ func (s *Suite) SpeedSizeGrid(ctx context.Context, sizesKB, cycleNs []int, assoc
 		cprRow := make([]float64, len(cycleNs))
 		for j := range cycleNs {
 			base := (i*len(cycleNs) + j) * n
-			exec, cpr, err := geoExecCPR(outs[base : base+n])
+			exec, cpr, err := geoExecCPR(outs[base:base+n], cycleNs[j])
 			if err != nil {
 				return nil, err
 			}

@@ -76,7 +76,7 @@ func (s *Suite) RunFigure51(ctx context.Context, totalKB int, blockWords []int, 
 		out.LoadMissRatio = append(out.LoadMissRatio, ratioGeoMean(loads))
 		out.IfetchMissRatio = append(out.IfetchMissRatio, ratioGeoMean(ifetches))
 		out.ReadMissRatio = append(out.ReadMissRatio, ratioGeoMean(reads))
-		exec, _, err := geoExecCPR(outs[base+n : base+2*n])
+		exec, _, err := geoExecCPR(outs[base+n:base+2*n], cycleNs)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +180,7 @@ func (s *Suite) RunFigure52(ctx context.Context, totalKB int, blockWords, latenc
 		row := make([]float64, len(blockWords))
 		for b := range blockWords {
 			base := (p*len(blockWords) + b) * n
-			exec, _, err := geoExecCPR(outs[base : base+n])
+			exec, _, err := geoExecCPR(outs[base:base+n], cycleNs)
 			if err != nil {
 				return nil, err
 			}

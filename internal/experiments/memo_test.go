@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -90,5 +91,42 @@ func TestCellMemoSkipsFailures(t *testing.T) {
 	}
 	if n := attempts.Load(); n != 3 {
 		t.Errorf("cell ran %d times, want 3 (two failures, then one success reused)", n)
+	}
+}
+
+// TestSweepReplaysEachCycleDomainOnce: a speed–size sweep over the paper's
+// sixteen cycle times replays each (trace, organization, cycle-domain
+// timing) once and builds each (trace, organization) profile once; every
+// other cell of the grid is a memo hit.
+func TestSweepReplaysEachCycleDomainOnce(t *testing.T) {
+	s := MustNewSuiteWithTracesForTest(t)
+	reg := obs.NewRegistry()
+	s.SetExec(ExecOptions{Workers: 4, Metrics: reg})
+	sizes := []int{8, 16}
+	if _, err := s.SpeedSizeGrid(context.Background(), sizes, CycleTimesNs, 1); err != nil {
+		t.Fatal(err)
+	}
+	forms := make(map[engine.CycleTiming]bool)
+	for _, cy := range CycleTimesNs {
+		ct, err := baseTiming(cy).CycleDomain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms[ct] = true
+	}
+	if len(forms) == len(CycleTimesNs) {
+		t.Fatal("no two cycle times share a cycle-domain timing; the test shows nothing")
+	}
+	n := int64(len(s.Traces) * len(sizes))
+	done := reg.Counter(obs.MCellsDone).Value()
+	hits := reg.Counter(obs.MCellsMemoHits).Value()
+	if want := n * int64(len(CycleTimesNs)); done != want {
+		t.Fatalf("cells_done = %d, want %d", done, want)
+	}
+	if fresh, want := done-hits, n*int64(len(forms)); fresh != want {
+		t.Fatalf("%d replays ran, want one per (trace, organization, cycle-domain timing) = %d", fresh, want)
+	}
+	if built := reg.Counter(obs.MProfilesBuilt).Value(); built != n {
+		t.Fatalf("profiles_built = %d, want %d", built, n)
 	}
 }

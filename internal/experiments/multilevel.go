@@ -102,7 +102,7 @@ func (s *Suite) RunMultilevel(ctx context.Context, l1SizesKB []int, l2KB, cycleN
 
 	for k, kb := range l1SizesKB {
 		base := k * 2 * n
-		execS, cprS, err := geoExecCPR(outs[base : base+n])
+		execS, cprS, err := geoExecCPR(outs[base:base+n], cycleNs)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func (s *Suite) RunMultilevel(ctx context.Context, l1SizesKB []int, l2KB, cycleN
 		cprs := make([]float64, n)
 		hits := make([]float64, n)
 		for i, o := range mouts {
-			execs[i] = o.ExecNs
+			execs[i] = execTimeNs(o.Warm, cycleNs)
 			cprs[i] = o.CPR
 			if o.Warm.L2Reads > 0 {
 				hits[i] = float64(o.Warm.L2ReadHits) / float64(o.Warm.L2Reads)

@@ -66,7 +66,7 @@ func (s *Suite) RunSplitUnified(ctx context.Context, sizesKB []int, cycleNs int)
 				miss[i] = outs[base+i].Warm.ReadMissRatio()
 			}
 			*dst.miss = append(*dst.miss, ratioGeoMean(miss))
-			_, cpr, err := geoExecCPR(outs[base+n : base+2*n])
+			_, cpr, err := geoExecCPR(outs[base+n:base+2*n], cycleNs)
 			if err != nil {
 				return nil, err
 			}

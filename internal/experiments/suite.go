@@ -20,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/explain"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
@@ -196,6 +197,9 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
+		if m := s.exec.Metrics; m != nil {
+			m.Counter(obs.MProfilesBuilt).Add(1)
+		}
 		var rec *explain.Recorder
 		if s.exec.Explain != nil {
 			rec = explain.New(*s.exec.Explain)
@@ -215,25 +219,32 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 	return e.p, e.exp, e.err
 }
 
-// replayAll replays the organization at the timing for every trace through
-// the sweep runner and returns the geometric means of execution time (ns)
-// and cycles per reference.
-func (s *Suite) replayAll(ctx context.Context, org engine.Org, tm engine.Timing) (execNs, cpr float64, err error) {
+// ReplayWarm replays the organization at the timing against every trace
+// and returns each trace's warm-window counters, in trace order. It runs
+// the suite's replay cells, so profiles come from the profile cache and a
+// replay whose cycle-domain timing the suite has already run comes from
+// the cell memo. A trace's execution time is its Warm.Cycles × tm.CycleNs.
+func (s *Suite) ReplayWarm(ctx context.Context, org engine.Org, tm engine.Timing) ([]system.Counters, error) {
 	outs, err := s.runCells(ctx, s.replayCellsFor(nil, org, tm))
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return geoExecCPR(outs)
+	warm := make([]system.Counters, len(outs))
+	for i, o := range outs {
+		warm[i] = o.Warm
+	}
+	return warm, nil
 }
 
-// geoExecCPR aggregates one trace-group of cell outputs geometrically.
-// Outputs arrive in trace order (the runner preserves input order), so the
-// aggregation is deterministic regardless of completion order.
-func geoExecCPR(outs []cellOut) (execNs, cpr float64, err error) {
+// geoExecCPR aggregates one trace-group of cell outputs, all at one cycle
+// time, geometrically. Outputs arrive in trace order (the runner preserves
+// input order), so the aggregation is deterministic regardless of
+// completion order.
+func geoExecCPR(outs []cellOut, cycleNs int) (execNs, cpr float64, err error) {
 	execs := make([]float64, len(outs))
 	cprs := make([]float64, len(outs))
 	for i, o := range outs {
-		execs[i] = o.ExecNs
+		execs[i] = execTimeNs(o.Warm, cycleNs)
 		cprs[i] = o.CPR
 	}
 	if execNs, err = stats.GeoMean(execs); err != nil {
@@ -243,6 +254,12 @@ func geoExecCPR(outs []cellOut) (execNs, cpr float64, err error) {
 		return 0, 0, err
 	}
 	return execNs, cpr, nil
+}
+
+// execTimeNs is the measured window's execution time at the cycle time,
+// the same expression as system.Result.ExecTimeNs.
+func execTimeNs(warm system.Counters, cycleNs int) float64 {
+	return system.Result{CycleNs: cycleNs, Warm: warm}.ExecTimeNs()
 }
 
 // baseTiming is the paper's base memory at the given cycle time with the
@@ -301,5 +318,5 @@ func (s *Suite) SimulateSystem(ctx context.Context, cfg system.Config) (execNs, 
 	if err != nil {
 		return 0, 0, err
 	}
-	return geoExecCPR(outs)
+	return geoExecCPR(outs, cfg.CycleNs)
 }

@@ -95,9 +95,13 @@ func (s *Suite) runnerOptions() runner.Options {
 // round-trips float64 exactly (shortest-form encoding), so a figure
 // aggregated from replayed checkpoint entries is byte-identical to one
 // computed in a single uninterrupted run.
+//
+// Outputs hold cycles, never nanoseconds: execution time is warm cycles ×
+// cycle time, computed at aggregation (geoExecCPR) with the expression
+// system.Result.ExecTimeNs uses. A replay cell's output is thereby
+// cycle-domain, and shared by every timing with its cycle-domain form.
 type cellOut struct {
-	ExecNs float64 `json:"exec_ns,omitempty"`
-	CPR    float64 `json:"cpr,omitempty"`
+	CPR float64 `json:"cpr,omitempty"`
 	// Warm holds the measured-window counters (timing fields populated
 	// for replay/system cells, zero for pure behavioural cells).
 	Warm system.Counters `json:"warm"`
@@ -122,7 +126,8 @@ type cellEntry struct {
 // memoize wraps each cell so that the Suite computes every distinct cell
 // once in its lifetime. Cells are identified by their runner key, which
 // already names everything the output depends on (cell kind and version,
-// trace fingerprint, scale and the full configuration). It follows the
+// trace fingerprint, scale and the configuration, whose timing a replay
+// cell names by its cycle-domain form). It follows the
 // profile cache's single-flight pattern: the first cell to need a key
 // computes it and every other cell with that key, in the same sweep or a
 // later one, waits for and reuses the result. A failed, cancelled or
@@ -287,12 +292,18 @@ func (s *Suite) traceFingerprint(i int) string {
 
 // replayCell builds the runner cell for one (organization × timing ×
 // trace) unit: behavioural profile (cached, single-flight) plus timing
-// replay. The result carries execution time, cycles per reference and the
-// warm-window counters.
+// replay. The cell is keyed on the timing's cycle-domain form, not the
+// timing itself: a replay depends on nothing else (engine.CycleTiming), so
+// every cycle time whose quantized memory timing agrees shares one replay
+// through the cell memo. The result carries the warm-window counters.
 func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[cellOut] {
+	ct, ctErr := tm.CycleDomain()
 	return runner.Cell[cellOut]{
-		Key: runner.Key("replay/v1", s.traceFingerprint(i), s.Scale, org, tm),
+		Key: runner.Key("replay/v2", s.traceFingerprint(i), s.Scale, org, ct),
 		Run: func(ctx context.Context) (cellOut, error) {
+			if ctErr != nil {
+				return cellOut{}, ctErr
+			}
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
@@ -308,8 +319,7 @@ func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[
 			if err != nil {
 				return cellOut{}, err
 			}
-			return cellOut{ExecNs: res.ExecTimeNs(), CPR: res.Warm.CyclesPerRef(),
-				Warm: res.Warm, Attrib: s.attribOut(rec)}, nil
+			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm, Attrib: s.attribOut(rec)}, nil
 		},
 	}
 }
@@ -363,8 +373,8 @@ func (s *Suite) systemCell(i int, cfg system.Config) runner.Cell[cellOut] {
 				exp = sys.Explainer().ReportWarm()
 				s.recordExplain(exp)
 			}
-			return cellOut{ExecNs: res.ExecTimeNs(), CPR: res.Warm.CyclesPerRef(),
-				Warm: res.Warm, Attrib: s.attribOut(sys.Recorder()), Explain: exp}, nil
+			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm,
+				Attrib: s.attribOut(sys.Recorder()), Explain: exp}, nil
 		},
 	}
 }

@@ -160,7 +160,7 @@ func TestSweepCancellationBeforeStart(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := s.replayAll(ctx, orgFor(8, 4, 1), baseTiming(40))
+	_, err := s.ReplayWarm(ctx, orgFor(8, 4, 1), baseTiming(40))
 	var se *runner.SweepError
 	if !errors.As(err, &se) {
 		t.Fatalf("error = %v, want *runner.SweepError", err)

@@ -34,6 +34,10 @@ const (
 	// in-process cell memo: the runner completed them, so they are part of
 	// MCellsDone, but nothing was simulated.
 	MCellsMemoHits = "cells_memo_hits"
+	// MProfilesBuilt counts behavioural passes an experiments Suite ran
+	// to fill its profile cache: one per (organization × trace) it needed,
+	// however many cells share the profile.
+	MProfilesBuilt = "profiles_built"
 	// MCellsFailed counts cells whose final attempt failed.
 	MCellsFailed = "cells_failed"
 	// MCellsPanicked counts failed cells whose final attempt panicked.

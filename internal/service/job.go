@@ -33,6 +33,11 @@ import (
 // window.
 const DefaultScale = 0.05
 
+// MaxSizeKB bounds a request's total L1 size, 16× the paper's largest
+// (4 MB). Per-line cache state is allocated up front, so an unbounded size
+// could exhaust the server's memory, or overflow the allocation size.
+const MaxSizeKB = 65536
+
 // GridRequest is one sweep job: the cross product of the listed axes, each
 // cell simulated against each named workload. Empty axes mean "the paper's
 // base value" (one grid column at the default).
@@ -76,6 +81,11 @@ func (r *GridRequest) Validate(maxCells int) error {
 			if v <= 0 {
 				return fmt.Errorf("service: %s value %d must be positive", axis.name, v)
 			}
+		}
+	}
+	for _, kb := range r.SizesKB {
+		if kb > MaxSizeKB {
+			return fmt.Errorf("service: sizes_kb value %d exceeds the %d KB limit", kb, MaxSizeKB)
 		}
 	}
 	if r.CycleNs < 0 || r.TimeoutMs < 0 {

@@ -199,6 +199,10 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad workload: %d", resp.StatusCode)
 	}
+	resp, _ = postJob(t, ts, GridRequest{Workloads: []string{"mu3"}, SizesKB: []int{4194304}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized cache: %d", resp.StatusCode)
+	}
 	r2, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)

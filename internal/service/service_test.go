@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -407,6 +408,22 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 	good := smallGrid()
 	if err := good.Validate(4); err != nil {
 		t.Errorf("valid request rejected: %v", err)
+	}
+}
+
+// TestValidateBoundsCacheSize: a total size above MaxSizeKB is rejected
+// before any cache is allocated; MaxSizeKB itself is admitted.
+func TestValidateBoundsCacheSize(t *testing.T) {
+	for _, kb := range []int{MaxSizeKB + 1, 4194304, 1 << 50} {
+		req := GridRequest{Workloads: []string{"mu3"}, SizesKB: []int{4, kb}}
+		err := req.Validate(4)
+		if err == nil || !strings.Contains(err.Error(), "sizes_kb") {
+			t.Errorf("sizes_kb %d: err = %v, want a sizes_kb limit error", kb, err)
+		}
+	}
+	req := GridRequest{Workloads: []string{"mu3"}, SizesKB: []int{MaxSizeKB}}
+	if err := req.Validate(4); err != nil {
+		t.Errorf("sizes_kb %d rejected: %v", MaxSizeKB, err)
 	}
 }
 

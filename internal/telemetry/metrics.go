@@ -97,6 +97,7 @@ var Defs = []MetricDef{
 	{obs.MCellsDone, "counter", "Successful cells completed by the runner, cells_memo_hits included."},
 	{obs.MCellsReplayed, "counter", "Cells served memoized from the checkpoint cache."},
 	{obs.MCellsMemoHits, "counter", "Cells served from an experiments suite's in-process cell memo (no simulation ran)."},
+	{obs.MProfilesBuilt, "counter", "Behavioural passes an experiments suite ran to fill its profile cache."},
 	{obs.MCellsFailed, "counter", "Cells whose final attempt failed."},
 	{obs.MCellsPanicked, "counter", "Failed cells whose final attempt panicked."},
 	{obs.MCellsRetried, "counter", "Cells that needed more than one attempt."},
