@@ -19,6 +19,10 @@
 #                  writes, a mid-run crash and a graceful drain) plus the
 #                  cachesimd process-level e2e (real SIGKILL + restart,
 #                  SIGTERM drain to exit 0)
+#   attrib       — simtrace contract: an -attrib -selfcheck grid (cycle
+#                  conservation asserted inside every run) plus the
+#                  absent-vs-disabled simtrace overhead pair under the same
+#                  2% budget as telemetrygate
 #   vulncheck    — govulncheck when installed; advisory only, never fails
 #                  the gate (the container may not ship it)
 #   perfgate     — regression radar: two ledgered cachesim runs into a
@@ -30,7 +34,8 @@
 #                  checked-in bytes (drift fails)
 #   telemetrygate — span-recording overhead budget: the telemetry on/off
 #                  sub-benchmarks through the real service must stay within
-#                  2% of each other (bench2json -fail-over 2)
+#                  2% of each other (bench2json -fail-over 3: the budget
+#                  plus one point of measurement floor)
 #   allocgate    — allocation budget: the deterministic benchmarks' allocs/op
 #                  and B/op against the checked-in BENCH snapshot
 #                  (bench2json -fail-metrics allocs/op,B/op)
@@ -49,8 +54,8 @@
 # part of the gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
-# root package's plus the workload, cache, write-buffer, memory and engine
-# layer benchmarks, to BENCH_<date>.json via cmd/bench2json. Compare two
+# root package's plus the workload, cache, write-buffer, memory, engine and
+# system layer benchmarks, to BENCH_<date>.json via cmd/bench2json. Compare two
 # snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
@@ -104,17 +109,24 @@ faults:
 soak:
 	$(GO) test -run 'ChaosSoak|Daemon' -count=1 -v ./internal/service/ ./cmd/cachesimd/
 
-# Cycle-attribution conservation on a small real grid: every run below
-# carries -attrib -selfcheck, so sum(components) == cycles is asserted
-# inside the simulator (invariant battery + final check) and any violation
-# exits non-zero. Covers the base system, a non-default geometry, a
-# write-heavy buffer configuration and a two-level hierarchy.
+# The simtrace contract, both halves. (1) Cycle-attribution conservation
+# on a small real grid: every run below carries -attrib -selfcheck, so
+# sum(components) == cycles is asserted inside the simulator (invariant
+# battery + final check) and any violation exits non-zero. Covers the base
+# system, a non-default geometry, a write-heavy buffer configuration and a
+# two-level hierarchy. (2) BenchmarkSimtraceOverhead's absent (no Options)
+# vs disabled (Options present, nothing armed) pair through overhead_gate:
+# a disarmed Options attaches no recorder, so both take the identical code
+# path.
 attrib:
 	$(GO) run ./cmd/cachesim -workload mu3 -scale 0.05 -attrib -selfcheck >/dev/null
 	$(GO) run ./cmd/cachesim -workload savec -scale 0.05 -size 16 -block 32 -assoc 2 -attrib -selfcheck >/dev/null
 	$(GO) run ./cmd/cachesim -workload mu6 -scale 0.05 -cycle 20 -attrib -selfcheck >/dev/null
 	$(GO) run ./cmd/cachesim -workload rd2n4 -scale 0.05 -l2 256 -attrib -selfcheck >/dev/null
 	@echo "attrib: conservation held on all runs"
+	@rm -rf .attrib
+	$(call overhead_gate,attrib,SimtraceOverhead,absent,disabled,100x)
+	@rm -rf .attrib
 
 # Two identical ledgered runs, then the gate: cycle counts are deterministic,
 # so the gate trips only if the simulator's arithmetic changed between the
@@ -132,30 +144,47 @@ perfgate:
 metricslint:
 	$(GO) run ./cmd/metricslint
 
-# Telemetry overhead budget: three independent rounds, each one `go test`
-# run measuring the off/on pair back to back (adjacent in time, so machine
-# drift hits both halves alike), each diffed on its own through the
-# bench2json fail-over gate. The gate passes if ANY round's pair is within
-# budget: interference would have to inflate the on-half of all three
-# rounds to fake a failure, while a real regression is present in every
-# round. The gate watches cpu-ns/op — overhead is CPU work, and wall time
-# on a shared runner absorbs stalls that land unevenly — and the threshold
-# is the 2% budget plus one percentage point of measurement floor (on a
-# shared single-core runner the serialized span recording itself measures
-# ~2–2.5%; a real regression shows up as tens of points).
+# overhead_gate is the off/on overhead-budget recipe the telemetry,
+# profiling, explain and simtrace gates share: three independent rounds,
+# each one `go test` run measuring the off/on pair back to back (adjacent
+# in time, so machine drift hits both halves alike), each folded with
+# -best and diffed on its own through the bench2json fail-over gate. The
+# gate passes if ANY round's pair is within budget: interference would
+# have to inflate the on-half of all three rounds to fake a failure, while
+# a real regression is present in every round. The gate watches
+# cpu-ns/op — overhead is CPU work, and wall time on a shared runner
+# absorbs stalls that land unevenly on one sub-benchmark — and the
+# threshold is the 2% budget plus one percentage point of measurement
+# floor (a real regression shows up as tens of points). On failure the
+# scratch dir survives for inspection.
+#
+#   $(call overhead_gate,<gate>,<Benchmark name>,<off sub>,<on sub>,<benchtime>)
+#
+# <gate> names the scratch dir .<gate> and the progress lines.
+#
+# The sed drops the #NN suffix Go adds when a benchmark runs a sub-benchmark
+# name more than once (ProfileOverhead measures three pairs per round).
+define overhead_gate
+@mkdir -p .$(1)
+@pass=0; for i in 1 2 3; do \
+	echo "$(1): overhead round $$i"; \
+	$(GO) test -run '^$$' -bench '$(2)/($(3)|$(4))' -benchtime $(5) . > .$(1)/bench$$i.txt || exit 1; \
+	grep -v '$(2)/$(4)' .$(1)/bench$$i.txt | sed -e 's|$(2)/$(3)|$(2)/guard|' -e 's|#[0-9]*||' \
+		| $(GO) run ./cmd/bench2json -best -o .$(1)/off$$i.json || exit 1; \
+	grep -v '$(2)/$(3)' .$(1)/bench$$i.txt | sed -e 's|$(2)/$(4)|$(2)/guard|' -e 's|#[0-9]*||' \
+		| $(GO) run ./cmd/bench2json -best -o .$(1)/on$$i.json || exit 1; \
+	if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
+		.$(1)/off$$i.json .$(1)/on$$i.json; then pass=1; fi; \
+done; \
+if [ $$pass -eq 0 ]; then echo "$(1): FAIL — every round over budget"; exit 1; fi
+endef
+
+# Telemetry overhead budget: the span-recording on/off pair through the
+# real service, via overhead_gate (on a shared single-core runner the
+# serialized span recording itself measures ~2–2.5%).
 telemetrygate:
-	@rm -rf .telemetrygate && mkdir -p .telemetrygate
-	@pass=0; for i in 1 2 3; do \
-		echo "telemetrygate: round $$i"; \
-		$(GO) test -run '^$$' -bench TelemetryOverhead -benchtime 50x . > .telemetrygate/bench$$i.txt || exit 1; \
-		grep -v 'TelemetryOverhead/on' .telemetrygate/bench$$i.txt | sed 's|TelemetryOverhead/off|TelemetryOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .telemetrygate/off$$i.json || exit 1; \
-		grep -v 'TelemetryOverhead/off' .telemetrygate/bench$$i.txt | sed 's|TelemetryOverhead/on|TelemetryOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .telemetrygate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.telemetrygate/off$$i.json .telemetrygate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "telemetrygate: FAIL — every round over budget"; exit 1; fi
+	@rm -rf .telemetrygate
+	$(call overhead_gate,telemetrygate,TelemetryOverhead,off,on,50x)
 	@rm -rf .telemetrygate
 
 # Allocation budget: the benchmarks whose allocs/op and B/op reproduce
@@ -181,35 +210,14 @@ allocgate:
 # under the noise-aware share-point thresholds, so a function newly hot on
 # the capture path fails the gate; (2) the profiling on/off overhead
 # benchmark (CPU profiler armed at 100 Hz + dense heap sampling around the
-# same simulation) through the telemetrygate per-round recipe: each round
-# is one `go test` run measuring three off/on pairs back to back, folded
-# with -best and diffed on its own; any round within budget passes the
-# gate (interference would have to inflate the on-half of every round to
-# fake a failure; a real regression is present in all of them). The budget
-# gates cpu-ns/op, not wall time: profiling overhead is CPU work, and on a
-# shared runner wall time also absorbs scheduler stalls that land on one
-# sub-benchmark and not the other. The threshold is the 2% overhead budget
-# plus one percentage point of measurement floor (the measured overhead
-# itself is ~0–2%; a real regression shows up as tens of points).
-# On failure the scratch dir survives for inspection / CI artifact upload.
+# same simulation) through overhead_gate, each round measuring three
+# off/on pairs (the measured overhead itself is ~0–2%).
 profilegate:
 	@rm -rf .profilegate && mkdir -p .profilegate
 	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
 	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
 	$(GO) run ./cmd/simreport perf -ledger .profilegate -gate
-	@pass=0; for i in 1 2 3; do \
-		echo "profilegate: overhead round $$i"; \
-		$(GO) test -run '^$$' -bench ProfileOverhead -benchtime 150x . > .profilegate/bench$$i.txt || exit 1; \
-		grep -v 'ProfileOverhead/on' .profilegate/bench$$i.txt \
-			| sed -e 's|ProfileOverhead/off|ProfileOverhead/guard|' -e 's|#[0-9]*||' \
-			| $(GO) run ./cmd/bench2json -best -o .profilegate/off$$i.json || exit 1; \
-		grep -v 'ProfileOverhead/off' .profilegate/bench$$i.txt \
-			| sed -e 's|ProfileOverhead/on|ProfileOverhead/guard|' -e 's|#[0-9]*||' \
-			| $(GO) run ./cmd/bench2json -best -o .profilegate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.profilegate/off$$i.json .profilegate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "profilegate: FAIL — every round over budget"; exit 1; fi
+	$(call overhead_gate,profilegate,ProfileOverhead,off,on,150x)
 	@rm -rf .profilegate
 
 # Explainability contract, both halves. (1) 3C conservation on a small
@@ -219,11 +227,10 @@ profilegate:
 # independent miss counters) and any violation exits non-zero. Covers the
 # base system, a direct-mapped geometry (conflict-heavy), a write-heavy
 # set-associative buffer configuration and a two-level hierarchy.
-# (2) The overhead half through the telemetrygate per-round recipe:
-# absent (no Options) vs disabled (Options present, nothing armed) must
-# stay within the 2% budget plus one point of measurement floor — a
-# disarmed recorder takes the identical code path as no recorder, so this
-# gate trips only if someone reintroduces a cost on the unexplained path.
+# (2) The overhead half through overhead_gate: absent (no Options) vs
+# disabled (Options present, nothing armed) — a disarmed Options attaches
+# no recorder, so both take the identical code path, and this gate trips
+# only if someone reintroduces a cost on the unexplained path.
 # The armed variants (threec/reuse/full) are deliberately not gated:
 # shadow simulation has an inherent price, the contract is that only runs
 # asking for explanations pay it.
@@ -234,17 +241,7 @@ explaingate:
 	$(GO) run ./cmd/cachesim -workload mu6 -scale 0.05 -size 32 -assoc 2 -explain -selfcheck >/dev/null
 	$(GO) run ./cmd/cachesim -workload rd2n4 -scale 0.05 -l2 256 -explain -selfcheck >/dev/null
 	@echo "explaingate: 3C conservation held on all runs"
-	@pass=0; for i in 1 2 3; do \
-		echo "explaingate: overhead round $$i"; \
-		$(GO) test -run '^$$' -bench 'ExplainOverhead/(absent|disabled)' -benchtime 50x . > .explaingate/bench$$i.txt || exit 1; \
-		grep -v 'ExplainOverhead/disabled' .explaingate/bench$$i.txt | sed 's|ExplainOverhead/absent|ExplainOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .explaingate/off$$i.json || exit 1; \
-		grep -v 'ExplainOverhead/absent' .explaingate/bench$$i.txt | sed 's|ExplainOverhead/disabled|ExplainOverhead/guard|' \
-			| $(GO) run ./cmd/bench2json -best -o .explaingate/on$$i.json || exit 1; \
-		if $(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics cpu-ns/op \
-			.explaingate/off$$i.json .explaingate/on$$i.json; then pass=1; fi; \
-	done; \
-	if [ $$pass -eq 0 ]; then echo "explaingate: FAIL — every round over budget"; exit 1; fi
+	$(call overhead_gate,explaingate,ExplainOverhead,absent,disabled,50x)
 	@rm -rf .explaingate
 
 vulncheck:
@@ -255,13 +252,14 @@ vulncheck:
 	fi
 
 # The root package holds the figure and whole-simulator benchmarks; the
-# workload, cache, writebuf, mem and engine packages hold the per-layer ones
-# (trace generation, one access per geometry, write-buffer operations,
-# memory fills and writes, the behavioural pass and the timing replay).
+# workload, cache, writebuf, mem, engine and system packages hold the
+# per-layer ones (trace generation, one access per geometry, write-buffer
+# operations, memory fills and writes, the behavioural pass, the timing
+# replay and the single-phase simulator).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:
 	$(GO) clean ./...
-	rm -rf .perfgate .telemetrygate .allocgate .profilegate .explaingate
+	rm -rf .perfgate .telemetrygate .allocgate .profilegate .explaingate .attrib

@@ -210,6 +210,14 @@ type Result struct {
 	Victim Victim
 }
 
+// Interface is the access surface the simulator cores drive: a *Cache
+// itself, or a decorator stacked on one (check.Shadow, explain.Probe).
+type Interface interface {
+	Read(addr uint64) Result
+	Write(addr uint64) Result
+	Config() Config
+}
+
 // Cache is the behavioural cache state. Not safe for concurrent use.
 type Cache struct {
 	cfg        Config

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/writebuf"
 )
 
 // Options configures a lockstep self-check.
@@ -161,14 +162,19 @@ func New(opts *Options) *Checker {
 // organization), overriding Options.Context.
 func (c *Checker) SetContext(ctx string) { c.opts.Context = ctx }
 
-// Err returns the latched divergence, or nil. Callers poll it between
-// couplets and abort the run on the first divergence.
+// Err returns the latched divergence, or nil. A nil *Checker (an
+// unchecked run) never diverges.
 func (c *Checker) Err() error {
-	if c.diverged != nil {
-		return c.diverged
+	if c == nil || c.diverged == nil {
+		return nil
 	}
-	return nil
+	return c.diverged
 }
+
+// Diverged reports whether a divergence is latched. Callers poll it between
+// couplets and abort the run with Err on the first divergence; unlike Err,
+// it builds no error value, so the poll costs an unchecked run one test.
+func (c *Checker) Diverged() bool { return c != nil && c.diverged != nil }
 
 // fail latches the first divergence; later ones are dropped (the models
 // are already desynchronized, so follow-on reports carry no signal).
@@ -187,6 +193,36 @@ func (c *Checker) fail(d *Divergence) {
 // Finish; a non-nil error becomes an "invariant" divergence.
 func (c *Checker) AddInvariant(label string, fn func() error) {
 	c.invariants = append(c.invariants, namedInvariant{label: label, fn: fn})
+}
+
+// AddConservation registers an instrument's conservation law (simtrace's
+// cycle attribution, explain's 3C classification) with the invariant
+// battery. A nil checker registers nothing; a nil instrument's law holds
+// trivially.
+func (c *Checker) AddConservation(label string, v interface{ CheckConservation() error }) {
+	if c != nil {
+		c.AddInvariant(label, v.CheckConservation)
+	}
+}
+
+// AuditBuffer audits a write buffer configured with the given depth
+// against a naive FIFO model: every enqueue and start is checked for FIFO
+// order and depth bounds, and the invariant battery checks the buffer's
+// structure and that both queues hold the same number of entries. A nil
+// checker audits nothing.
+func (c *Checker) AuditBuffer(label string, buf *writebuf.Buffer, depth int) {
+	if c == nil {
+		return
+	}
+	bo := c.BufOracle(label, depth)
+	buf.SetAuditor(bo)
+	c.AddInvariant(label, buf.CheckInvariants)
+	c.AddInvariant(label+"-occupancy", func() error {
+		if real, oracle := buf.Len(), bo.Len(); real != oracle {
+			return fmt.Errorf("real queue holds %d entries, oracle %d", real, oracle)
+		}
+		return nil
+	})
 }
 
 // tick counts one checked access and runs the interval battery when due.
@@ -229,8 +265,12 @@ func (c *Checker) runChecks() {
 // simulator's own tally against the oracle counters: per-shadow
 // real-versus-oracle counts, summed oracle counts versus the simulator's
 // accounting, and counter conservation (writes = write hits + write
-// misses). It returns the first divergence of the whole run, or nil.
+// misses). It returns the first divergence of the whole run, or nil; a nil
+// checker returns nil.
 func (c *Checker) Finish(t *Tally) error {
+	if c == nil {
+		return nil
+	}
 	if c.diverged != nil {
 		return c.diverged
 	}
@@ -286,8 +326,8 @@ func (c *Checker) checkTally(t Tally) {
 	}
 }
 
-// Shadow wraps a real cache and its oracle; it satisfies the simulators'
-// L1 cache interface so it drops into the couplet loop unchanged.
+// Shadow wraps a real cache and its oracle; it satisfies cache.Interface
+// so it drops into the couplet loop unchanged.
 type Shadow struct {
 	chk    *Checker
 	label  string

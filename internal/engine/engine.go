@@ -28,39 +28,29 @@ import (
 	"repro/internal/trace"
 )
 
-// l1cache is the cache interface the instrumented behavioural pass drives:
-// satisfied by *cache.Cache directly and by *check.Shadow in selfcheck
-// mode.
-type l1cache interface {
-	Read(addr uint64) cache.Result
-	Write(addr uint64) cache.Result
-}
-
 // side is one L1 as the behavioural pass drives it. The unchecked,
 // unexplained pass (slow == nil) calls the concrete cache's register-sized
 // ReadOutcome and WriteOutcome, so no access builds a cache.Result. With a
-// checker or an explain probe attached, every access takes the interface
-// route instead (readSlow, writeSlow): the shadow oracle diffs, and the
-// probe observes, the full Result. Both routes run the same state
-// transition and report it in the same form, so they record identical
-// events and counters (the fast-path equivalence test pins this). The pass
-// branches on slow at each access site rather than through a method: a
-// method holding both calls is too large for the compiler to inline.
+// checker or an explain probe attached, every access takes the decorated
+// route instead (readSlow, writeSlow; see system.NewL1): the shadow oracle
+// diffs, and the probe observes, the full Result. Both routes run the same
+// state transition and report it in the same form, so they record
+// identical events and counters (the fast-path equivalence test pins
+// this). The pass branches on slow at each access site rather than through
+// a method: a method holding both calls is too large for the compiler to
+// inline.
 type side struct {
-	c     *cache.Cache
-	slow  l1cache        // the checked or explained route; nil for the fast path
-	probe *explain.Probe // nil unless explanations are armed
+	c    *cache.Cache
+	slow cache.Interface // the decorated route; nil for the fast path
 }
 
 func (s *side) readSlow(addr uint64) (bool, cache.Writeback) {
 	res := s.slow.Read(addr)
-	s.probe.OnRead(addr, res)
 	return res.Hit, res.Victim.Writeback()
 }
 
 func (s *side) writeSlow(addr uint64) (bool, bool, cache.Writeback) {
 	res := s.slow.Write(addr)
-	s.probe.OnWrite(addr, res)
 	return res.Hit, res.Allocated, res.Victim.Writeback()
 }
 
@@ -236,28 +226,24 @@ func (p *Profile) Events() int {
 // a system.System built from the same configs observes the identical
 // hit/miss sequence.
 func BuildProfile(org Org, t *trace.Trace) (*Profile, error) {
-	return BuildProfileChecked(org, t, nil)
+	return BuildProfileExplained(org, t, nil, nil)
 }
 
-// BuildProfileChecked is BuildProfile with the reference model attached:
-// when opts is non-nil, every cache access is diffed against the check
+// BuildProfileExplained is BuildProfile with the instruments attached.
+// When opts is non-nil, every cache access is diffed against the check
 // package's oracle and structural invariants run at the configured
-// interval. The first divergence aborts the build with a typed
-// *check.Divergence error; a nil opts is exactly BuildProfile.
-func BuildProfileChecked(org Org, t *trace.Trace, opts *check.Options) (*Profile, error) {
-	return BuildProfileExplained(org, t, opts, nil)
-}
-
-// BuildProfileExplained is BuildProfileChecked with the explainability
-// recorder attached: when exp is non-nil, every cache access also feeds
-// the recorder's shadow models (3C classification, reuse distances, set
-// pressure), and the build finishes by verifying 3C conservation against
-// the profile's own miss counters. The behavioural pass sees every
+// interval; the first divergence aborts the build with a typed
+// *check.Divergence error. When exp arms an instrument, every access also
+// feeds the recorder's shadow models (3C classification, reuse distances,
+// set pressure), and the build finishes by verifying 3C conservation
+// against the profile's own miss counters. The behavioural pass sees every
 // reference exactly once, so the recorder observes the same stream the
-// system simulator would. A nil exp is exactly BuildProfileChecked.
+// system simulator would. A nil opts and a nil or disarmed exp are exactly
+// BuildProfile.
 //
-// With neither opts nor an armed exp, the pass takes the fast access path
-// (see side); otherwise every access takes the instrumented route.
+// The L1 pair comes from system.NewL1, as the system simulator's does. With
+// no instrument attached, the pass takes the fast access path (see side);
+// otherwise every access takes the decorated route.
 func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *explain.Recorder) (*Profile, error) {
 	if err := org.Validate(); err != nil {
 		return nil, err
@@ -267,73 +253,22 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	if err := t.ValidateWarmStart(); err != nil {
 		return nil, err
 	}
-	dreal, err := cache.New(org.DCache)
+	l1, err := system.NewL1(org.ICache, org.DCache, org.Unified, t.Name, opts, exp)
 	if err != nil {
 		return nil, err
 	}
-	var chk *check.Checker
-	dc := side{c: dreal}
-	if opts != nil {
-		chk = check.New(opts)
-		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", t.Name, org.DCache))
-		label := "D"
-		if org.Unified {
-			label = "U"
-		}
-		if dc.slow, err = chk.Shadow(label, dreal); err != nil {
-			return nil, err
-		}
-	}
-	ic := dc
-	if !org.Unified {
-		ireal, err := cache.New(org.ICache)
-		if err != nil {
-			return nil, err
-		}
-		ic = side{c: ireal}
-		if chk != nil {
-			if ic.slow, err = chk.Shadow("I", ireal); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// exp.On() rather than a nil check: a recorder whose Options arm no
-	// instrument attaches no probes, so the disarmed build runs the same
-	// code path as a nil recorder.
-	if exp.On() {
-		label := "D"
-		if org.Unified {
-			label = "U"
-		}
-		if dc.probe, err = exp.Probe(label, org.DCache); err != nil {
-			return nil, err
-		}
-		if org.Unified {
-			ic.probe = dc.probe
-		} else if ic.probe, err = exp.Probe("I", org.ICache); err != nil {
-			return nil, err
-		}
-		for _, s := range []*side{&ic, &dc} {
-			if s.slow == nil {
-				s.slow = s.c
-			}
-		}
-		if chk != nil {
-			chk.AddInvariant("explain-3c", exp.CheckConservation)
-		}
-	}
+	ic := side{c: l1.I.Real, slow: l1.I.Stack}
+	dc := side{c: l1.D.Real, slow: l1.D.Stack}
 
 	p := &Profile{Org: org, TraceName: t.Name}
 	var log eventLog
-	if err := p.simulate(t, &ic, &dc, chk, exp, &log); err != nil {
+	if err := p.simulate(t, &ic, &dc, l1.Chk, exp, &log); err != nil {
 		return nil, err
 	}
 	p.events = log.take()
-	if chk != nil {
-		tally := p.total.SelfCheckTally()
-		if err := chk.Finish(&tally); err != nil {
-			return nil, err
-		}
+	tally := p.total.SelfCheckTally()
+	if err := l1.Chk.Finish(&tally); err != nil {
+		return nil, err
 	}
 	if err := exp.Finish(p.total.IfetchMisses + p.total.LoadMisses + p.total.StoreMisses); err != nil {
 		return nil, err
@@ -358,10 +293,8 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 	warmTaken := t.WarmStart == 0
 
 	for i := 0; i < len(refs); {
-		if chk != nil {
-			if err := chk.Err(); err != nil {
-				return err
-			}
+		if chk.Diverged() {
+			return chk.Err()
 		}
 		if !warmTaken && i >= t.WarmStart {
 			p.markWarm(log, gap, gapStoreHits, exp)

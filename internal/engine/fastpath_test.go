@@ -16,9 +16,9 @@ import (
 // TestFastPathEquivalence states where the behavioural pass's fast access
 // path applies and pins that it changes nothing. BuildProfile with neither
 // a checker nor an armed explain recorder drives the caches through the
-// register-sized ReadOutcome/WriteOutcome; BuildProfileChecked (lockstep
-// oracle) and BuildProfileExplained (armed recorder) drive them through the
-// Result-returning interface route. All three must record the same events,
+// register-sized ReadOutcome/WriteOutcome; BuildProfileExplained with a
+// lockstep oracle or with an armed recorder drives them through the
+// Result-returning decorated route. All three must record the same events,
 // gaps and counters, and replay to the same results, for every
 // organization the engine accepts.
 func TestFastPathEquivalence(t *testing.T) {
@@ -62,9 +62,9 @@ func TestFastPathEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: BuildProfile: %v", name, tr.Name, err)
 			}
-			checked, err := BuildProfileChecked(org, tr, &check.Options{Every: 512})
+			checked, err := BuildProfileExplained(org, tr, &check.Options{Every: 512}, nil)
 			if err != nil {
-				t.Fatalf("%s/%s: BuildProfileChecked: %v", name, tr.Name, err)
+				t.Fatalf("%s/%s: checked BuildProfileExplained: %v", name, tr.Name, err)
 			}
 			explained, err := BuildProfileExplained(org, tr, nil, explain.New(explain.All()))
 			if err != nil {

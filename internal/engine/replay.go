@@ -90,16 +90,14 @@ func (r *replayer) missFetch(start int64, f fetchUnit, addr uint64, wbWords int,
 	matched := r.buf.FlushMatching(start, fetchAddr, f.words)
 	mw0, mr0 := r.unit.ReadWaitCycles, r.unit.ReadRecoveryWaitCycles
 	dataAt, fillStart := r.unit.StartFill(start, f.cycles, wbWords)
-	if r.rec != nil {
+	if r.rec != nil { // the wait deltas cost loads an untraced replay skips
 		r.rec.NoteFetch(r.unit.ReadWaitCycles-mw0, r.unit.ReadRecoveryWaitCycles-mr0, matched)
 		r.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, f.words)
 	}
 	complete := dataAt
 	if wbWords > 0 {
 		rel := r.enqueueTracked(dataAt, vicAddr, wbWords, dataAt)
-		if r.rec != nil {
-			r.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
-		}
+		r.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
 		if rel > complete {
 			complete = rel
 		}
@@ -121,7 +119,7 @@ func (r *replayer) storeThrough(now, done int64, addr uint64) int64 {
 // enqueueTracked wraps the write buffer's Enqueue, feeding any full-buffer
 // stall cycles to the attribution recorder.
 func (r *replayer) enqueueTracked(now int64, addr uint64, words int, ready int64) int64 {
-	if r.rec == nil {
+	if r.rec == nil { // the stall delta costs loads an untraced replay skips
 		return r.buf.Enqueue(now, addr, words, ready)
 	}
 	f0 := r.buf.FullStallCycles
@@ -138,23 +136,19 @@ func (p *Profile) Replay(t Timing) (system.Result, error) {
 	return p.ReplayTraced(t, nil, nil)
 }
 
-// ReplayChecked is Replay with the write buffer audited against the check
-// package's naive FIFO model: every enqueue and start is verified for
-// FIFO order and depth bounds, and the buffer's structural invariants run
-// at the end of the replay. The first violation aborts the replay with a
-// typed *check.Divergence error; a nil opts is exactly Replay.
-func (p *Profile) ReplayChecked(t Timing, opts *check.Options) (system.Result, error) {
-	return p.ReplayTraced(t, opts, nil)
-}
-
-// ReplayTraced is ReplayChecked with an optional simtrace recorder
-// attached: cycle attribution and the timeline event ring work exactly as
-// in the system simulator, and when both the checker and attribution are
-// armed the conservation invariant joins the invariant battery. Interval
-// windows are NOT supported here — the event stream compresses hit-only
-// couplet runs into gaps, so there is no per-couplet point at which to
-// sample write-buffer depth; use the system simulator for interval series.
-// A nil rec is exactly ReplayChecked.
+// ReplayTraced is Replay with the instruments attached. When opts is
+// non-nil, the write buffer is audited against the check package's naive
+// FIFO model: every enqueue and start is verified for FIFO order and depth
+// bounds, and the buffer's structural invariants run at the end of the
+// replay; the first violation aborts the replay with a typed
+// *check.Divergence error. When rec arms an instrument, cycle attribution
+// and the timeline event ring work exactly as in the system simulator, and
+// with a checker too the attribution's conservation joins the invariant
+// battery. Interval windows are NOT supported here — the event stream
+// compresses hit-only couplet runs into gaps, so there is no per-couplet
+// point at which to sample write-buffer depth; use the system simulator
+// for interval series. A nil opts and a nil or disarmed rec are exactly
+// Replay.
 //
 // The replay itself sees only the timing's cycle-domain form (see
 // CycleTiming); the cycle time is stamped on the Result afterwards.
@@ -180,6 +174,9 @@ func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Reco
 // CycleNs is left zero: nothing here knows the cycle time.
 func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recorder) (system.Result, error) {
 	tm := ct.Mem
+	if !rec.On() {
+		rec = nil // a disarmed recorder attaches nothing, as in Attach
+	}
 	r := &replayer{unit: mem.NewUnit(tm), rec: rec}
 	var err error
 	if r.buf, err = writebuf.New(ct.WriteBufDepth, &memSink{unit: r.unit}); err != nil {
@@ -188,21 +185,8 @@ func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recor
 	if rec.EventsOn() {
 		r.buf.SetTracer(rec)
 	}
-	if chk != nil && rec.AttribOn() {
-		chk.AddInvariant("attrib-conservation", rec.CheckConservation)
-	}
-	if chk != nil {
-		bo := chk.BufOracle("l1buf", ct.WriteBufDepth)
-		r.buf.SetAuditor(bo)
-		buf := r.buf
-		chk.AddInvariant("l1buf", buf.CheckInvariants)
-		chk.AddInvariant("l1buf-occupancy", func() error {
-			if real, oracle := buf.Len(), bo.Len(); real != oracle {
-				return fmt.Errorf("real queue holds %d entries, oracle %d", real, oracle)
-			}
-			return nil
-		})
-	}
+	chk.AddConservation("attrib-conservation", rec)
+	chk.AuditBuffer("l1buf", r.buf, ct.WriteBufDepth)
 
 	ifw := p.Org.ICache.EffectiveFetchWords()
 	if p.Org.Unified {
@@ -219,17 +203,13 @@ func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recor
 
 	for k := range p.events {
 		ev := &p.events[k] // read in place: no copy per event
-		if chk != nil {
-			if err := chk.Err(); err != nil {
-				return system.Result{}, err
-			}
+		if chk.Diverged() {
+			return system.Result{}, chk.Err()
 		}
 		now += int64(ev.gap) + int64(ev.gapStoreHits)
-		if rec != nil {
-			// Gap couplets cost one base cycle each plus one store
-			// cycle per contained store hit — attributed in bulk.
-			rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
-		}
+		// Gap couplets cost one base cycle each plus one store cycle per
+		// contained store hit — attributed in bulk.
+		rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
 		flags := ev.flags()
 		if flags&flagMarker != 0 {
 			rec.MarkWarm()
@@ -245,21 +225,16 @@ func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recor
 			warmSeen = true
 			continue
 		}
-		if rec != nil {
-			rec.BeginCouplet(now)
-		}
+		rec.BeginCouplet(now)
 		comp := now + 1
 		if flags&flagHasI != 0 {
 			if flags&flagIMiss != 0 {
 				c := r.missFetch(now+1, ifetch, ev.iAddr(), ev.iVicW(), ev.iVic)
-				if rec != nil {
-					rec.NoteRef(simtrace.Ifetch, c)
-					rec.Event(simtrace.EvIfetchMiss, now, c, ev.iAddr(), 0)
-				}
+				rec.NoteMiss(simtrace.Ifetch, now, c, ev.iAddr())
 				if c > comp {
 					comp = c
 				}
-			} else if rec != nil {
+			} else {
 				rec.NoteRef(simtrace.Ifetch, now+1)
 			}
 		}
@@ -268,34 +243,25 @@ func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recor
 			// no data reference in this couplet
 		case dLoadHit:
 			// one cycle, already covered by comp
-			if rec != nil {
-				rec.NoteRef(simtrace.Load, now+1)
-			}
+			rec.NoteRef(simtrace.Load, now+1)
 		case dStoreHit:
 			done := now + 2
 			if wt {
 				done = r.storeThrough(now, done, ev.dAddr())
 			}
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, done)
-			}
+			rec.NoteRef(simtrace.Store, done)
 			if done > comp {
 				comp = done
 			}
 		case dLoadMiss:
 			c := r.missFetch(now+1, dfetch, ev.dAddr(), ev.dVicW(), ev.dVic)
-			if rec != nil {
-				rec.NoteRef(simtrace.Load, c)
-				rec.Event(simtrace.EvLoadMiss, now, c, ev.dAddr(), 0)
-			}
+			rec.NoteMiss(simtrace.Load, now, c, ev.dAddr())
 			if c > comp {
 				comp = c
 			}
 		case dStoreMissNoAlloc:
 			done := r.storeThrough(now, now+2, ev.dAddr())
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, done)
-			}
+			rec.NoteRef(simtrace.Store, done)
 			if done > comp {
 				comp = done
 			}
@@ -305,27 +271,18 @@ func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recor
 			if wt {
 				c = r.storeThrough(now, c, ev.dAddr())
 			}
-			if rec != nil {
-				rec.NoteRef(simtrace.Store, c)
-				rec.Event(simtrace.EvStoreMiss, now, c, ev.dAddr(), 0)
-			}
+			rec.NoteMiss(simtrace.Store, now, c, ev.dAddr())
 			if c > comp {
 				comp = c
 			}
 		}
-		if rec != nil {
-			rec.EndCouplet(comp)
-		}
+		rec.EndCouplet(comp)
 		now = comp
 	}
 	now += int64(p.tailGap) + int64(p.tailGapStoreHits)
-	if rec != nil {
-		rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
-	}
-	if chk != nil {
-		if err := chk.Finish(nil); err != nil {
-			return system.Result{}, err
-		}
+	rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
+	if err := chk.Finish(nil); err != nil {
+		return system.Result{}, err
 	}
 	if err := rec.Finish(simtrace.Sample{Refs: p.total.Refs, Cycles: now}, now); err != nil {
 		return system.Result{}, err

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // TestCellMemoSingleFlight: concurrent sweeps whose cells share keys, within
@@ -91,6 +92,31 @@ func TestCellMemoSkipsFailures(t *testing.T) {
 	}
 	if n := attempts.Load(); n != 3 {
 		t.Errorf("cell ran %d times, want 3 (two failures, then one success reused)", n)
+	}
+}
+
+// TestProfileCacheDropsPanickedBuild: a behavioural pass that panics is
+// not cached. The panic reaches the building caller, and the next caller
+// for the same (organization × trace) builds afresh instead of receiving
+// a nil profile with a nil error.
+func TestProfileCacheDropsPanickedBuild(t *testing.T) {
+	s := NewSuiteWithTraces([]*trace.Trace{nil}) // a nil trace panics the pass
+	org := orgFor(64, 4, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("profiling a nil trace did not panic")
+			}
+		}()
+		s.profile(0, org)
+	}()
+	s.Traces[0] = sweepTestTraces()[0]
+	p, err := s.profile(0, org)
+	if err != nil || p == nil {
+		t.Fatalf("profile after a panicked build = %v, %v; want a fresh build", p, err)
+	}
+	if p.TraceName != s.Traces[0].Name {
+		t.Fatalf("profile of trace %q, want %q", p.TraceName, s.Traces[0].Name)
 	}
 }
 

@@ -82,6 +82,7 @@ type Suite struct {
 // profileEntry is a single-flight slot in the profile cache.
 type profileEntry struct {
 	once sync.Once
+	ok   bool // the build returned, with a profile or an error; false after a panic
 	p    *engine.Profile
 	// exp is the warm-window explainability report of the behavioural
 	// pass, nil unless ExecOptions.Explain armed the recorder.
@@ -168,7 +169,8 @@ func orgFor(totalKB, blockWords, assoc int) engine.Org {
 // profile returns the cached behavioural profile of the organization
 // against trace i, building it on first use. Safe for concurrent callers:
 // the expensive behavioural pass runs exactly once per key, with
-// contending cells blocking on the builder rather than duplicating it.
+// contending cells blocking on the builder rather than duplicating it. A
+// build error is cached like a profile; a panicked build is not.
 func (s *Suite) profile(i int, org engine.Org) (*engine.Profile, error) {
 	p, _, err := s.profileExplained(i, org)
 	return p, err
@@ -189,34 +191,48 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 		alloc:      org.DCache.WriteAllocate,
 		unified:    org.Unified,
 	}
-	s.mu.Lock()
-	e, ok := s.profiles[key]
-	if !ok {
-		e = &profileEntry{}
-		s.profiles[key] = e
+	for {
+		s.mu.Lock()
+		e, ok := s.profiles[key]
+		if !ok {
+			e = &profileEntry{}
+			s.profiles[key] = e
+		}
+		s.mu.Unlock()
+		e.once.Do(func() {
+			// A panicking build drops the slot before the panic leaves
+			// the Once, so callers waiting on it build afresh, as the
+			// cell memo does.
+			defer func() {
+				if !e.ok {
+					s.mu.Lock()
+					delete(s.profiles, key)
+					s.mu.Unlock()
+				}
+			}()
+			if m := s.exec.Metrics; m != nil {
+				m.Counter(obs.MProfilesBuilt).Add(1)
+			}
+			rec := explain.Attach(s.exec.Explain)
+			p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
+			if err != nil {
+				e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
+					org.DCache.String(), s.Traces[i].Name, err)
+				e.ok = true
+				return
+			}
+			e.p = p
+			if rec.On() {
+				e.exp = rec.ReportWarm()
+				s.recordExplain(e.exp)
+			}
+			e.ok = true
+		})
+		if e.ok {
+			return e.p, e.exp, e.err
+		}
+		// The build panicked in another caller and dropped the slot.
 	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		if m := s.exec.Metrics; m != nil {
-			m.Counter(obs.MProfilesBuilt).Add(1)
-		}
-		var rec *explain.Recorder
-		if s.exec.Explain != nil {
-			rec = explain.New(*s.exec.Explain)
-		}
-		p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
-		if err != nil {
-			e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
-				org.DCache.String(), s.Traces[i].Name, err)
-			return
-		}
-		e.p = p
-		if rec.On() {
-			e.exp = rec.ReportWarm()
-			s.recordExplain(e.exp)
-		}
-	})
-	return e.p, e.exp, e.err
 }
 
 // ReplayWarm replays the organization at the timing against every trace

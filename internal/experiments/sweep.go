@@ -204,10 +204,7 @@ func (s *Suite) cellRecorder() *simtrace.Recorder {
 	}
 	opts := *s.exec.Trace
 	opts.IntervalRefs = 0
-	if !opts.Attrib && !opts.Events {
-		return nil
-	}
-	return simtrace.New(opts)
+	return simtrace.Attach(&opts)
 }
 
 // offerEventTrace retains the first completed recorder with an armed event
@@ -254,9 +251,6 @@ func (s *Suite) recordExplain(rep *explain.Report) {
 // attribOut packages a finished recorder's warm-window attribution for the
 // cell output and offers its event ring as the representative timeline.
 func (s *Suite) attribOut(rec *simtrace.Recorder) *simtrace.Attribution {
-	if rec == nil {
-		return nil
-	}
 	s.offerEventTrace(rec)
 	if !rec.AttribOn() {
 		return nil

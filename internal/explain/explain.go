@@ -29,11 +29,12 @@
 //   - Heat counts per-set accesses, misses and evictions of the real
 //     cache, the raw material of conflict-pressure heatmaps.
 //
-// Like internal/simtrace, the package is strictly passive: probes observe
-// the real cache's access results and never influence them, a nil
-// *Recorder keeps every instrumentation site down to one predictable
-// branch, and instrumented-off runs are bit-identical to builds that
-// predate the instrumentation.
+// Like internal/simtrace, the package is strictly passive: a Probe
+// decorates a cache side, passing every access through and observing the
+// real cache's Result without influencing it; a run whose Options arm
+// nothing gets no recorder at all (Attach), every recorder hook the
+// simulators call is a no-op on a nil *Recorder, and instrumented-off
+// runs are bit-identical to builds that predate the instrumentation.
 package explain
 
 import (
@@ -43,8 +44,8 @@ import (
 )
 
 // Options selects which instruments a Recorder arms. The zero value arms
-// nothing (every probe hook degrades to a few predicate checks); All()
-// arms everything, which is what the CLI -explain flags do.
+// nothing, so Attach returns no recorder for it; All() arms everything,
+// which is what the CLI -explain flags do.
 type Options struct {
 	// ThreeC enables compulsory/capacity/conflict miss classification.
 	ThreeC bool `json:"three_c,omitempty"`
@@ -86,14 +87,25 @@ func New(opts Options) *Recorder {
 	return &Recorder{opts: opts}
 }
 
+// Attach is the attach rule the simulators apply: a recorder for one run,
+// or nil when opts is nil or arms nothing, so a disarmed run takes the
+// identical code path as an unexplained one.
+func Attach(opts *Options) *Recorder {
+	if opts == nil || !opts.Any() {
+		return nil
+	}
+	return New(*opts)
+}
+
 // On reports whether the recorder exists and arms at least one
 // instrument.
 func (r *Recorder) On() bool { return r != nil && r.opts.Any() }
 
 // Probe registers one cache side (label "I", "D" or "U") and returns its
-// probe. The configuration must be the real cache's: the shadows copy its
-// capacity, block size, fetch size and allocation policy.
-func (r *Recorder) Probe(label string, cfg cache.Config) (*Probe, error) {
+// probe, which decorates inner. The shadows copy inner's capacity, block
+// size, fetch size and allocation policy.
+func (r *Recorder) Probe(label string, inner cache.Interface) (*Probe, error) {
+	cfg := inner.Config()
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("explain: %s: %w", label, err)
 	}
@@ -101,7 +113,7 @@ func (r *Recorder) Probe(label string, cfg cache.Config) (*Probe, error) {
 		return nil, fmt.Errorf("explain: %s: sub-block shadows support blocks up to 64 words, got %d",
 			label, cfg.BlockWords)
 	}
-	p := newProbe(label, cfg, r.opts)
+	p := newProbe(label, inner, cfg, r.opts)
 	r.probes = append(r.probes, p)
 	return p, nil
 }
@@ -173,10 +185,11 @@ func (r *Recorder) Finish(simulatorMisses int64) error {
 	return nil
 }
 
-// Probe observes one cache side's access stream. OnRead/OnWrite must see
-// every access the real cache services, in order, with the real cache's
-// own Result — the probes never touch the real cache.
+// Probe decorates one cache side: Read and Write pass each access to the
+// inner cache and observe its Result on the way out, so the probe sees
+// every access the real cache services, in order, and never changes one.
 type Probe struct {
+	inner cache.Interface
 	label string
 	opts  Options
 
@@ -215,8 +228,9 @@ type probeSnap struct {
 	setEvict []int64
 }
 
-func newProbe(label string, cfg cache.Config, opts Options) *Probe {
+func newProbe(label string, inner cache.Interface, cfg cache.Config, opts Options) *Probe {
 	p := &Probe{
+		inner:      inner,
 		label:      label,
 		opts:       opts,
 		blockShift: uint(log2(cfg.BlockWords)),
@@ -247,23 +261,23 @@ func log2(v int) int {
 	return n
 }
 
-// OnRead observes one load or instruction fetch the real cache serviced
-// with the given result. Nil-safe.
-func (p *Probe) OnRead(addr uint64, res cache.Result) {
-	if p == nil {
-		return
-	}
+// Read services a load or instruction fetch through the inner cache and
+// observes the result.
+func (p *Probe) Read(addr uint64) cache.Result {
+	res := p.inner.Read(addr)
 	p.observe(addr, res, false)
+	return res
 }
 
-// OnWrite observes one store the real cache serviced with the given
-// result. Nil-safe.
-func (p *Probe) OnWrite(addr uint64, res cache.Result) {
-	if p == nil {
-		return
-	}
+// Write services a store through the inner cache and observes the result.
+func (p *Probe) Write(addr uint64) cache.Result {
+	res := p.inner.Write(addr)
 	p.observe(addr, res, true)
+	return res
 }
+
+// Config returns the inner cache's configuration.
+func (p *Probe) Config() cache.Config { return p.inner.Config() }
 
 func (p *Probe) observe(addr uint64, res cache.Result, isWrite bool) {
 	p.refs++

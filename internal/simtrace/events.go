@@ -115,10 +115,9 @@ func (e *eventRing) events() []Event {
 
 // Event records a timeline event when the ring is armed.
 func (r *Recorder) Event(kind EventKind, start, end int64, addr uint64, words int) {
-	if r == nil || !r.opts.Events {
-		return
+	if r != nil && r.opts.Events {
+		r.ring.add(Event{Kind: kind, Start: start, End: end, Addr: addr, Words: int32(words)})
 	}
-	r.ring.add(Event{Kind: kind, Start: start, End: end, Addr: addr, Words: int32(words)})
 }
 
 // Events returns the recorded events in order; when the ring overflowed

@@ -5,8 +5,9 @@
 // ring of typed timeline events exportable as Chrome trace-event JSON.
 //
 // The package is strictly passive: nothing in here influences simulated
-// timing, and a nil *Recorder (the default) keeps every instrumentation
-// site down to one predictable branch, so instrumented-off runs are
+// timing. A run whose Options arm nothing gets no recorder at all (Attach),
+// and every hook the simulators call is a no-op on a nil *Recorder, so an
+// uninstrumented run pays one inlined nil test per hook and is
 // bit-identical to builds that predate the instrumentation.
 //
 // Conservation is the core contract. The simulators advance time couplet
@@ -27,8 +28,8 @@ package simtrace
 import "fmt"
 
 // Options selects which instruments a Recorder arms. The zero value arms
-// nothing; New returns a recorder that still accepts every call but
-// records only what was asked for.
+// nothing: Attach then returns no recorder, while New returns one that
+// still accepts every call but records only what was asked for.
 type Options struct {
 	// Attrib enables cycle attribution.
 	Attrib bool
@@ -42,6 +43,9 @@ type Options struct {
 	// holds the tail of the run.
 	EventCap int
 }
+
+// Any reports whether at least one instrument is armed.
+func (o Options) Any() bool { return o.Attrib || o.IntervalRefs > 0 || o.Events }
 
 // RefKind classifies the reference whose completion closed a couplet.
 type RefKind uint8
@@ -95,6 +99,21 @@ func New(opts Options) *Recorder {
 	return r
 }
 
+// Attach is the attach rule the simulators apply: a recorder for one run,
+// or nil when opts is nil or arms nothing, so a disarmed run takes the
+// identical code path as an uninstrumented one.
+func Attach(opts *Options) *Recorder {
+	if opts == nil || !opts.Any() {
+		return nil
+	}
+	return New(*opts)
+}
+
+// On reports whether the recorder exists and arms at least one
+// instrument. A core handed a recorder that is not On drops it, by the
+// same rule as Attach.
+func (r *Recorder) On() bool { return r != nil && r.opts.Any() }
+
 // AttribOn reports whether cycle attribution is armed.
 func (r *Recorder) AttribOn() bool { return r != nil && r.opts.Attrib }
 
@@ -107,6 +126,9 @@ func (r *Recorder) EventsOn() bool { return r != nil && r.opts.Events }
 // BeginCouplet opens a couplet issued at cycle now, resetting the
 // carving scratch.
 func (r *Recorder) BeginCouplet(now int64) {
+	if r == nil {
+		return
+	}
 	r.start = now
 	r.critSeen = false
 	r.critComp = 0
@@ -123,11 +145,30 @@ func (r *Recorder) BeginCouplet(now int64) {
 // (later calls win ties, so the data side of an I+D couplet) becomes the
 // couplet's critical reference and receives the unexplained residual.
 func (r *Recorder) NoteRef(kind RefKind, complete int64) {
+	if r == nil {
+		return
+	}
 	if !r.critSeen || complete >= r.critComp {
 		r.critSeen = true
 		r.critKind = kind
 		r.critComp = complete
 	}
+}
+
+// NoteMiss records a reference that missed in L1: NoteRef, plus its miss
+// span from issue to completion when the event ring is armed.
+func (r *Recorder) NoteMiss(kind RefKind, issue, complete int64, addr uint64) {
+	if r != nil {
+		r.noteMiss(kind, issue, complete, addr)
+	}
+}
+
+// missEvents maps a missing reference's kind to its timeline event.
+var missEvents = [...]EventKind{Ifetch: EvIfetchMiss, Load: EvLoadMiss, Store: EvStoreMiss}
+
+func (r *Recorder) noteMiss(kind RefKind, issue, complete int64, addr uint64) {
+	r.NoteRef(kind, complete)
+	r.Event(missEvents[kind], issue, complete, addr, 0)
 }
 
 // NoteFetch records the memory-unit wait observed across one downstream
@@ -137,6 +178,9 @@ func (r *Recorder) NoteRef(kind RefKind, complete int64) {
 // which case the whole wait is attributed to the buffer match, not the
 // memory).
 func (r *Recorder) NoteFetch(wait, recovery int64, matched bool) {
+	if r == nil {
+		return
+	}
 	r.memWait += wait
 	r.memRec += recovery
 	if matched {
@@ -146,12 +190,19 @@ func (r *Recorder) NoteFetch(wait, recovery int64, matched bool) {
 
 // NoteBufFull records writer cycles lost to a full write buffer during
 // the open couplet.
-func (r *Recorder) NoteBufFull(stall int64) { r.bufFull += stall }
+func (r *Recorder) NoteBufFull(stall int64) {
+	if r != nil {
+		r.bufFull += stall
+	}
+}
 
 // NoteLevelService records the own service-cycle delta of lower cache
 // level i (0 = L2) across one fetch: the level's request-to-data time
 // minus the nested time spent below it.
 func (r *Recorder) NoteLevelService(i int, own int64) {
+	if r == nil {
+		return
+	}
 	for len(r.levelOwn) <= i {
 		r.levelOwn = append(r.levelOwn, 0)
 	}
@@ -168,9 +219,12 @@ func (r *Recorder) NoteLevelService(i int, own int64) {
 // stall cycles actually paid, and the residual into the critical
 // reference's bucket.
 func (r *Recorder) EndCouplet(comp int64) {
-	if !r.opts.Attrib {
-		return
+	if r != nil && r.opts.Attrib {
+		r.endCouplet(comp)
 	}
+}
+
+func (r *Recorder) endCouplet(comp int64) {
 	rem := comp - r.start - 1
 	carve := func(v int64) int64 {
 		if v < 0 {
@@ -213,7 +267,7 @@ func (r *Recorder) EndCouplet(comp int64) {
 // store cycle. newNow is the simulated clock after the run. Used by the
 // two-phase engine, whose event stream compresses such couplets.
 func (r *Recorder) AddGap(gap, storeHits, newNow int64) {
-	if !r.opts.Attrib {
+	if r == nil || !r.opts.Attrib {
 		return
 	}
 	r.attrib.BaseIssue += gap

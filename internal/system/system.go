@@ -13,15 +13,6 @@ import (
 	"repro/internal/writebuf"
 )
 
-// l1cache is the cache interface the couplet loop drives: satisfied by
-// *cache.Cache directly and by *check.Shadow in selfcheck mode, so the
-// reference model drops into the loop without touching the timing logic.
-type l1cache interface {
-	Read(addr uint64) cache.Result
-	Write(addr uint64) cache.Result
-	Config() cache.Config
-}
-
 // System is the single-phase reference simulator. Construct one per
 // configuration with New; each Run starts from cold caches and an idle
 // memory. Not safe for concurrent use.
@@ -29,8 +20,8 @@ type System struct {
 	cfg    Config
 	timing mem.Timing
 
-	icache l1cache
-	dcache l1cache
+	icache cache.Interface // the L1 stacks (see NewL1); one cache when unified
+	dcache cache.Interface
 	chk    *check.Checker // nil unless cfg.SelfCheck is set
 	unit   *mem.Unit
 	levels []*cacheLevel // L2, L3, … ordered from nearest to L1
@@ -51,11 +42,8 @@ type System struct {
 	rec *simtrace.Recorder
 	svc []int64
 
-	// exp is the explainability recorder, nil unless cfg.Explain is set;
-	// expI/expD are its per-side probes (one shared probe when unified).
-	exp  *explain.Recorder
-	expI *explain.Probe
-	expD *explain.Probe
+	// exp is the explainability recorder, nil unless cfg.Explain arms it.
+	exp *explain.Recorder
 }
 
 // New constructs a simulator for the configuration.
@@ -82,44 +70,18 @@ func MustNew(cfg Config) *System {
 // Config returns the simulated configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// reset builds fresh cold state for a run. In selfcheck mode the L1
-// caches are wrapped in lockstep shadows and the write buffer is audited
-// against a naive FIFO model; the lower levels run unshadowed (the oracle
-// models L1 only).
+// reset builds fresh cold state for a run. The L1 pair carries the armed
+// instruments (NewL1); in selfcheck mode the write buffer is audited
+// against a naive FIFO model too, while the lower levels run unshadowed
+// (the oracle models L1 only).
 func (s *System) reset(traceName string) error {
-	s.chk = nil
-	if s.cfg.SelfCheck != nil {
-		s.chk = check.New(s.cfg.SelfCheck)
-		s.chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", traceName, s.cfg.DCache))
-	}
-	dreal, err := cache.New(s.cfg.DCache)
+	s.exp = explain.Attach(s.cfg.Explain)
+	l1, err := NewL1(s.cfg.ICache, s.cfg.DCache, s.cfg.Unified, traceName, s.cfg.SelfCheck, s.exp)
 	if err != nil {
 		return err
 	}
-	s.dcache = dreal
-	if s.chk != nil {
-		label := "D"
-		if s.cfg.Unified {
-			label = "U"
-		}
-		if s.dcache, err = s.chk.Shadow(label, dreal); err != nil {
-			return err
-		}
-	}
-	if s.cfg.Unified {
-		s.icache = s.dcache
-	} else {
-		ireal, err := cache.New(s.cfg.ICache)
-		if err != nil {
-			return err
-		}
-		s.icache = ireal
-		if s.chk != nil {
-			if s.icache, err = s.chk.Shadow("I", ireal); err != nil {
-				return err
-			}
-		}
-	}
+	s.chk = l1.Chk
+	s.icache, s.dcache = l1.I.Route(), l1.D.Route()
 	s.unit = mem.NewUnit(s.timing)
 	var next Downstream = &memDown{unit: s.unit}
 	cfgs := s.cfg.effectiveLevels()
@@ -136,18 +98,7 @@ func (s *System) reset(traceName string) error {
 	if s.l1buf, err = writebuf.New(s.cfg.WriteBufDepth, s.down); err != nil {
 		return err
 	}
-	if s.chk != nil {
-		bo := s.chk.BufOracle("l1buf", s.cfg.WriteBufDepth)
-		s.l1buf.SetAuditor(bo)
-		buf := s.l1buf
-		s.chk.AddInvariant("l1buf", buf.CheckInvariants)
-		s.chk.AddInvariant("l1buf-occupancy", func() error {
-			if real, oracle := buf.Len(), bo.Len(); real != oracle {
-				return fmt.Errorf("real queue holds %d entries, oracle %d", real, oracle)
-			}
-			return nil
-		})
-	}
+	s.chk.AuditBuffer("l1buf", s.l1buf, s.cfg.WriteBufDepth)
 	s.iBusy, s.dBusy = 0, 0
 	s.live = Counters{}
 	if s.cfg.CollectLatencies {
@@ -155,39 +106,14 @@ func (s *System) reset(traceName string) error {
 	} else {
 		s.hist = nil
 	}
-	s.rec, s.svc = nil, nil
-	if s.cfg.Trace != nil {
-		s.rec = simtrace.New(*s.cfg.Trace)
+	s.rec, s.svc = simtrace.Attach(s.cfg.Trace), nil
+	if s.rec != nil {
 		s.svc = make([]int64, len(s.levels)+1)
-		if s.rec.EventsOn() {
-			s.l1buf.SetTracer(s.rec)
-		}
-		if s.chk != nil && s.rec.AttribOn() {
-			s.chk.AddInvariant("attrib-conservation", s.rec.CheckConservation)
-		}
 	}
-	s.exp, s.expI, s.expD = nil, nil, nil
-	// A disarmed Options arms no instrument, so skip the recorder entirely:
-	// the run takes the identical code path as cfg.Explain == nil, which is
-	// what lets `make explaingate` hold absent-vs-disabled within budget.
-	if s.cfg.Explain != nil && s.cfg.Explain.Any() {
-		s.exp = explain.New(*s.cfg.Explain)
-		label := "D"
-		if s.cfg.Unified {
-			label = "U"
-		}
-		if s.expD, err = s.exp.Probe(label, s.cfg.DCache); err != nil {
-			return err
-		}
-		if s.cfg.Unified {
-			s.expI = s.expD
-		} else if s.expI, err = s.exp.Probe("I", s.cfg.ICache); err != nil {
-			return err
-		}
-		if s.chk != nil {
-			s.chk.AddInvariant("explain-3c", s.exp.CheckConservation)
-		}
+	if s.rec.EventsOn() {
+		s.l1buf.SetTracer(s.rec)
 	}
+	s.chk.AddConservation("attrib-conservation", s.rec)
 	return nil
 }
 
@@ -212,12 +138,10 @@ func (s *System) sample(now int64) simtrace.Sample {
 		StoreMisses:   s.live.StoreMisses,
 		MemBusyCycles: s.unit.BusyCycles,
 	}
-	if s.exp != nil {
-		c3 := s.exp.Total3C()
-		smp.Compulsory = c3.Compulsory
-		smp.Capacity = c3.Capacity
-		smp.Conflict = c3.Conflict
-	}
+	c3 := s.exp.Total3C()
+	smp.Compulsory = c3.Compulsory
+	smp.Capacity = c3.Capacity
+	smp.Conflict = c3.Conflict
 	return smp
 }
 
@@ -289,10 +213,8 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 	warmTaken := t.WarmStart == 0
 
 	for i := 0; i < len(refs); {
-		if s.chk != nil {
-			if err := s.chk.Err(); err != nil {
-				return Result{}, err
-			}
+		if s.chk.Diverged() {
+			return Result{}, s.chk.Err()
 		}
 		if !warmTaken && i >= t.WarmStart {
 			warmSnap = s.snapshot(now)
@@ -303,9 +225,7 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 		n := trace.CoupletLen(refs, i)
 		s.live.Couplets++
 		s.live.Refs += int64(n)
-		if s.rec != nil {
-			s.rec.BeginCouplet(now)
-		}
+		s.rec.BeginCouplet(now)
 		comp := now + 1
 		first := refs[i]
 		if first.Kind == trace.Ifetch {
@@ -325,13 +245,11 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 		if s.hist != nil {
 			s.hist.Add(comp - now)
 		}
-		if s.rec != nil {
-			s.rec.EndCouplet(comp)
-			if s.rec.IntervalsOn() {
-				s.rec.SampleDepth(s.l1buf.Len())
-				if s.rec.WindowDue(s.live.Refs) {
-					s.rec.EmitWindow(s.sample(comp))
-				}
+		s.rec.EndCouplet(comp)
+		if s.rec.IntervalsOn() {
+			s.rec.SampleDepth(s.l1buf.Len())
+			if s.rec.WindowDue(s.live.Refs) {
+				s.rec.EmitWindow(s.sample(comp))
 			}
 		}
 		now = comp
@@ -343,16 +261,12 @@ func (s *System) Run(t *trace.Trace) (Result, error) {
 		s.rec.MarkWarm() // degenerate warm window: keep attribution consistent
 		s.exp.MarkWarm()
 	}
-	if s.chk != nil {
-		tally := total.SelfCheckTally()
-		if err := s.chk.Finish(&tally); err != nil {
-			return Result{}, err
-		}
+	tally := total.SelfCheckTally()
+	if err := s.chk.Finish(&tally); err != nil {
+		return Result{}, err
 	}
-	if s.rec != nil {
-		if err := s.rec.Finish(s.sample(now), now); err != nil {
-			return Result{}, err
-		}
+	if err := s.rec.Finish(s.sample(now), now); err != nil {
+		return Result{}, err
 	}
 	if err := s.exp.Finish(total.IfetchMisses + total.LoadMisses + total.StoreMisses); err != nil {
 		return Result{}, err
@@ -377,7 +291,7 @@ func (s *System) dataRef(now int64, r trace.Ref) int64 {
 // whole block for the paper's base system, one sub-block under sub-block
 // placement. It returns the cycle the missing reference completes and the
 // cycle the side becomes free.
-func (s *System) missFetch(start int64, c l1cache, addr uint64, res cache.Result) (complete, busy int64) {
+func (s *System) missFetch(start int64, c cache.Interface, addr uint64, res cache.Result) (complete, busy int64) {
 	fw := c.Config().EffectiveFetchWords()
 	fetchAddr := addr &^ uint64(fw-1)
 	s.l1buf.Drain(start)
@@ -421,9 +335,7 @@ func (s *System) missFetch(start int64, c l1cache, addr uint64, res cache.Result
 	busy = dataAt
 	if victimOut > 0 {
 		rel := s.enqueueTracked(dataAt, res.Victim.BlockAddr, victimOut, dataAt)
-		if s.rec != nil {
-			s.rec.Event(simtrace.EvWriteback, dataAt, dataAt, res.Victim.BlockAddr, victimOut)
-		}
+		s.rec.Event(simtrace.EvWriteback, dataAt, dataAt, res.Victim.BlockAddr, victimOut)
 		if rel > complete {
 			complete = rel
 		}
@@ -441,7 +353,7 @@ func (s *System) missFetch(start int64, c l1cache, addr uint64, res cache.Result
 // enqueueTracked wraps the L1 write buffer's Enqueue, feeding any
 // full-buffer stall cycles to the attribution recorder.
 func (s *System) enqueueTracked(now int64, addr uint64, words int, ready int64) int64 {
-	if s.rec == nil {
+	if s.rec == nil { // the stall delta costs loads an untraced run skips
 		return s.l1buf.Enqueue(now, addr, words, ready)
 	}
 	f0 := s.l1buf.FullStallCycles
@@ -461,7 +373,7 @@ func (s *System) wordArrival(fillStart int64, words int) int64 {
 }
 
 // readRef services a load or instruction fetch.
-func (s *System) readRef(now int64, c l1cache, r trace.Ref, isIfetch bool) int64 {
+func (s *System) readRef(now int64, c cache.Interface, r trace.Ref, isIfetch bool) int64 {
 	if isIfetch {
 		s.live.Ifetches++
 		if s.iBusy > now {
@@ -475,21 +387,12 @@ func (s *System) readRef(now int64, c l1cache, r trace.Ref, isIfetch bool) int64
 	}
 	addr := r.Extended()
 	res := c.Read(addr)
-	if s.exp != nil {
-		if isIfetch {
-			s.expI.OnRead(addr, res)
-		} else {
-			s.expD.OnRead(addr, res)
-		}
-	}
 	kind := simtrace.Load
 	if isIfetch {
 		kind = simtrace.Ifetch
 	}
 	if res.Hit {
-		if s.rec != nil {
-			s.rec.NoteRef(kind, now+1)
-		}
+		s.rec.NoteRef(kind, now+1)
 		return now + 1
 	}
 	if isIfetch {
@@ -498,14 +401,7 @@ func (s *System) readRef(now int64, c l1cache, r trace.Ref, isIfetch bool) int64
 		s.live.LoadMisses++
 	}
 	complete, busy := s.missFetch(now+1, c, addr, res)
-	if s.rec != nil {
-		s.rec.NoteRef(kind, complete)
-		ev := simtrace.EvLoadMiss
-		if isIfetch {
-			ev = simtrace.EvIfetchMiss
-		}
-		s.rec.Event(ev, now, complete, addr, 0)
-	}
+	s.rec.NoteMiss(kind, now, complete, addr)
 	if isIfetch {
 		s.iBusy = busy
 	} else {
@@ -525,7 +421,6 @@ func (s *System) writeRef(now int64, r trace.Ref) int64 {
 	}
 	addr := r.Extended()
 	res := s.dcache.Write(addr)
-	s.expD.OnWrite(addr, res)
 	wt := s.cfg.DCache.WritePolicy == cache.WriteThrough
 
 	if res.Hit {
@@ -541,9 +436,7 @@ func (s *System) writeRef(now int64, r trace.Ref) int64 {
 		if done > s.dBusy {
 			s.dBusy = done
 		}
-		if s.rec != nil {
-			s.rec.NoteRef(simtrace.Store, done)
-		}
+		s.rec.NoteRef(simtrace.Store, done)
 		return done
 	}
 
@@ -560,9 +453,7 @@ func (s *System) writeRef(now int64, r trace.Ref) int64 {
 		if done > s.dBusy {
 			s.dBusy = done
 		}
-		if s.rec != nil {
-			s.rec.NoteRef(simtrace.Store, done)
-		}
+		s.rec.NoteRef(simtrace.Store, done)
 		return done
 	}
 
@@ -581,10 +472,7 @@ func (s *System) writeRef(now int64, r trace.Ref) int64 {
 		busy = complete
 	}
 	s.dBusy = busy
-	if s.rec != nil {
-		s.rec.NoteRef(simtrace.Store, complete)
-		s.rec.Event(simtrace.EvStoreMiss, now, complete, addr, 0)
-	}
+	s.rec.NoteMiss(simtrace.Store, now, complete, addr)
 	return complete
 }
 
