@@ -2,7 +2,8 @@
 #
 #   build        — compile every package, in both the default and the
 #                  obs_debug (deep-profiling) build configurations
-#   vet          — static analysis
+#   vet          — static analysis, and gofmt: fails if any Go file
+#                  outside the dot-directories is not gofmt-clean
 #   test         — full unit-test suite
 #   race         — race-detector pass over the concurrent packages (the
 #                  sweep runner, the experiment suite, the design-space
@@ -54,8 +55,9 @@
 # part of the gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
-# root package's plus the workload, cache, write-buffer, memory, engine and
-# system layer benchmarks, to BENCH_<date>.json via cmd/bench2json. Compare two
+# root package's plus the workload, cache, write-buffer, memory, engine,
+# system and runner layer benchmarks, to BENCH_<date>.json via
+# cmd/bench2json. Compare two
 # snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
@@ -72,6 +74,8 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 
 # -shuffle=on randomizes test order every run, so accidental
 # order-dependence between tests surfaces in CI instead of in a refactor.
@@ -252,12 +256,13 @@ vulncheck:
 	fi
 
 # The root package holds the figure and whole-simulator benchmarks; the
-# workload, cache, writebuf, mem, engine and system packages hold the
-# per-layer ones (trace generation, one access per geometry, write-buffer
-# operations, memory fills and writes, the behavioural pass, the timing
-# replay and the single-phase simulator).
+# workload, cache, writebuf, mem, engine, system and runner packages hold
+# the per-layer ones (trace generation, one access per geometry,
+# write-buffer operations, memory fills and writes, the behavioural pass
+# and the size-family walk, the timing replay with one lane and with
+# many, the single-phase simulator and the runner's per-cell cost).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:

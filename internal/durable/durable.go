@@ -379,8 +379,8 @@ func appendQuarantine(path string, bad []badRec) error {
 		if err != nil {
 			return err
 		}
-		w.Write(line)       //nolint:errcheck // surfaced by Flush
-		w.WriteByte('\n')   //nolint:errcheck // surfaced by Flush
+		w.Write(line)     //nolint:errcheck // surfaced by Flush
+		w.WriteByte('\n') //nolint:errcheck // surfaced by Flush
 	}
 	if err := w.Flush(); err != nil {
 		return err

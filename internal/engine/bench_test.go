@@ -62,15 +62,58 @@ func BenchmarkBuildProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFamily times the one-walk build of the base
+// organization's direct-mapped size family, 4 KB to 4 MB in total at
+// 4-word blocks, reporting ns per reference per profile produced: the
+// figure to set against BuildProfile/dm's ns/ref.
+func BenchmarkBuildFamily(b *testing.B) {
+	tr := benchTrace(b)
+	var orgs []Org
+	for words := 512; words <= 512<<10; words *= 2 {
+		cfg := cache.Config{SizeWords: words, BlockWords: 4, Assoc: 1,
+			Replacement: cache.Random, WritePolicy: cache.WriteBack, Seed: 1988}
+		orgs = append(orgs, Org{ICache: cfg, DCache: cfg})
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildFamily(orgs, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len())/float64(len(orgs)), "ns/ref")
+}
+
 // BenchmarkReplay times the timing replay of a direct-mapped profile at the
 // paper's base memory timings, one sub-benchmark per transfer rate of the
 // Section 5 sweep (slower rates keep memory busy longer, so more misses
-// wait), reporting ns per recorded event.
+// wait), reporting ns per recorded event. The lanes case replays the
+// base memory's distinct cycle-domain timings over the paper's sixteen
+// cycle times in one walk, reporting ns per event per lane.
 func BenchmarkReplay(b *testing.B) {
 	p, err := BuildProfile(benchOrg(1), benchTrace(b))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("lanes", func(b *testing.B) {
+		seen := make(map[CycleTiming]bool)
+		var cts []CycleTiming
+		for cy := 20; cy <= 80; cy += 4 {
+			ct, err := Timing{CycleNs: cy, Mem: mem.DefaultConfig(), WriteBufDepth: 4}.CycleDomain()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !seen[ct] {
+				seen[ct] = true
+				cts = append(cts, ct)
+			}
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := p.ReplayLanes(cts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Events())/float64(len(cts)), "ns/event")
+		b.ReportMetric(float64(len(cts)), "lanes")
+	})
 	for _, rate := range []mem.Rate{mem.Rate4PerCycle, mem.Rate2PerCycle, mem.Rate1PerCycle, mem.Rate1Per2, mem.Rate1Per4} {
 		b.Run(fmt.Sprintf("%dw_per_%dcycle", rate.Num, rate.Den), func(b *testing.B) {
 			cfg := mem.DefaultConfig()

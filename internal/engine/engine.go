@@ -82,6 +82,16 @@ func (o Org) Validate() error {
 	return nil
 }
 
+// fetchWords returns the fetch sizes of the caches serving ifetches and
+// data references: a unified cache serves both.
+func (o Org) fetchWords() (ifw, dfw int) {
+	dfw = o.DCache.EffectiveFetchWords()
+	if o.Unified {
+		return dfw, dfw
+	}
+	return o.ICache.EffectiveFetchWords(), dfw
+}
+
 // dOp encodes the data side of an event couplet.
 type dOp uint8
 
@@ -280,13 +290,8 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 // trace through the caches, accumulates the profile's counters and gaps,
 // and logs the events.
 func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp *explain.Recorder, log *eventLog) error {
-	org := p.Org
-	wtThrough := org.DCache.WritePolicy == cache.WriteThrough
-	ifw := org.ICache.EffectiveFetchWords()
-	if org.Unified {
-		ifw = org.DCache.EffectiveFetchWords()
-	}
-	dfw := org.DCache.EffectiveFetchWords()
+	wtThrough := p.Org.DCache.WritePolicy == cache.WriteThrough
+	ifw, dfw := p.Org.fetchWords()
 
 	refs := t.Refs
 	var gap, gapStoreHits uint32

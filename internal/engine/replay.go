@@ -68,36 +68,71 @@ func (m *memSink) StartWrite(now int64, addr uint64, words int) int64 {
 
 func (m *memSink) NextFree() int64 { return m.unit.FreeAt }
 
-// replayer holds the timing-phase state while walking an event stream.
-type replayer struct {
+// lane is one cycle-domain timing's state in a replay: its memory unit and
+// write buffer, its clock and warm-boundary snapshot, and its optional
+// instruments. A replay steps every lane through the same event stream.
+type lane struct {
 	unit *mem.Unit
 	buf  *writebuf.Buffer
 	rec  *simtrace.Recorder // nil unless instrumentation is armed
+	chk  *check.Checker     // nil unless the lane is audited
+
+	ifetch, dfetch fetchUnit
+	now            int64
+	warm           system.Counters // timing counters at the warm boundary
+	warmSeen       bool
 }
 
 // fetchUnit is one cache's fetch size and its transfer time at the
-// replay's timing, computed once per replay rather than on every miss.
+// lane's timing, computed once per replay rather than on every miss.
 type fetchUnit struct {
 	words, cycles int
+}
+
+// init builds the lane's memory unit and write buffer for the profile at
+// the cycle-domain timing and attaches the instruments.
+func (ln *lane) init(p *Profile, ct CycleTiming, chk *check.Checker, rec *simtrace.Recorder) error {
+	if !rec.On() {
+		rec = nil // a disarmed recorder attaches nothing, as in Attach
+	}
+	tm := ct.Mem
+	ln.unit = mem.NewUnit(tm)
+	ln.rec, ln.chk = rec, chk
+	var err error
+	if ln.buf, err = writebuf.New(ct.WriteBufDepth, &memSink{unit: ln.unit}); err != nil {
+		return err
+	}
+	if rec.EventsOn() {
+		ln.buf.SetTracer(rec)
+	}
+	chk.AddConservation("attrib-conservation", rec)
+	chk.AuditBuffer("l1buf", ln.buf, ct.WriteBufDepth)
+	ifw, dfw := p.Org.fetchWords()
+	ln.ifetch = fetchUnit{ifw, tm.TransferCycles(ifw)}
+	ln.dfetch = fetchUnit{dfw, tm.TransferCycles(dfw)}
+	return nil
 }
 
 // missFetch mirrors system.(*System).missFetch for the whole-block
 // completion policy with main memory downstream. f is the cache's fetch
 // unit; wbWords is the victim's write-back size (0 for a clean miss).
-func (r *replayer) missFetch(start int64, f fetchUnit, addr uint64, wbWords int, vicAddr uint64) int64 {
+func (ln *lane) missFetch(start int64, f fetchUnit, addr uint64, wbWords int, vicAddr uint64) int64 {
 	fetchAddr := addr &^ uint64(f.words-1)
-	r.buf.Drain(start)
-	matched := r.buf.FlushMatching(start, fetchAddr, f.words)
-	mw0, mr0 := r.unit.ReadWaitCycles, r.unit.ReadRecoveryWaitCycles
-	dataAt, fillStart := r.unit.StartFill(start, f.cycles, wbWords)
-	if r.rec != nil { // the wait deltas cost loads an untraced replay skips
-		r.rec.NoteFetch(r.unit.ReadWaitCycles-mw0, r.unit.ReadRecoveryWaitCycles-mr0, matched)
-		r.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, f.words)
+	matched := false
+	if ln.buf.Len() > 0 { // an empty buffer has nothing to drain or match
+		ln.buf.Drain(start)
+		matched = ln.buf.FlushMatching(start, fetchAddr, f.words)
+	}
+	mw0, mr0 := ln.unit.ReadWaitCycles, ln.unit.ReadRecoveryWaitCycles
+	dataAt, fillStart := ln.unit.StartFill(start, f.cycles, wbWords)
+	if ln.rec != nil { // the wait deltas cost loads an untraced replay skips
+		ln.rec.NoteFetch(ln.unit.ReadWaitCycles-mw0, ln.unit.ReadRecoveryWaitCycles-mr0, matched)
+		ln.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, f.words)
 	}
 	complete := dataAt
 	if wbWords > 0 {
-		rel := r.enqueueTracked(dataAt, vicAddr, wbWords, dataAt)
-		r.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
+		rel := ln.enqueueTracked(dataAt, vicAddr, wbWords, dataAt)
+		ln.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
 		if rel > complete {
 			complete = rel
 		}
@@ -108,9 +143,9 @@ func (r *replayer) missFetch(start int64, f fetchUnit, addr uint64, wbWords int,
 // storeThrough mirrors the system's write-buffer enqueue for a store that
 // passes toward memory: drain at the access time, enqueue one word at the
 // completion time, stall if the buffer is full.
-func (r *replayer) storeThrough(now, done int64, addr uint64) int64 {
-	r.buf.Drain(now)
-	if rel := r.enqueueTracked(done, addr, 1, done); rel > done {
+func (ln *lane) storeThrough(now, done int64, addr uint64) int64 {
+	ln.buf.Drain(now)
+	if rel := ln.enqueueTracked(done, addr, 1, done); rel > done {
 		done = rel
 	}
 	return done
@@ -118,13 +153,13 @@ func (r *replayer) storeThrough(now, done int64, addr uint64) int64 {
 
 // enqueueTracked wraps the write buffer's Enqueue, feeding any full-buffer
 // stall cycles to the attribution recorder.
-func (r *replayer) enqueueTracked(now int64, addr uint64, words int, ready int64) int64 {
-	if r.rec == nil { // the stall delta costs loads an untraced replay skips
-		return r.buf.Enqueue(now, addr, words, ready)
+func (ln *lane) enqueueTracked(now int64, addr uint64, words int, ready int64) int64 {
+	if ln.rec == nil { // the stall delta costs loads an untraced replay skips
+		return ln.buf.Enqueue(now, addr, words, ready)
 	}
-	f0 := r.buf.FullStallCycles
-	rel := r.buf.Enqueue(now, addr, words, ready)
-	r.rec.NoteBufFull(r.buf.FullStallCycles - f0)
+	f0 := ln.buf.FullStallCycles
+	rel := ln.buf.Enqueue(now, addr, words, ready)
+	ln.rec.NoteBufFull(ln.buf.FullStallCycles - f0)
 	return rel
 }
 
@@ -162,7 +197,14 @@ func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Reco
 		chk = check.New(opts)
 		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v cycle=%dns", p.TraceName, p.Org.DCache, t.CycleNs))
 	}
-	res, err := p.replay(ct, chk, rec)
+	var one [1]lane
+	if err := one[0].init(p, ct, chk, rec); err != nil {
+		return system.Result{}, err
+	}
+	if err := p.replay(one[:]); err != nil {
+		return system.Result{}, err
+	}
+	res, err := p.finish(&one[0])
 	if err != nil {
 		return system.Result{}, err
 	}
@@ -170,142 +212,158 @@ func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Reco
 	return res, nil
 }
 
-// replay runs the timing phase at a cycle-domain timing. The Result's
-// CycleNs is left zero: nothing here knows the cycle time.
-func (p *Profile) replay(ct CycleTiming, chk *check.Checker, rec *simtrace.Recorder) (system.Result, error) {
-	tm := ct.Mem
-	if !rec.On() {
-		rec = nil // a disarmed recorder attaches nothing, as in Attach
+// ReplayLanes replays the profile at every cycle-domain timing in one walk
+// of its events, one lane per timing, and returns the Results in timing
+// order. Each Result equals Replay's at any timing with that cycle-domain
+// form, except that its CycleNs is zero: nothing here knows the cycle
+// time. No instrument attaches; ReplayTraced runs checked and traced
+// replays.
+func (p *Profile) ReplayLanes(cts []CycleTiming) ([]system.Result, error) {
+	lanes := make([]lane, len(cts))
+	for l, ct := range cts {
+		if err := lanes[l].init(p, ct, nil, nil); err != nil {
+			return nil, err
+		}
 	}
-	r := &replayer{unit: mem.NewUnit(tm), rec: rec}
-	var err error
-	if r.buf, err = writebuf.New(ct.WriteBufDepth, &memSink{unit: r.unit}); err != nil {
-		return system.Result{}, err
+	if err := p.replay(lanes); err != nil {
+		return nil, err
 	}
-	if rec.EventsOn() {
-		r.buf.SetTracer(rec)
+	out := make([]system.Result, len(lanes))
+	for l := range lanes {
+		var err error
+		if out[l], err = p.finish(&lanes[l]); err != nil {
+			return nil, err
+		}
 	}
-	chk.AddConservation("attrib-conservation", rec)
-	chk.AuditBuffer("l1buf", r.buf, ct.WriteBufDepth)
+	return out, nil
+}
 
-	ifw := p.Org.ICache.EffectiveFetchWords()
-	if p.Org.Unified {
-		ifw = p.Org.DCache.EffectiveFetchWords()
-	}
-	dfw := p.Org.DCache.EffectiveFetchWords()
-	ifetch := fetchUnit{ifw, tm.TransferCycles(ifw)}
-	dfetch := fetchUnit{dfw, tm.TransferCycles(dfw)}
+// replay is the timing phase: one walk of the event stream that steps
+// every lane through each event in turn. An event's fields are decoded
+// once for all lanes, and the lanes of one event mostly take the same
+// branches, so the later lanes' branches predict well.
+func (p *Profile) replay(lanes []lane) error {
 	wt := p.Org.DCache.WritePolicy == cache.WriteThrough
-
-	var now int64
-	var warmTiming system.Counters
-	warmSeen := false
-
 	for k := range p.events {
 		ev := &p.events[k] // read in place: no copy per event
-		if chk.Diverged() {
-			return system.Result{}, chk.Err()
-		}
-		now += int64(ev.gap) + int64(ev.gapStoreHits)
-		// Gap couplets cost one base cycle each plus one store cycle per
-		// contained store hit — attributed in bulk.
-		rec.AddGap(int64(ev.gap), int64(ev.gapStoreHits), now)
+		gap, gapStoreHits := int64(ev.gap), int64(ev.gapStoreHits)
 		flags := ev.flags()
-		if flags&flagMarker != 0 {
-			rec.MarkWarm()
-			warmTiming = system.Counters{
-				Cycles:             now,
-				BufFullStallCycles: r.buf.FullStallCycles,
-				BufMatchEvents:     r.buf.MatchEvents,
-				MemReads:           r.unit.Reads,
-				MemWrites:          r.unit.Writes,
-				MemWaitCycles:      r.unit.WaitCycles,
-				MemBusyCycles:      r.unit.BusyCycles,
+		op := ev.dOp()
+		iAddr, dAddr := ev.iAddr(), ev.dAddr()
+		for l := range lanes {
+			ln := &lanes[l]
+			rec := ln.rec
+			if ln.chk.Diverged() {
+				return ln.chk.Err()
 			}
-			warmSeen = true
-			continue
-		}
-		rec.BeginCouplet(now)
-		comp := now + 1
-		if flags&flagHasI != 0 {
-			if flags&flagIMiss != 0 {
-				c := r.missFetch(now+1, ifetch, ev.iAddr(), ev.iVicW(), ev.iVic)
-				rec.NoteMiss(simtrace.Ifetch, now, c, ev.iAddr())
+			now := ln.now + gap + gapStoreHits
+			// Gap couplets cost one base cycle each plus one store cycle
+			// per contained store hit — attributed in bulk.
+			rec.AddGap(gap, gapStoreHits, now)
+			if flags&flagMarker != 0 {
+				rec.MarkWarm()
+				ln.warm = system.Counters{
+					Cycles:             now,
+					BufFullStallCycles: ln.buf.FullStallCycles,
+					BufMatchEvents:     ln.buf.MatchEvents,
+					MemReads:           ln.unit.Reads,
+					MemWrites:          ln.unit.Writes,
+					MemWaitCycles:      ln.unit.WaitCycles,
+					MemBusyCycles:      ln.unit.BusyCycles,
+				}
+				ln.warmSeen = true
+				ln.now = now
+				continue
+			}
+			rec.BeginCouplet(now)
+			comp := now + 1
+			if flags&flagHasI != 0 {
+				if flags&flagIMiss != 0 {
+					c := ln.missFetch(now+1, ln.ifetch, iAddr, ev.iVicW(), ev.iVic)
+					rec.NoteMiss(simtrace.Ifetch, now, c, iAddr)
+					if c > comp {
+						comp = c
+					}
+				} else {
+					rec.NoteRef(simtrace.Ifetch, now+1)
+				}
+			}
+			switch op {
+			case dNone:
+				// no data reference in this couplet
+			case dLoadHit:
+				// one cycle, already covered by comp
+				rec.NoteRef(simtrace.Load, now+1)
+			case dStoreHit:
+				done := now + 2
+				if wt {
+					done = ln.storeThrough(now, done, dAddr)
+				}
+				rec.NoteRef(simtrace.Store, done)
+				if done > comp {
+					comp = done
+				}
+			case dLoadMiss:
+				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVicW(), ev.dVic)
+				rec.NoteMiss(simtrace.Load, now, c, dAddr)
 				if c > comp {
 					comp = c
 				}
-			} else {
-				rec.NoteRef(simtrace.Ifetch, now+1)
+			case dStoreMissNoAlloc:
+				done := ln.storeThrough(now, now+2, dAddr)
+				rec.NoteRef(simtrace.Store, done)
+				if done > comp {
+					comp = done
+				}
+			case dStoreMissAlloc:
+				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVicW(), ev.dVic)
+				c++
+				if wt {
+					c = ln.storeThrough(now, c, dAddr)
+				}
+				rec.NoteMiss(simtrace.Store, now, c, dAddr)
+				if c > comp {
+					comp = c
+				}
 			}
+			rec.EndCouplet(comp)
+			ln.now = comp
 		}
-		switch ev.dOp() {
-		case dNone:
-			// no data reference in this couplet
-		case dLoadHit:
-			// one cycle, already covered by comp
-			rec.NoteRef(simtrace.Load, now+1)
-		case dStoreHit:
-			done := now + 2
-			if wt {
-				done = r.storeThrough(now, done, ev.dAddr())
-			}
-			rec.NoteRef(simtrace.Store, done)
-			if done > comp {
-				comp = done
-			}
-		case dLoadMiss:
-			c := r.missFetch(now+1, dfetch, ev.dAddr(), ev.dVicW(), ev.dVic)
-			rec.NoteMiss(simtrace.Load, now, c, ev.dAddr())
-			if c > comp {
-				comp = c
-			}
-		case dStoreMissNoAlloc:
-			done := r.storeThrough(now, now+2, ev.dAddr())
-			rec.NoteRef(simtrace.Store, done)
-			if done > comp {
-				comp = done
-			}
-		case dStoreMissAlloc:
-			c := r.missFetch(now+1, dfetch, ev.dAddr(), ev.dVicW(), ev.dVic)
-			c++
-			if wt {
-				c = r.storeThrough(now, c, ev.dAddr())
-			}
-			rec.NoteMiss(simtrace.Store, now, c, ev.dAddr())
-			if c > comp {
-				comp = c
-			}
-		}
-		rec.EndCouplet(comp)
-		now = comp
 	}
-	now += int64(p.tailGap) + int64(p.tailGapStoreHits)
-	rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
-	if err := chk.Finish(nil); err != nil {
+	return nil
+}
+
+// finish closes the lane after the last event: the trailing gap, the
+// instruments' final checks and the Result. The Result's CycleNs is left
+// zero: nothing here knows the cycle time.
+func (p *Profile) finish(ln *lane) (system.Result, error) {
+	now := ln.now + int64(p.tailGap) + int64(p.tailGapStoreHits)
+	ln.rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
+	if err := ln.chk.Finish(nil); err != nil {
 		return system.Result{}, err
 	}
-	if err := rec.Finish(simtrace.Sample{Refs: p.total.Refs, Cycles: now}, now); err != nil {
+	if err := ln.rec.Finish(simtrace.Sample{Refs: p.total.Refs, Cycles: now}, now); err != nil {
 		return system.Result{}, err
 	}
 
 	total := p.total
 	total.Cycles = now
-	total.BufFullStallCycles = r.buf.FullStallCycles
-	total.BufMatchEvents = r.buf.MatchEvents
-	total.MemReads = r.unit.Reads
-	total.MemWrites = r.unit.Writes
-	total.MemWaitCycles = r.unit.WaitCycles
-	total.MemBusyCycles = r.unit.BusyCycles
+	total.BufFullStallCycles = ln.buf.FullStallCycles
+	total.BufMatchEvents = ln.buf.MatchEvents
+	total.MemReads = ln.unit.Reads
+	total.MemWrites = ln.unit.Writes
+	total.MemWaitCycles = ln.unit.WaitCycles
+	total.MemBusyCycles = ln.unit.BusyCycles
 
 	warm := p.warmSnap
-	if warmSeen {
-		warm.Cycles = warmTiming.Cycles
-		warm.BufFullStallCycles = warmTiming.BufFullStallCycles
-		warm.BufMatchEvents = warmTiming.BufMatchEvents
-		warm.MemReads = warmTiming.MemReads
-		warm.MemWrites = warmTiming.MemWrites
-		warm.MemWaitCycles = warmTiming.MemWaitCycles
-		warm.MemBusyCycles = warmTiming.MemBusyCycles
+	if ln.warmSeen {
+		warm.Cycles = ln.warm.Cycles
+		warm.BufFullStallCycles = ln.warm.BufFullStallCycles
+		warm.BufMatchEvents = ln.warm.BufMatchEvents
+		warm.MemReads = ln.warm.MemReads
+		warm.MemWrites = ln.warm.MemWrites
+		warm.MemWaitCycles = ln.warm.MemWaitCycles
+		warm.MemBusyCycles = ln.warm.MemBusyCycles
 	}
 	return system.Result{Total: total, Warm: total.Sub(warm)}, nil
 }

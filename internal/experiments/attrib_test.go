@@ -77,7 +77,7 @@ func TestCellAttributionBalance(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	s.SetExec(ExecOptions{Trace: &simtrace.Options{Attrib: true}})
 
-	replay := s.replayCell(0, orgFor(8, 4, 1), baseTiming(40))
+	replay := s.replayCell(0, orgFor(8, 4, 1), baseTiming(40), nil)
 	v, err := replay.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

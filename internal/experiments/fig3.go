@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/system"
@@ -46,10 +47,13 @@ func (s *Suite) RunFigure31(ctx context.Context, sizesKB []int) (*Figure31, erro
 	if sizesKB == nil {
 		sizesKB = TotalSizesKB
 	}
+	orgs := make([]engine.Org, len(sizesKB))
 	var cells []runner.Cell[cellOut]
-	for _, kb := range sizesKB {
-		cells = s.counterCellsFor(cells, orgFor(kb, 4, 1))
+	for k, kb := range sizesKB {
+		orgs[k] = orgFor(kb, 4, 1)
+		cells = s.counterCellsFor(cells, orgs[k])
 	}
+	s.declareFamily(orgs)
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
@@ -82,7 +86,9 @@ func (s *Suite) RunFigure31(ctx context.Context, sizesKB []int) (*Figure31, erro
 // one set size, returning a PerfGrid of execution times and cycles per
 // reference. The full (size × cycle × trace) cell list runs as a single
 // sweep so the worker pool sees the whole grid at once; results come back
-// in input order and are aggregated per (size, cycle) group.
+// in input order and are aggregated per (size, cycle) group. Each
+// (size, trace) replays its cycle times in one walk of its profile, and
+// the direct-mapped sizes form a size family.
 func (s *Suite) SpeedSizeGrid(ctx context.Context, sizesKB, cycleNs []int, assoc int) (*analysis.PerfGrid, error) {
 	if sizesKB == nil {
 		sizesKB = TotalSizesKB
@@ -90,13 +96,17 @@ func (s *Suite) SpeedSizeGrid(ctx context.Context, sizesKB, cycleNs []int, assoc
 	if cycleNs == nil {
 		cycleNs = CycleTimesNs
 	}
-	var cells []runner.Cell[cellOut]
-	for _, kb := range sizesKB {
-		org := orgFor(kb, 4, assoc)
-		for _, cy := range cycleNs {
-			cells = s.replayCellsFor(cells, org, baseTiming(cy))
-		}
+	tms := make([]engine.Timing, len(cycleNs))
+	for j, cy := range cycleNs {
+		tms[j] = baseTiming(cy)
 	}
+	orgs := make([]engine.Org, len(sizesKB))
+	var cells []runner.Cell[cellOut]
+	for k, kb := range sizesKB {
+		orgs[k] = orgFor(kb, 4, assoc)
+		cells = s.replayCellsFor(cells, orgs[k], tms...)
+	}
+	s.declareFamily(orgs)
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {
 		return nil, err

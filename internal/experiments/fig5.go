@@ -147,7 +147,7 @@ func (s *Suite) RunFigure52(ctx context.Context, totalKB int, blockWords, latenc
 		cycleNs = 40
 	}
 	out := &Figure52{CycleNs: cycleNs, TotalKB: totalKB, BlockWords: blockWords}
-	var cells []runner.Cell[cellOut]
+	var tms []engine.Timing
 	for _, la := range latenciesNs {
 		for _, rate := range rates {
 			cfg := mem.UniformLatency(la, rate)
@@ -162,14 +162,13 @@ func (s *Suite) RunFigure52(ctx context.Context, totalKB int, blockWords, latenc
 			}
 			pt.Product = analysis.MemorySpeedProduct(float64(pt.LatencyCycles), rate.WordsPerCycle())
 			out.Points = append(out.Points, pt)
-			for _, bs := range blockWords {
-				cells = s.replayCellsFor(cells, orgFor(totalKB, bs, 1), engine.Timing{
-					CycleNs:       cycleNs,
-					Mem:           cfg,
-					WriteBufDepth: 4,
-				})
-			}
+			tms = append(tms, engine.Timing{CycleNs: cycleNs, Mem: cfg, WriteBufDepth: 4})
 		}
+	}
+	// One replay walk per (block size, trace) serves every memory point.
+	var cells []runner.Cell[cellOut]
+	for _, bs := range blockWords {
+		cells = s.replayCellsFor(cells, orgFor(totalKB, bs, 1), tms...)
 	}
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {
@@ -179,7 +178,7 @@ func (s *Suite) RunFigure52(ctx context.Context, totalKB int, blockWords, latenc
 	for p := range out.Points {
 		row := make([]float64, len(blockWords))
 		for b := range blockWords {
-			base := (p*len(blockWords) + b) * n
+			base := (b*len(out.Points) + p) * n
 			exec, _, err := geoExecCPR(outs[base:base+n], cycleNs)
 			if err != nil {
 				return nil, err

@@ -25,7 +25,8 @@ type SplitUnifiedStudy struct {
 }
 
 // RunSplitUnified sweeps the total size for both organizations as one
-// runner sweep: counter and replay cells for each (size × variant).
+// runner sweep: counter and replay cells for each (size × variant). Each
+// variant's sizes form a direct-mapped size family.
 func (s *Suite) RunSplitUnified(ctx context.Context, sizesKB []int, cycleNs int) (*SplitUnifiedStudy, error) {
 	if sizesKB == nil {
 		sizesKB = []int{8, 16, 32, 64, 128, 256}
@@ -40,12 +41,17 @@ func (s *Suite) RunSplitUnified(ctx context.Context, sizesKB []int, cycleNs int)
 			{DCache: l1Config(kb*1024/4, 4, 1), Unified: true},
 		}
 	}
+	var families [2][]engine.Org
 	var cells []runner.Cell[cellOut]
 	for _, kb := range sizesKB {
-		for _, org := range orgsFor(kb) {
+		for v, org := range orgsFor(kb) {
+			families[v] = append(families[v], org)
 			cells = s.counterCellsFor(cells, org)
 			cells = s.replayCellsFor(cells, org, baseTiming(cycleNs))
 		}
+	}
+	for _, f := range families {
+		s.declareFamily(f)
 	}
 	outs, err := s.runCells(ctx, cells)
 	if err != nil {

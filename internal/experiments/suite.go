@@ -72,6 +72,9 @@ type Suite struct {
 	fpOnce sync.Once
 	fps    []string // per-trace checkpoint fingerprints
 
+	sumOnce   sync.Once
+	summaries []trace.Summary // Table 1, computed once
+
 	// evMu guards evRec, the first freshly computed cell's recorder with an
 	// armed event ring — the sweep's representative timeline, exported via
 	// EventTrace.
@@ -88,17 +91,26 @@ type profileEntry struct {
 	// pass, nil unless ExecOptions.Explain armed the recorder.
 	exp *explain.Report
 	err error
+
+	// fam, when set, is the size family whose one walk builds this
+	// slot's profile, as fam.profiles[famIdx] (see declareFamily).
+	fam    *familyBuild
+	famIdx int
 }
 
+// profileKey names a profile: the trace and the whole organization.
 type profileKey struct {
-	traceIdx   int
-	sizeWords  int
-	blockWords int
-	fetchWords int
-	assoc      int
-	policy     cache.WritePolicy
-	alloc      bool
-	unified    bool
+	traceIdx int
+	org      engine.Org
+}
+
+// familyBuild is one trace's direct-mapped size family: the
+// organizations whose profile slots one engine.BuildFamily walk fills.
+type familyBuild struct {
+	once     sync.Once
+	orgs     []engine.Org
+	profiles []*engine.Profile // nil until the walk succeeds
+	err      error
 }
 
 // NewSuite generates the eight Table 1 workloads at the given scale
@@ -181,16 +193,7 @@ func (s *Suite) profile(i int, org engine.Org) (*engine.Profile, error) {
 // report rides the same single-flight slot, so it exists exactly once per
 // (organization × trace) however many replay cells share the profile.
 func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *explain.Report, error) {
-	key := profileKey{
-		traceIdx:   i,
-		sizeWords:  org.DCache.SizeWords,
-		blockWords: org.DCache.BlockWords,
-		fetchWords: org.DCache.FetchWords,
-		assoc:      org.DCache.Assoc,
-		policy:     org.DCache.WritePolicy,
-		alloc:      org.DCache.WriteAllocate,
-		unified:    org.Unified,
-	}
+	key := profileKey{traceIdx: i, org: org}
 	for {
 		s.mu.Lock()
 		e, ok := s.profiles[key]
@@ -210,10 +213,24 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 					s.mu.Unlock()
 				}
 			}()
+			rec := explain.Attach(s.exec.Explain)
+			if e.fam != nil && s.exec.SelfCheck == nil && rec == nil {
+				if ps, err := s.buildFamily(i, e.fam); ps != nil || err != nil {
+					if err != nil {
+						e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
+							org.DCache.String(), s.Traces[i].Name, err)
+					} else {
+						e.p = ps[e.famIdx]
+					}
+					e.ok = true
+					return
+				}
+				// The family walk panicked in another caller: build
+				// this slot on its own.
+			}
 			if m := s.exec.Metrics; m != nil {
 				m.Counter(obs.MProfilesBuilt).Add(1)
 			}
-			rec := explain.Attach(s.exec.Explain)
 			p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
 			if err != nil {
 				e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
@@ -233,6 +250,55 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 		}
 		// The build panicked in another caller and dropped the slot.
 	}
+}
+
+// declareFamily tells the profile cache that the organizations form a
+// direct-mapped size family (engine.FamilyApplies): for each trace, the
+// first cell to need one of their profiles builds every one not yet in
+// the cache in one engine.BuildFamily walk. The figure code declares
+// the family; the cache never guesses one. Nothing is declared when the
+// organizations are no family, or when the checker or the explain
+// recorder is armed, since those need every access of every
+// configuration. A slot built after either is armed builds on its own.
+func (s *Suite) declareFamily(orgs []engine.Org) {
+	if len(orgs) < 2 || !engine.FamilyApplies(orgs, s.exec.SelfCheck, explain.Attach(s.exec.Explain)) {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.Traces {
+		fam := &familyBuild{}
+		var slots []*profileEntry
+		for _, org := range orgs {
+			key := profileKey{traceIdx: i, org: org}
+			if _, ok := s.profiles[key]; ok {
+				continue // built, or being built, already
+			}
+			e := &profileEntry{famIdx: len(fam.orgs)}
+			fam.orgs = append(fam.orgs, org)
+			slots = append(slots, e)
+			s.profiles[key] = e
+		}
+		if len(slots) < 2 {
+			continue // a family of one is a plain slot
+		}
+		for _, e := range slots {
+			e.fam = fam
+		}
+	}
+}
+
+// buildFamily runs the family's walk once, for whichever of its slots
+// needs a profile first, and returns its profiles or its error. Both are
+// nil when the walk panicked: each slot then builds on its own.
+func (s *Suite) buildFamily(i int, fam *familyBuild) ([]*engine.Profile, error) {
+	fam.once.Do(func() {
+		if m := s.exec.Metrics; m != nil {
+			m.Counter(obs.MProfilesBuilt).Add(int64(len(fam.orgs)))
+		}
+		fam.profiles, fam.err = engine.BuildFamily(fam.orgs, s.Traces[i])
+	})
+	return fam.profiles, fam.err
 }
 
 // ReplayWarm replays the organization at the timing against every trace
@@ -285,13 +351,16 @@ func baseTiming(cycleNs int) engine.Timing {
 }
 
 // Table1 regenerates the trace-description table from the synthesized
-// workloads.
+// workloads. The summaries are computed on the first call; later calls
+// return copies.
 func (s *Suite) Table1() []trace.Summary {
-	out := make([]trace.Summary, len(s.Traces))
-	for i, t := range s.Traces {
-		out[i] = trace.Summarize(t)
-	}
-	return out
+	s.sumOnce.Do(func() {
+		s.summaries = make([]trace.Summary, len(s.Traces))
+		for i, t := range s.Traces {
+			s.summaries[i] = trace.Summarize(t)
+		}
+	})
+	return append([]trace.Summary(nil), s.summaries...)
 }
 
 // Table2 regenerates the memory access cycle count table directly from the

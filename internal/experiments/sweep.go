@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/check"
@@ -289,11 +291,17 @@ func (s *Suite) traceFingerprint(i int) string {
 // replay. The cell is keyed on the timing's cycle-domain form, not the
 // timing itself: a replay depends on nothing else (engine.CycleTiming), so
 // every cycle time whose quantized memory timing agrees shares one replay
-// through the cell memo. The result carries the warm-window counters.
-func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[cellOut] {
+// through the cell memo. The result carries the warm-window counters. A
+// cell in a lane group (g non-nil) takes its replay from the group's
+// shared walk.
+func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing, g *laneGroup) runner.Cell[cellOut] {
 	ct, ctErr := tm.CycleDomain()
+	key := runner.Key("replay/v2", s.traceFingerprint(i), s.Scale, org, ct)
+	if ctErr == nil {
+		g.add(ct, key)
+	}
 	return runner.Cell[cellOut]{
-		Key: runner.Key("replay/v2", s.traceFingerprint(i), s.Scale, org, ct),
+		Key: key,
 		Run: func(ctx context.Context) (cellOut, error) {
 			if ctErr != nil {
 				return cellOut{}, ctErr
@@ -307,6 +315,9 @@ func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing) runner.Cell[
 			}
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
+			}
+			if res, ok := g.lane(s, p, ct); ok {
+				return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm}, nil
 			}
 			rec := s.cellRecorder()
 			res, err := p.ReplayTraced(tm, s.exec.SelfCheck, rec)
@@ -427,13 +438,108 @@ func (s *Suite) Fingerprints() []string {
 	return out
 }
 
-// replayCellsFor appends one replay cell per trace for the organization
-// and timing.
-func (s *Suite) replayCellsFor(cells []runner.Cell[cellOut], org engine.Org, tm engine.Timing) []runner.Cell[cellOut] {
-	for i := range s.Traces {
-		cells = append(cells, s.replayCell(i, org, tm))
+// replayCellsFor appends the organization's replay cells: for each
+// timing in order, one cell per trace. A trace's cells of one call form a
+// lane group, which replays all their timings in one walk of the profile.
+// While the checker or either recorder is armed, every cell replays on
+// its own instead, so that each is checked or traced as itself.
+func (s *Suite) replayCellsFor(cells []runner.Cell[cellOut], org engine.Org, tms ...engine.Timing) []runner.Cell[cellOut] {
+	groups := s.laneGroups(len(tms))
+	for _, tm := range tms {
+		for i := range s.Traces {
+			cells = append(cells, s.replayCell(i, org, tm, groups[i]))
+		}
 	}
 	return cells
+}
+
+// laneGroups returns one lane group per trace for a replayCellsFor call
+// over n timings, or nil groups, each cell on its own, when there is
+// nothing to share or an instrument is armed.
+func (s *Suite) laneGroups(n int) []*laneGroup {
+	groups := make([]*laneGroup, len(s.Traces))
+	if n > 1 && s.exec.SelfCheck == nil && s.exec.Trace == nil && s.exec.Explain == nil {
+		for i := range groups {
+			groups[i] = &laneGroup{}
+		}
+	}
+	return groups
+}
+
+// laneGroup is one trace's replay cells for one organization within a
+// sweep. The first of them to run replays, in one walk of the profile's
+// events (engine.ReplayLanes), every timing of the group whose output is
+// not yet settled (see settled), and each cell takes its own lane's
+// result. Every cell still runs, and counts, exactly once: the group
+// shares the walk, not the cells. A nil group is a cell on its own.
+type laneGroup struct {
+	cts  []engine.CycleTiming // distinct, in order of first appearance
+	keys []string             // each timing's cell key
+
+	mu     sync.Mutex
+	walked bool
+	res    map[engine.CycleTiming]system.Result
+}
+
+// add enrols a cell's cycle-domain timing in the group.
+func (g *laneGroup) add(ct engine.CycleTiming, key string) {
+	if g == nil || slices.Contains(g.cts, ct) {
+		return
+	}
+	g.cts = append(g.cts, ct)
+	g.keys = append(g.keys, key)
+}
+
+// lane returns the group walk's result for the timing, walking first if
+// no cell of the group has yet. ok is false for a cell on its own, and
+// when the walk has no lane for the timing (it failed, or the timing was
+// settled when it ran): the cell then replays by itself.
+func (g *laneGroup) lane(s *Suite, p *engine.Profile, ct engine.CycleTiming) (res system.Result, ok bool) {
+	if g == nil {
+		return system.Result{}, false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.walked {
+		g.walked = true
+		var todo []engine.CycleTiming
+		for k, c := range g.cts {
+			if !s.settled(g.keys[k]) {
+				todo = append(todo, c)
+			}
+		}
+		if rs, err := p.ReplayLanes(todo); err == nil {
+			g.res = make(map[engine.CycleTiming]system.Result, len(todo))
+			for k, c := range todo {
+				g.res[c] = rs[k]
+			}
+		}
+	}
+	res, ok = g.res[ct]
+	return res, ok
+}
+
+// settled reports whether a cell's output is already known, so that no
+// walk needs to compute it: the memo holds it, or the checkpoint log
+// will replay it.
+func (s *Suite) settled(key string) bool {
+	s.mu.Lock()
+	e, found := s.cells[key]
+	s.mu.Unlock()
+	if found {
+		select {
+		case <-e.done:
+			if e.ok {
+				return true
+			}
+		default:
+		}
+	}
+	if cp := s.exec.Checkpoint; cp != nil {
+		_, ok := cp.Lookup(key)
+		return ok
+	}
+	return false
 }
 
 // counterCellsFor appends one counters cell per trace for the organization.

@@ -50,10 +50,10 @@ func testStreams(tb testing.TB) map[string][]op {
 // equivalence is what makes the conflict class exact.
 func TestLRUShadowMatchesCache(t *testing.T) {
 	type geom struct {
-		name                 string
+		name                  string
 		sizeWords, blockWords int
-		fetchWords           int
-		walloc               bool
+		fetchWords            int
+		walloc                bool
 	}
 	geoms := []geom{
 		{"64b-whole", 64, 4, 0, false},

@@ -28,9 +28,9 @@ func TestJournalRoundTrip(t *testing.T) {
 		j.Submit("j1", "r1", "alice", req), j.Start("j1"), j.Done("j1"),
 		j.Submit("j2", "", "", req), j.Start("j2"), j.Fail("j2", "boom", "deadline"),
 		j.Submit("j3", "", "", req), j.Cancel("j3"),
-		j.Submit("j4", "", "", req),                   // still queued
-		j.Submit("j5", "", "", req), j.Start("j5"),    // in flight
-		j.Probe(),                                     // breaker probe: no job state
+		j.Submit("j4", "", "", req),                // still queued
+		j.Submit("j5", "", "", req), j.Start("j5"), // in flight
+		j.Probe(), // breaker probe: no job state
 	}
 	for i, err := range steps {
 		if err != nil {
