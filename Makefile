@@ -7,8 +7,9 @@
 #   test         — full unit-test suite
 #   race         — race-detector pass over the concurrent packages (the
 #                  sweep runner, the experiment suite, the design-space
-#                  explorer, the observability layer and the CLIs that
-#                  drive them)
+#                  explorer, the observability layer, the profiler guard
+#                  and phase clock, the ledger's concurrent appends, the
+#                  service and the CLIs that drive them)
 #   fuzz         — fuzz seed corpora in regression mode (no new input
 #                  generation; just replays the checked-in seeds)
 #   selfcheck    — the differential-oracle pass: every simulator run in the
@@ -57,8 +58,8 @@
 # `make bench` snapshots the benchmark suite (with allocation stats), the
 # root package's plus the workload, cache, write-buffer, memory, engine,
 # system and runner layer benchmarks, to BENCH_<date>.json via
-# cmd/bench2json. Compare two
-# snapshots with:
+# cmd/bench2json. The paper's figures are timed cold by benchmark/run.sh
+# (figures-cold), not here. Compare two snapshots with:
 #
 #   go run ./cmd/bench2json -diff BENCH_<old>.json BENCH_<new>.json
 
@@ -83,7 +84,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/core/ ./internal/obs/ ./internal/service/ ./cmd/...
+	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/core/ ./internal/obs/ ./internal/perfobs/ ./internal/ledger/ ./internal/service/ ./cmd/...
 
 # Go runs fuzz seed corpora as ordinary tests when -fuzz is absent; this
 # target exists so the gate states the intent explicitly.
@@ -255,12 +256,13 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed, skipping"; \
 	fi
 
-# The root package holds the figure and whole-simulator benchmarks; the
-# workload, cache, writebuf, mem, engine, system and runner packages hold
-# the per-layer ones (trace generation, one access per geometry,
-# write-buffer operations, memory fills and writes, the behavioural pass
-# and the size-family walk, the timing replay with one lane and with
-# many, the single-phase simulator and the runner's per-cell cost).
+# The root package holds the whole-simulator, ablation and overhead-pair
+# benchmarks; the workload, cache, writebuf, mem, engine, system and
+# runner packages hold the per-layer ones (trace generation, one access
+# per geometry, write-buffer operations, memory fills and writes, the
+# behavioural pass and the size-family walk, the timing replay with one
+# lane and with many, the single-phase simulator and the runner's
+# per-cell cost).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json

@@ -33,7 +33,6 @@ import (
 	"repro/internal/explain"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/perfobs"
 	"repro/internal/runner"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
@@ -78,7 +77,7 @@ func run() error {
 		eventsOut = flag.String("events", "", "write the run's timeline events to this file as Chrome trace-event JSON (load in Perfetto)")
 		manifest  = flag.String("manifest", "", "write a run manifest JSON here (includes attribution and warm-up when armed)")
 		ledgerDir = flag.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
-		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (bounded retention); the digest lands in the manifest and, with -ledger, the run record for `simreport perf`")
+		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); the digest lands in the manifest as perf and, with -ledger, in the run record for `simreport perf`")
 	)
 	flag.Parse()
 
@@ -133,24 +132,16 @@ func run() error {
 		}
 	}
 
-	// Profile capture brackets the whole run — trace generation through
-	// reporting — so the digest sees the same hot paths a production sweep
-	// would. Without -profile none of this runs and output is bit-identical.
-	runID := obs.RunID()
-	var (
-		capt   *perfobs.Capture
-		phases *perfobs.PhaseSampler
-	)
-	if *profDir != "" {
-		c, err := perfobs.Start(*profDir, runID, perfobs.Options{})
-		if err != nil {
-			return err
-		}
-		capt = c
-		defer capt.Stop() //nolint:errcheck // releases the profiler on early error returns; the success path stops explicitly below
-		phases = perfobs.NewPhaseSampler()
-		phases.Mark("generate")
+	// The run record brackets the whole run — trace generation through
+	// reporting — so its phases and the -profile digest see the same hot
+	// paths a production sweep would. Without -profile no capture runs and
+	// output is bit-identical.
+	run, err := obs.StartRun(obs.RunID(), *profDir)
+	if err != nil {
+		return err
 	}
+	defer run.Finish(nil) //nolint:errcheck // releases the profiler on early error returns; the success path finishes below
+	run.Phase("generate")
 
 	traces, err := loadTraces(*wl, *trPath, *scale)
 	if err != nil {
@@ -223,7 +214,7 @@ func run() error {
 	// serializes each record into a single write — traces failing
 	// concurrently on the worker pool can no longer interleave their
 	// error text on stderr.
-	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("run", runID))
+	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("run", run.ID()))
 	// The registry exists only for ledgered runs (it feeds the ledger
 	// record's cell tallies and latency percentiles); without -ledger the
 	// hooks and output are exactly as before.
@@ -234,15 +225,11 @@ func run() error {
 	}
 	start := time.Now()
 	onStart, onDone := obs.RunnerHooks(reg, logger)
-	if phases != nil {
-		phases.Mark("simulate")
-	}
+	run.Phase("simulate")
 	results := runner.Run(ctx, cells, runner.Options{
 		OnCellStart: onStart, OnCellDone: onDone, OnSweepDone: obs.SweepDone(logger),
 	})
-	if phases != nil {
-		phases.Mark("report")
-	}
+	run.Phase("report")
 
 	tab := textplot.NewTable("", "trace", "refs", "cycles", "cyc/ref", "exec ms",
 		"load miss%", "ifetch miss%", "wr traffic", "buf stalls", "mem util%")
@@ -382,28 +369,18 @@ func run() error {
 			}
 		}
 	}
-	// Stop the capture before the manifest/ledger block so the digest can
-	// land in both. Stop snapshots the heap profile after a forced GC, so
-	// the report phase's allocations are attributed too.
-	var (
-		perfFP  *perfobs.Fingerprint
-		perfSum perfobs.Summary
-	)
-	if capt != nil {
-		sum, serr := capt.Stop()
-		if serr != nil {
-			return serr
-		}
-		fp, ferr := capt.Fingerprint(0)
-		if ferr != nil {
-			return ferr
-		}
-		fp.PhaseAllocs = phases.Finish()
-		perfFP, perfSum = fp, sum
-		fmt.Fprintf(os.Stderr, "profiles: %s (cpu %dB, heap %dB)\n", sum.Dir, sum.CPUBytes, sum.HeapBytes)
+	// Finish the run before the manifest/ledger block so the phases and
+	// the digest land in both. The capture snapshots the heap profile after
+	// a forced GC, so the report phase's allocations are attributed too.
+	sum, err := run.Finish(reg)
+	if err != nil {
+		return err
+	}
+	if sum.Dir != "" {
+		fmt.Fprintf(os.Stderr, "profiles: %s\n", sum)
 	}
 	if *manifest != "" || *ledgerDir != "" {
-		m := obs.NewManifest()
+		m := run.Manifest
 		m.ConfigHash = obs.ConfigHash("cachesim/v1", spec, *wl, *trPath, *scale)
 		m.Warmup = warmups
 		if *attrib && len(recs) > 0 {
@@ -427,21 +404,6 @@ func run() error {
 				m.ExplainCells++
 			}
 			m.Explain = merged
-		}
-		if reg != nil {
-			m.FillFromRegistry(reg, time.Since(start))
-		}
-		if perfFP != nil {
-			m.Profiles = []obs.ManifestProfile{
-				{Kind: "cpu", Path: perfSum.CPUPath, Bytes: perfSum.CPUBytes},
-				{Kind: "heap", Path: perfSum.HeapPath, Bytes: perfSum.HeapBytes},
-			}
-			for _, pa := range perfFP.PhaseAllocs {
-				m.PhaseAllocs = append(m.PhaseAllocs, obs.ManifestPhaseAlloc{
-					Name: pa.Name, AllocBytes: pa.AllocBytes,
-					AllocObjects: pa.AllocObjects, GCCycles: pa.GCCycles,
-				})
-			}
 		}
 		if len(failed) > 0 {
 			m.Outcome = fmt.Sprintf("failed: %d trace(s) did not complete", len(failed))
@@ -468,12 +430,7 @@ func run() error {
 					sumCycles += r.Value.res.Warm.Cycles
 				}
 			}
-			rec.Refs, rec.TotalCycles = sumRefs, sumCycles
-			if sumRefs > 0 {
-				rec.CPI = float64(sumCycles) / float64(sumRefs)
-				rec.RefsPerSec = float64(sumRefs) / time.Since(start).Seconds()
-			}
-			rec.Perf = perfFP
+			rec.SetCycles(sumRefs, sumCycles, time.Since(start))
 			path, lerr := ledger.Append(*ledgerDir, rec)
 			if lerr != nil {
 				return lerr

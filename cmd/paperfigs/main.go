@@ -38,7 +38,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/perfobs"
 	"repro/internal/runner"
 	"repro/internal/simtrace"
 	"repro/internal/textplot"
@@ -171,12 +170,11 @@ func run() (err error) {
 
 		attrib    = flag.Bool("attrib", false, "arm cycle attribution in every freshly computed cell; the aggregate lands in the registry and run manifest")
 		explainOn = flag.Bool("explain", false, "arm 3C miss classification in every freshly computed cell; the aggregate lands in the registry and run manifest")
-		intervals = flag.Int("intervals", 0, "accepted for interface parity; sweep cells cannot emit interval series (use cachesim -intervals)")
 		eventsOut = flag.String("events", "", "write a representative cell's timeline as Chrome trace-event JSON to this file")
 
 		progress  = flag.Duration("progress", 0, "print sweep progress/ETA lines to stderr at this interval (0 = off)")
 		debugAddr = flag.String("debug-addr", "", "serve live expvar and pprof on this address (e.g. :8080; :0 picks a free port)")
-		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (bounded retention); arms the manifest, and with -ledger the digest lands in the run record")
+		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); arms the manifest, where the digest lands as perf, and with -ledger the run record")
 		manifest  = flag.String("manifest", "", "write the run manifest JSON here (default when observability is on: <checkpoint>.manifest.json, else paperfigs.manifest.json)")
 		ledgerDir = flag.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
 		logLevel  = flag.String("log", "info", "structured log level on stderr: debug, info, warn, error")
@@ -215,9 +213,15 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	runID := obs.RunID()
+	// The run record: one ID, one phase clock and, with -profile, a capture
+	// bracketing trace generation through the last figure.
+	run, err := obs.StartRun(obs.RunID(), *profDir)
+	if err != nil {
+		return err
+	}
+	defer run.Finish(nil) //nolint:errcheck // stops the reporter and the capture on early error returns; the manifest defer below finishes first
 	logger := obs.NewLogger(os.Stderr, level,
-		slog.String("run", runID), slog.Float64("scale", *scale))
+		slog.String("run", run.ID()), slog.Float64("scale", *scale))
 
 	// Observability is off by default: the registry, reporter, debug
 	// server and manifest only exist when one of their flags asks.
@@ -246,30 +250,10 @@ func run() (err error) {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars (expvar), /debug/pprof/\n", srv.Addr)
 	}
-	var rep *obs.Reporter
 	if *progress > 0 {
-		rep = obs.NewReporter(os.Stderr, reg, *progress)
-		rep.Start()
-		defer rep.Stop()
-		rep.Phase("generate")
+		run.Progress(os.Stderr, reg, *progress)
 	}
-	// Profile capture brackets trace generation through the last figure.
-	// The phase sampler marks the same boundaries the reporter's phases
-	// time, adding an allocation dimension to each.
-	var (
-		capt     *perfobs.Capture
-		phaseAll *perfobs.PhaseSampler
-	)
-	if *profDir != "" {
-		c, cerr := perfobs.Start(*profDir, runID, perfobs.Options{})
-		if cerr != nil {
-			return cerr
-		}
-		capt = c
-		defer capt.Stop() //nolint:errcheck // releases the profiler on early error returns; the manifest defer below stops first
-		phaseAll = perfobs.NewPhaseSampler()
-		phaseAll.Mark("generate")
-	}
+	run.Phase("generate")
 
 	// Ctrl-C (or SIGTERM) cancels the sweep context: in-flight cells
 	// finish, the checkpoint is flushed, the manifest is written, and the
@@ -295,9 +279,6 @@ func run() (err error) {
 		}
 		exec.Faults = plan
 		fmt.Fprintf(os.Stderr, "fault injection armed: %s\n", *faultSpec)
-	}
-	if *intervals > 0 {
-		fmt.Fprintln(os.Stderr, "note: -intervals has no effect on sweep cells (hit runs are gap-compressed in replay); use cachesim -intervals for interval series")
 	}
 	if *attrib || *eventsOut != "" {
 		exec.Trace = &simtrace.Options{Attrib: *attrib, Events: *eventsOut != ""}
@@ -339,8 +320,7 @@ func run() (err error) {
 		}
 	}
 	if obsOn {
-		m := obs.NewManifest()
-		m.RunID = runID
+		m := run.Manifest
 		m.Scale = suite.Scale
 		m.Figures = figNames
 		m.TraceFingerprints = suite.Fingerprints()
@@ -349,37 +329,16 @@ func run() (err error) {
 			m.Checkpoint = &obs.ManifestCheckpoint{Path: *ckpt}
 		}
 		defer func() {
-			// Stop the capture first so the digest and profile paths land
-			// in the manifest (and the ledger projection below) even on
-			// interrupted or failed runs.
-			var perfFP *perfobs.Fingerprint
-			if capt != nil {
-				if sum, serr := capt.Stop(); serr != nil {
-					logger.Error("profile capture stop failed", "err", serr)
-				} else if fp, ferr := capt.Fingerprint(0); ferr != nil {
-					logger.Error("profile digest failed", "err", ferr)
-				} else {
-					fp.PhaseAllocs = phaseAll.Finish()
-					perfFP = fp
-					m.Profiles = []obs.ManifestProfile{
-						{Kind: "cpu", Path: sum.CPUPath, Bytes: sum.CPUBytes},
-						{Kind: "heap", Path: sum.HeapPath, Bytes: sum.HeapBytes},
-					}
-					for _, pa := range fp.PhaseAllocs {
-						m.PhaseAllocs = append(m.PhaseAllocs, obs.ManifestPhaseAlloc{
-							Name: pa.Name, AllocBytes: pa.AllocBytes,
-							AllocObjects: pa.AllocObjects, GCCycles: pa.GCCycles,
-						})
-					}
-					fmt.Fprintf(os.Stderr, "profiles: %s (cpu %dB, heap %dB)\n", sum.Dir, sum.CPUBytes, sum.HeapBytes)
-				}
+			// Finish the run first so the phases, the digest and the
+			// profile paths land in the manifest (and the ledger projection
+			// below) even on interrupted or failed runs.
+			if sum, ferr := run.Finish(reg); ferr != nil {
+				logger.Error("profile capture failed", "err", ferr)
+			} else if sum.Dir != "" {
+				fmt.Fprintf(os.Stderr, "profiles: %s\n", sum)
 			}
-			m.FillFromRegistry(reg, time.Since(start))
 			if cp != nil {
 				m.Checkpoint.Entries = cp.Len()
-			}
-			if rep != nil {
-				m.Phases = rep.PhaseDurations()
 			}
 			switch {
 			case err == nil:
@@ -400,9 +359,7 @@ func run() (err error) {
 				// The ledger record is the manifest's cross-run projection;
 				// interrupted and failed runs are ledgered too (with their
 				// outcome), so history shows every invocation.
-				rec := ledger.FromManifest(m, "paperfigs")
-				rec.Perf = perfFP
-				if path, lerr := ledger.Append(*ledgerDir, rec); lerr != nil {
+				if path, lerr := ledger.Append(*ledgerDir, ledger.FromManifest(m, "paperfigs")); lerr != nil {
 					logger.Error("ledger append failed", "dir", *ledgerDir, "err", lerr)
 				} else {
 					fmt.Fprintf(os.Stderr, "ledger: %s\n", path)
@@ -415,12 +372,7 @@ func run() (err error) {
 		if len(selected) > 0 && !selected[f.name] {
 			continue
 		}
-		if rep != nil {
-			rep.Phase(f.name)
-		}
-		if phaseAll != nil {
-			phaseAll.Mark(f.name)
-		}
+		run.Phase(f.name)
 		t0 := time.Now()
 		fmt.Printf("\n================ %s ================\n", f.title)
 		if err := f.run(r, os.Stdout); err != nil {

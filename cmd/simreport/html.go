@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/ledger"
+	"repro/internal/perfobs"
 )
 
 // htmlConfig is one configuration's section of the HTML report: its run
@@ -240,7 +241,7 @@ func buildReport(recs []ledger.Record, traceDir string) htmlReport {
 			}
 		}
 		if len(hist) >= 2 {
-			d := ledger.ComputeDiff(hist[len(hist)-2], hist[len(hist)-1], hist[:len(hist)-1], ledger.Thresholds{})
+			d := ledger.ComputeDiff(hist[len(hist)-2], hist[len(hist)-1], hist[:len(hist)-1], perfobs.Thresholds{})
 			hc.Diff = &d
 		}
 		rep.Configs = append(rep.Configs, hc)

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/ledger"
+	"repro/internal/perfobs"
 	"repro/internal/textplot"
 )
 
@@ -433,7 +434,7 @@ func cmdDiff(args []string, stdout, stderr io.Writer) error {
 			history = append(history, r)
 		}
 	}
-	d := ledger.ComputeDiff(oldRec, newRec, history, ledger.Thresholds{TolerancePct: *tol, NoiseMult: *noiseMult})
+	d := ledger.ComputeDiff(oldRec, newRec, history, perfobs.Thresholds{Tolerance: *tol, NoiseMult: *noiseMult})
 	if *asJSON {
 		enc, merr := json.MarshalIndent(d, "", "  ")
 		if merr != nil {
@@ -532,7 +533,7 @@ func cmdGate(args []string, stdout, stderr io.Writer) (int, error) {
 		return 2, err
 	}
 	opts := ledger.GateOptions{
-		Thresholds: ledger.Thresholds{TolerancePct: *tol, NoiseMult: *noiseMult},
+		Thresholds: perfobs.Thresholds{Tolerance: *tol, NoiseMult: *noiseMult},
 		Baseline:   *baseline,
 	}
 	if *metrics != "" {

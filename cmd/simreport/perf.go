@@ -54,7 +54,7 @@ func cmdPerf(args []string, stdout, stderr io.Writer) (int, error) {
 	if len(profiled) == 0 {
 		return 2, fmt.Errorf("no profiled runs in the ledger (run with -profile DIR to capture fingerprints)")
 	}
-	th := perfobs.Thresholds{TolerancePts: *tol, NoiseMult: *noiseMult, MinSharePts: *minShare}
+	th := perfobs.Thresholds{Tolerance: *tol, NoiseMult: *noiseMult, MinSharePts: *minShare}
 	switch {
 	case *doGate:
 		return perfGate(stdout, profiled, *config, *gateCPU, th)

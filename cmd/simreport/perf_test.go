@@ -143,7 +143,7 @@ func TestPerfDiffJSON(t *testing.T) {
 // TestFlame captures a real heap profile and renders it as a call tree.
 func TestFlame(t *testing.T) {
 	dir := t.TempDir()
-	capt, err := perfobs.Start(dir, "flame-test", perfobs.Options{})
+	capt, err := perfobs.Start(dir, "flame-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,4 +180,29 @@ func churn(n int) []byte {
 		buf[i] = byte(i)
 	}
 	return buf
+}
+
+// perfFixture is a four-run profiled history of one configuration: three
+// stable runs (their spread is the noise evidence) and a newest run with a
+// new hot allocator, a new hot CPU function and a grown CPU share.
+const perfFixture = "testdata/perf"
+
+// TestPerfDiffGoldenJSON pins the machine-readable fingerprint diff of the
+// fixture's two newest profiled runs, noise-widened thresholds included.
+func TestPerfDiffGoldenJSON(t *testing.T) {
+	code, out, errb := runCmd(t, "perf", "-ledger", perfFixture, "-diff", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	checkGolden(t, "perf_diff.json", out)
+}
+
+// TestPerfGateGolden pins the gate's full text report and its verdict: the
+// new hot allocator fails the heap-only default gate.
+func TestPerfGateGolden(t *testing.T) {
+	code, out, errb := runCmd(t, "perf", "-ledger", perfFixture, "-gate")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb)
+	}
+	checkGolden(t, "perf_gate", out)
 }

@@ -65,7 +65,9 @@ func metricByName(name string) (MetricDef, error) {
 // Delta is one metric compared between two runs. Pct is the signed change
 // (positive = the value grew); Regression is direction-adjusted and
 // threshold-tested: the metric moved in its bad direction by more than
-// ThresholdPct.
+// ThresholdPct, which is max(tolerance, noise multiple × NoisePct) — a
+// metric that historically wobbles 4% between identical runs is not
+// flagged for wobbling 4% again.
 type Delta struct {
 	Name         string  `json:"name"`
 	Old          float64 `json:"old"`
@@ -76,73 +78,31 @@ type Delta struct {
 	Regression   bool    `json:"regression"`
 }
 
-// Thresholds tunes when a delta counts as a regression. The effective
-// threshold per metric is max(TolerancePct, NoiseMult × the metric's
-// observed run-to-run noise), so a metric that historically wobbles 4%
-// between identical runs is not flagged for wobbling 4% again.
-type Thresholds struct {
-	TolerancePct float64
-	NoiseMult    float64
-}
-
-// DefaultThresholds: flag changes beyond 5%, or beyond 3× observed noise
-// when that is larger.
-func DefaultThresholds() Thresholds { return Thresholds{TolerancePct: 5, NoiseMult: 3} }
-
-func (t Thresholds) orDefaults() Thresholds {
-	d := DefaultThresholds()
-	if t.TolerancePct > 0 {
-		d.TolerancePct = t.TolerancePct
-	}
-	if t.NoiseMult > 0 {
-		d.NoiseMult = t.NoiseMult
-	}
-	return d
-}
-
-// noisePct estimates a metric's run-to-run noise as the relative sample
-// standard deviation (percent of the mean) over the history records where
-// it was measured. Zero when fewer than two samples exist: with no
-// repeated-run evidence, only the configured tolerance applies.
-func noisePct(def MetricDef, history []Record) float64 {
+// metricValues collects the metric over the records where it was measured,
+// in record order.
+func metricValues(def MetricDef, recs []Record) []float64 {
 	var vals []float64
-	for _, r := range history {
+	for _, r := range recs {
 		if v, ok := def.Get(r); ok {
 			vals = append(vals, v)
 		}
 	}
-	if len(vals) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	mean := sum / float64(len(vals))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, v := range vals {
-		ss += (v - mean) * (v - mean)
-	}
-	sd := math.Sqrt(ss / float64(len(vals)-1))
-	return 100 * math.Abs(sd/mean)
+	return vals
 }
 
-// compare builds one Delta, deciding Regression from the metric's bad
-// direction and the noise-aware threshold.
-func compare(def MetricDef, oldV, newV float64, history []Record, th Thresholds) Delta {
-	d := Delta{Name: def.Name, Old: oldV, New: newV, NoisePct: noisePct(def, history)}
+// compare builds one Delta: the relative change, judged in the metric's
+// bad direction under perfobs's noise rule. The noise is the metric's
+// relative sample standard deviation over the history records.
+func compare(def MetricDef, oldV, newV float64, history []Record, th perfobs.Thresholds) Delta {
+	d := Delta{Name: def.Name, Old: oldV, New: newV, NoisePct: perfobs.RelNoisePct(metricValues(def, history))}
 	if oldV != 0 {
 		d.Pct = (newV - oldV) / math.Abs(oldV) * 100
 	}
-	d.ThresholdPct = math.Max(th.TolerancePct, th.NoiseMult*d.NoisePct)
 	worse := d.Pct
 	if !def.HigherIsWorse {
 		worse = -d.Pct
 	}
-	d.Regression = worse > d.ThresholdPct
+	d.ThresholdPct, d.Regression = th.Judge(worse, d.NoisePct)
 	return d
 }
 
@@ -177,8 +137,7 @@ func (d Diff) Regressions() []Delta {
 // ComputeDiff compares oldRec → newRec. history supplies the repeated-run
 // variance for the noise-aware thresholds — typically every earlier record
 // with newRec's config hash; it may be empty.
-func ComputeDiff(oldRec, newRec Record, history []Record, th Thresholds) Diff {
-	th = th.orDefaults()
+func ComputeDiff(oldRec, newRec Record, history []Record, th perfobs.Thresholds) Diff {
 	d := Diff{
 		OldRun:      oldRec.RunID,
 		NewRun:      newRec.RunID,
@@ -245,7 +204,7 @@ type GateOptions struct {
 	// Metrics to gate on; empty means DefaultGateMetrics (the
 	// deterministic set).
 	Metrics []string
-	Thresholds
+	perfobs.Thresholds
 	// Baseline is "prev" (default: the run before the newest) or "median"
 	// (per-metric median over the configuration's earlier history, robust
 	// to a single outlier baseline run).
@@ -293,7 +252,6 @@ func Gate(recs []Record, configHash string, opts GateOptions) (GateResult, error
 	if len(names) == 0 {
 		names = DefaultGateMetrics()
 	}
-	th := opts.Thresholds.orDefaults()
 	baseline := opts.Baseline
 	if baseline == "" {
 		baseline = "prev"
@@ -326,7 +284,7 @@ func Gate(recs []Record, configHash string, opts GateOptions) (GateResult, error
 		if !okOld {
 			continue
 		}
-		d := compare(def, oldV, newV, earlier, th)
+		d := compare(def, oldV, newV, earlier, opts.Thresholds)
 		res.Deltas = append(res.Deltas, d)
 		if d.Regression {
 			res.Failures = append(res.Failures, d)
@@ -338,12 +296,7 @@ func Gate(recs []Record, configHash string, opts GateOptions) (GateResult, error
 // medianOf returns the median of the metric over the records where it was
 // measured.
 func medianOf(def MetricDef, recs []Record) (float64, bool) {
-	var vals []float64
-	for _, r := range recs {
-		if v, ok := def.Get(r); ok {
-			vals = append(vals, v)
-		}
-	}
+	vals := metricValues(def, recs)
 	if len(vals) == 0 {
 		return 0, false
 	}

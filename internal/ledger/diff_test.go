@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/perfobs"
 )
 
 // TestComputeDiff: deltas carry signed percentages, attribution components
@@ -12,7 +14,7 @@ func TestComputeDiff(t *testing.T) {
 	oldRec := sampleRecord("run-old", 15000)
 	newRec := sampleRecord("run-new", 16500) // +10% cycles
 
-	d := ComputeDiff(oldRec, newRec, nil, Thresholds{})
+	d := ComputeDiff(oldRec, newRec, nil, perfobs.Thresholds{})
 	if d.OldRun != "run-old" || d.NewRun != "run-new" || !d.ConfigMatch {
 		t.Errorf("header = %+v", d)
 	}
@@ -43,7 +45,7 @@ func TestComputeDiff(t *testing.T) {
 		t.Errorf("attribution base_issue = %+v", att)
 	}
 
-	same := ComputeDiff(oldRec, oldRec, nil, Thresholds{})
+	same := ComputeDiff(oldRec, oldRec, nil, perfobs.Thresholds{})
 	if regs := same.Regressions(); len(regs) != 0 {
 		t.Errorf("self-diff regressions = %+v", regs)
 	}
@@ -55,7 +57,7 @@ func TestDiffDirectionality(t *testing.T) {
 	oldRec := sampleRecord("a", 15000)
 	newRec := sampleRecord("b", 15000)
 	newRec.RefsPerSec = oldRec.RefsPerSec * 0.5 // halved throughput
-	d := ComputeDiff(oldRec, newRec, nil, Thresholds{})
+	d := ComputeDiff(oldRec, newRec, nil, perfobs.Thresholds{})
 	var rps Delta
 	for _, m := range d.Metrics {
 		if m.Name == "refs_per_sec" {
@@ -77,7 +79,7 @@ func TestNoiseAwareThreshold(t *testing.T) {
 	oldRec, newRec := hist[2], sampleRecord("new", 15000)
 	newRec.WallMs = 480 // +9% over baseline, inside 3× observed noise
 
-	d := ComputeDiff(oldRec, newRec, hist, Thresholds{TolerancePct: 5, NoiseMult: 3})
+	d := ComputeDiff(oldRec, newRec, hist, perfobs.Thresholds{Tolerance: 5, NoiseMult: 3})
 	var wall Delta
 	for _, m := range d.Metrics {
 		if m.Name == "wall_ms" {
@@ -94,7 +96,7 @@ func TestNoiseAwareThreshold(t *testing.T) {
 		t.Errorf("wall delta %+v flagged despite being within noise", wall)
 	}
 	// With no noise history the same delta trips the bare tolerance.
-	d2 := ComputeDiff(oldRec, newRec, nil, Thresholds{TolerancePct: 5, NoiseMult: 3})
+	d2 := ComputeDiff(oldRec, newRec, nil, perfobs.Thresholds{Tolerance: 5, NoiseMult: 3})
 	for _, m := range d2.Metrics {
 		if m.Name == "wall_ms" && !m.Regression {
 			t.Errorf("wall delta %+v not flagged without noise history", m)
@@ -138,7 +140,7 @@ func TestGateTripsOnInjectedRegression(t *testing.T) {
 // compare and skips.
 func TestGateCleanAndSkipped(t *testing.T) {
 	recs := []Record{sampleRecord("r1", 15000), sampleRecord("r2", 15000)}
-	res, err := Gate(recs, "", GateOptions{Thresholds: Thresholds{TolerancePct: 0.1}})
+	res, err := Gate(recs, "", GateOptions{Thresholds: perfobs.Thresholds{Tolerance: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestGateMedianBaseline(t *testing.T) {
 	}
 	// Noise widening is disabled (tiny NoiseMult) to isolate the baseline
 	// choice: against "prev" (the outlier) the normal run looks 25% slower.
-	th := Thresholds{TolerancePct: 5, NoiseMult: 0.0001}
+	th := perfobs.Thresholds{Tolerance: 5, NoiseMult: 0.0001}
 	prev, err := Gate(recs, "", GateOptions{Baseline: "prev", Metrics: []string{"total_cycles"}, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +223,7 @@ func TestGateOnFixture(t *testing.T) {
 	if len(res.Failures) != 0 {
 		t.Errorf("default gate on fixture failed: %+v", res.Failures)
 	}
-	tight, err := Gate(recs, "a1b2c3d4e5f60718", GateOptions{Thresholds: Thresholds{TolerancePct: 0.5, NoiseMult: 0.0001}})
+	tight, err := Gate(recs, "a1b2c3d4e5f60718", GateOptions{Thresholds: perfobs.Thresholds{Tolerance: 0.5, NoiseMult: 0.0001}})
 	if err != nil {
 		t.Fatal(err)
 	}

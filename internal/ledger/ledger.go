@@ -77,7 +77,7 @@ type Record struct {
 	Schema     int       `json:"schema"`
 	RunID      string    `json:"run_id"`
 	Time       time.Time `json:"time"`
-	Tool       string    `json:"tool"` // "cachesim" or "paperfigs"
+	Tool       string    `json:"tool"` // "cachesim", "paperfigs" or "cachesimd"
 	ConfigHash string    `json:"config_hash"`
 	Outcome    string    `json:"outcome"`
 	WallMs     int64     `json:"wall_ms"`
@@ -113,11 +113,12 @@ type Record struct {
 	Env Env `json:"env"`
 }
 
-// FromManifest projects a run manifest down to its ledger record. Cycle
-// totals come from the attribution rollup when the manifest has one
-// (conservation makes their sum the simulated cycle count); callers with a
-// more direct cycle source (cachesim sums its per-trace counters) may
-// overwrite TotalCycles and CPI afterwards.
+// FromManifest projects a run manifest down to its ledger record; it is the
+// only way a record is made, so a field added to the run record reaches
+// every tool's ledger line here. Cycle totals come from the attribution
+// rollup when the manifest has one (conservation makes their sum the
+// simulated cycle count); tools with a direct cycle source override them
+// with SetCycles.
 func FromManifest(m *obs.Manifest, tool string) Record {
 	rec := Record{
 		Schema:     SchemaVersion,
@@ -157,6 +158,7 @@ func FromManifest(m *obs.Manifest, tool string) Record {
 		rec.CPI = float64(rec.TotalCycles) / float64(rec.Refs)
 	}
 	rec.Explain = m.Explain
+	rec.Perf = m.Perf
 	if len(m.Warmup) > 0 {
 		rec.Warmup = make(map[string]int64, len(m.Warmup))
 		for _, w := range m.Warmup {
@@ -164,6 +166,20 @@ func FromManifest(m *obs.Manifest, tool string) Record {
 		}
 	}
 	return rec
+}
+
+// SetCycles overrides the record's totals with the simulator's own
+// warm-window counters, which cachesim and the service sum over their
+// cells (so they are ledgered even without -attrib): Refs, TotalCycles,
+// CPI, and RefsPerSec over the given simulation wall time.
+func (r *Record) SetCycles(refs, cycles int64, wall time.Duration) {
+	r.Refs, r.TotalCycles = refs, cycles
+	if refs > 0 {
+		r.CPI = float64(cycles) / float64(refs)
+		if wall > 0 {
+			r.RefsPerSec = float64(refs) / wall.Seconds()
+		}
+	}
 }
 
 // Path resolves a -ledger argument: a path that already names an .ndjson

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/perfobs"
 )
 
 func sampleRecord(id string, cycles int64) Record {
@@ -245,6 +246,7 @@ func TestFromManifest(t *testing.T) {
 	m.Throughput = obs.ManifestThroughput{RefsSimulated: 50_000, RefsPerSec: 1000, CellsPerSec: 2}
 	m.Attribution = map[string]int64{"base_issue": 60_000, "mem_wait": 15_000}
 	m.Warmup = []obs.ManifestWarmup{{Trace: "mu3", Window: 3, StartRef: 12_288}}
+	m.Perf = &perfobs.Fingerprint{AllocBytes: 4096}
 
 	rec := FromManifest(m, "paperfigs")
 	if rec.Schema != SchemaVersion || rec.RunID != "r-1" || rec.Tool != "paperfigs" {
@@ -270,6 +272,50 @@ func TestFromManifest(t *testing.T) {
 	}
 	if rec.Env.GoVersion != m.Host.GoVersion || rec.Env.GOMAXPROCS != m.Host.GOMAXPROCS {
 		t.Errorf("env = %+v", rec.Env)
+	}
+	if rec.Perf != m.Perf {
+		t.Errorf("perf = %+v, want the manifest's fingerprint", rec.Perf)
+	}
+}
+
+// TestSetCycles: the direct warm-cycle override replaces the attribution
+// totals and derives CPI and throughput from them.
+func TestSetCycles(t *testing.T) {
+	rec := sampleRecord("r", 15000)
+	rec.SetCycles(40_000, 60_000, 2*time.Second)
+	if rec.Refs != 40_000 || rec.TotalCycles != 60_000 || rec.CPI != 1.5 || rec.RefsPerSec != 20_000 {
+		t.Errorf("after SetCycles: refs %d cycles %d cpi %v refs/s %v", rec.Refs, rec.TotalCycles, rec.CPI, rec.RefsPerSec)
+	}
+}
+
+// TestRunRecordsOneID is the regression test for a run recorded under two
+// IDs: the manifest, the ledger record projected from it and the profile
+// capture directory all carry the run's one ID.
+func TestRunRecordsOneID(t *testing.T) {
+	dir := t.TempDir()
+	run, err := obs.StartRun(obs.RunID(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Phase("simulate")
+	// Start a second clock second so a fresh RunID() would differ.
+	time.Sleep(1100 * time.Millisecond)
+	sum, err := run.Finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := run.Manifest
+	rec := FromManifest(m, "cachesim")
+	if m.RunID != run.ID() || rec.RunID != run.ID() || filepath.Base(sum.Dir) != run.ID() {
+		t.Fatalf("ids differ: run %s, manifest %s, record %s, capture dir %s", run.ID(), m.RunID, rec.RunID, sum.Dir)
+	}
+	for _, p := range m.Profiles {
+		if filepath.Base(filepath.Dir(p.Path)) != run.ID() {
+			t.Errorf("profile %s is not under the run's directory", p.Path)
+		}
+	}
+	if rec.Perf == nil || rec.Perf != m.Perf || len(rec.Perf.PhaseAllocs) != 1 {
+		t.Errorf("record perf = %+v, want the manifest's fingerprint with its phase", rec.Perf)
 	}
 }
 

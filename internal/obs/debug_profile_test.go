@@ -80,7 +80,7 @@ func TestDebugProfileConcurrent409(t *testing.T) {
 // holds the process-global profiler, the endpoint reports 409 too (via the
 // runtime's own refusal), not a 500.
 func TestDebugProfileConflictsWithRunCapture(t *testing.T) {
-	cap, err := perfobs.Start(t.TempDir(), "run", perfobs.Options{})
+	cap, err := perfobs.Start(t.TempDir(), "run")
 	if err != nil {
 		t.Fatal(err)
 	}

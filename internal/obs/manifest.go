@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/explain"
+	"repro/internal/perfobs"
 	"repro/internal/runner"
 )
 
@@ -70,7 +71,10 @@ type Manifest struct {
 	Profiles []ManifestProfile `json:"profiles,omitempty"`
 	// PhaseAllocs breaks the run's allocation totals down per phase
 	// (runtime/metrics deltas around the same marks Phases times).
-	PhaseAllocs []ManifestPhaseAlloc `json:"phase_allocs,omitempty"`
+	PhaseAllocs []perfobs.PhaseAlloc `json:"phase_allocs,omitempty"`
+	// Perf is the digest of the captured profiles (top functions by CPU
+	// self-time and allocation share), present when the run captured them.
+	Perf *perfobs.Fingerprint `json:"perf,omitempty"`
 }
 
 // ManifestProfile references one captured pprof profile file.
@@ -79,15 +83,6 @@ type ManifestProfile struct {
 	Kind  string `json:"kind"`
 	Path  string `json:"path"`
 	Bytes int64  `json:"bytes"`
-}
-
-// ManifestPhaseAlloc is one phase's allocation delta: what the process
-// allocated between that phase's start mark and the next.
-type ManifestPhaseAlloc struct {
-	Name         string `json:"name"`
-	AllocBytes   int64  `json:"alloc_bytes"`
-	AllocObjects int64  `json:"alloc_objects"`
-	GCCycles     int64  `json:"gc_cycles"`
 }
 
 // ManifestWarmup is one trace's warm-up stabilization estimate: the first

@@ -5,12 +5,17 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/perfobs"
 )
 
 // Reporter prints periodic progress/ETA lines for a running sweep by
 // polling the registry's standard metrics, and renders a final per-phase
-// wall-time breakdown on Stop. Safe for concurrent use with the sweep; the
-// zero Clock uses the real time.
+// wall-time breakdown on Stop. It keeps no phase list of its own: the
+// breakdown reads a phase clock (perfobs.PhaseSampler), the reporter's own
+// or, under Run.Progress, the run's, so the printed phases are the
+// manifest's. Safe for concurrent use with the sweep; the zero Clock uses
+// the real time.
 type Reporter struct {
 	// Clock supplies the current time; tests inject a fake. Set before
 	// Start; nil means time.Now.
@@ -19,11 +24,11 @@ type Reporter struct {
 	w        io.Writer
 	reg      *Registry
 	interval time.Duration
+	marks    *perfobs.PhaseSampler
 
 	mu       sync.Mutex
 	started  bool
 	start    time.Time
-	phases   []phaseSpan
 	lastTick time.Time
 	lastDone int64
 	lastRefs int64
@@ -32,15 +37,12 @@ type Reporter struct {
 	wg   sync.WaitGroup
 }
 
-type phaseSpan struct {
-	name  string
-	start time.Time
-}
-
-// NewReporter builds a reporter writing to w at the given interval. It does
-// nothing until Start.
+// NewReporter builds a reporter writing to w at the given interval, with
+// its own phase clock. It does nothing until Start.
 func NewReporter(w io.Writer, reg *Registry, interval time.Duration) *Reporter {
-	return &Reporter{w: w, reg: reg, interval: interval}
+	r := &Reporter{w: w, reg: reg, interval: interval, marks: perfobs.NewPhaseSampler()}
+	r.marks.Clock = r.now
+	return r
 }
 
 func (r *Reporter) now() time.Time {
@@ -81,17 +83,18 @@ func (r *Reporter) Start() {
 	}()
 }
 
-// Phase marks the start of a named phase (one figure, typically). Wall time
-// between marks is attributed to the earlier phase in the final breakdown.
+// Phase marks the start of a named phase (one figure, typically) on the
+// reporter's phase clock. Wall time between marks is attributed to the
+// earlier phase in the final breakdown.
 func (r *Reporter) Phase(name string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.now()
 	if !r.started {
 		// Phase before Start still records, anchored at the first mark.
+		now := r.now()
 		r.started, r.start, r.lastTick = true, now, now
 	}
-	r.phases = append(r.phases, phaseSpan{name: name, start: now})
+	r.mu.Unlock()
+	r.marks.Mark(name)
 }
 
 // Stop halts the reporting goroutine, prints one final progress line and
@@ -130,11 +133,11 @@ func (r *Reporter) tick() {
 	fresh := done - memoHits + failed
 	finished := done + failed + replayed
 
-	r.mu.Lock()
-	phase := "sweep"
-	if n := len(r.phases); n > 0 {
-		phase = r.phases[n-1].name
+	phase := r.marks.Current()
+	if phase == "" {
+		phase = "sweep"
 	}
+	r.mu.Lock()
 	windowDt := now.Sub(r.lastTick).Seconds()
 	windowFresh := fresh - r.lastDone
 	windowRefs := refs - r.lastRefs
@@ -170,36 +173,31 @@ func (r *Reporter) tick() {
 
 // breakdown renders the per-phase wall-time table.
 func (r *Reporter) breakdown() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.phases) == 0 {
+	phases := r.marks.Phases()
+	if len(phases) == 0 {
 		return
 	}
-	end := r.now()
-	fmt.Fprintf(r.w, "[obs] wall-time breakdown (total %s):\n",
-		end.Sub(r.start).Round(time.Millisecond))
-	for i, p := range r.phases {
-		stop := end
-		if i+1 < len(r.phases) {
-			stop = r.phases[i+1].start
-		}
-		fmt.Fprintf(r.w, "[obs]   %-14s %s\n", p.name, stop.Sub(p.start).Round(time.Millisecond))
+	var total time.Duration
+	for _, p := range phases {
+		total += p.Wall
+	}
+	fmt.Fprintf(r.w, "[obs] wall-time breakdown (total %s):\n", total.Round(time.Millisecond))
+	for _, p := range phases {
+		fmt.Fprintf(r.w, "[obs]   %-14s %s\n", p.Name, p.Wall.Round(time.Millisecond))
 	}
 }
 
 // PhaseDurations returns the recorded phases and their wall times as of
-// now, for the manifest.
+// now.
 func (r *Reporter) PhaseDurations() []PhaseDuration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	end := r.now()
-	out := make([]PhaseDuration, len(r.phases))
-	for i, p := range r.phases {
-		stop := end
-		if i+1 < len(r.phases) {
-			stop = r.phases[i+1].start
-		}
-		out[i] = PhaseDuration{Name: p.name, WallMs: stop.Sub(p.start).Milliseconds()}
+	return phaseDurations(r.marks.Phases())
+}
+
+// phaseDurations projects a phase clock's phases to their wall times.
+func phaseDurations(phases []perfobs.PhaseAlloc) []PhaseDuration {
+	out := make([]PhaseDuration, len(phases))
+	for i, p := range phases {
+		out[i] = PhaseDuration{Name: p.Name, WallMs: p.Wall.Milliseconds()}
 	}
 	return out
 }

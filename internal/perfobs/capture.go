@@ -37,24 +37,12 @@ var ErrBusy = errors.New("perfobs: CPU profiler already in use")
 // server's profile endpoint).
 var cpuActive atomic.Bool
 
-// Options tunes a capture.
-type Options struct {
-	// KeepRuns bounds how many run directories survive under the capture
-	// directory after Stop; 0 means DefaultKeepRuns, negative keeps all.
-	KeepRuns int
-	// MemProfileRate overrides the heap sampling rate for the capture
-	// window; 0 means DefaultMemProfileRate, negative leaves the runtime
-	// default untouched.
-	MemProfileRate int
-}
-
 // Capture is one in-flight profile capture: CPU profiling runs from Start
 // to Stop, and Stop snapshots the allocation profile. One capture owns the
 // process-global CPU profiler at a time; a second Start returns ErrBusy.
 type Capture struct {
 	runDir  string
 	baseDir string
-	keep    int
 	cpuFile *os.File
 	prevMem int
 	stopped bool
@@ -73,17 +61,15 @@ type Summary struct {
 }
 
 // Start begins capturing under dir/runID: CPU profiling starts immediately
-// and the heap sampling rate is raised for the window, so start the capture
-// before the allocation-heavy work it should see. Returns ErrBusy when
-// another capture holds the CPU profiler.
-func Start(dir, runID string, opts Options) (*Capture, error) {
+// and the heap sampling rate is raised to DefaultMemProfileRate for the
+// window, so start the capture before the allocation-heavy work it should
+// see. Stop keeps the DefaultKeepRuns newest run directories under dir.
+// Returns ErrBusy when another capture holds the CPU profiler.
+func Start(dir, runID string) (*Capture, error) {
 	if !cpuActive.CompareAndSwap(false, true) {
 		return nil, ErrBusy
 	}
-	c := &Capture{baseDir: dir, runDir: filepath.Join(dir, runID), keep: opts.KeepRuns}
-	if c.keep == 0 {
-		c.keep = DefaultKeepRuns
-	}
+	c := &Capture{baseDir: dir, runDir: filepath.Join(dir, runID)}
 	if err := os.MkdirAll(c.runDir, 0o755); err != nil {
 		cpuActive.Store(false)
 		return nil, fmt.Errorf("perfobs: %w", err)
@@ -102,16 +88,8 @@ func Start(dir, runID string, opts Options) (*Capture, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBusy, err)
 	}
 	c.cpuFile = f
-	rate := opts.MemProfileRate
-	if rate == 0 {
-		rate = DefaultMemProfileRate
-	}
-	if rate > 0 {
-		c.prevMem = runtime.MemProfileRate
-		runtime.MemProfileRate = rate
-	} else {
-		c.prevMem = -1
-	}
+	c.prevMem = runtime.MemProfileRate
+	runtime.MemProfileRate = DefaultMemProfileRate
 	return c, nil
 }
 
@@ -127,9 +105,7 @@ func (c *Capture) Stop() (Summary, error) {
 	c.stopped = true
 	pprof.StopCPUProfile()
 	cerr := c.cpuFile.Close()
-	if c.prevMem >= 0 {
-		runtime.MemProfileRate = c.prevMem
-	}
+	runtime.MemProfileRate = c.prevMem
 	cpuActive.Store(false)
 
 	sum := Summary{
@@ -161,12 +137,15 @@ func (c *Capture) Stop() (Summary, error) {
 	if fi, serr := os.Stat(sum.HeapPath); serr == nil {
 		sum.HeapBytes = fi.Size()
 	}
-	if c.keep > 0 {
-		if _, perr := Prune(c.baseDir, c.keep); perr != nil && err == nil {
-			err = perr
-		}
+	if _, perr := Prune(c.baseDir, DefaultKeepRuns); perr != nil && err == nil {
+		err = perr
 	}
 	return sum, err
+}
+
+// String renders the summary as the one-line note the CLIs print.
+func (s Summary) String() string {
+	return fmt.Sprintf("%s (cpu %dB, heap %dB)", s.Dir, s.CPUBytes, s.HeapBytes)
 }
 
 // Fingerprint digests the capture's profile files. Call after Stop.
@@ -180,9 +159,6 @@ func (c *Capture) Fingerprint(topN int) (*Fingerprint, error) {
 		topN,
 	)
 }
-
-// Dir returns the run's capture directory.
-func (c *Capture) Dir() string { return c.runDir }
 
 // Prune removes the oldest run directories under dir beyond keep, by
 // modification time. Non-directories are left alone.

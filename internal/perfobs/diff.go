@@ -6,35 +6,38 @@ import (
 	"sort"
 )
 
-// Thresholds tunes when a share movement counts as a perf regression,
-// mirroring the ledger gate's shape (internal/ledger/diff.go): the
-// effective threshold per function is max(TolerancePts, NoiseMult × that
-// function's observed run-to-run share noise). Shares are compared in
-// absolute percentage points, not relative percent — a function going from
-// 0.1% to 0.3% of allocations tripled but does not matter; 30% → 36% does.
+// Thresholds is the one noise rule every run comparison applies, the
+// ledger's metric deltas and the share diffs here alike: a movement in the
+// bad direction flags when it exceeds max(Tolerance, NoiseMult × its
+// observed run-to-run noise), where the noise is the sample standard
+// deviation over earlier runs of the same configuration (see SampleSD).
+// Ledger metrics move in relative percent. Shares move in absolute
+// percentage points: a function going from 0.1% to 0.3% of allocations
+// tripled but does not matter; 30% → 36% does.
 type Thresholds struct {
-	// TolerancePts is the minimum share growth (percentage points) that
-	// flags, regardless of noise. Zero means DefaultThresholds.
-	TolerancePts float64
-	// NoiseMult scales the per-function share standard deviation observed
-	// across the history fingerprints.
+	// Tolerance is the minimum movement that flags regardless of noise:
+	// percent for a relative change, points for a share. Zero means
+	// DefaultThresholds.
+	Tolerance float64
+	// NoiseMult scales the observed noise.
 	NoiseMult float64
-	// MinSharePts is the share a function absent from the baseline must
-	// reach before it flags as a new hot function; small newcomers are
-	// churn, not regressions.
+	// MinSharePts is the share a component absent from the baseline must
+	// reach before it flags as new; small newcomers are churn, not
+	// regressions.
 	MinSharePts float64
 }
 
-// DefaultThresholds: flag share growth beyond 5 points (or 3× observed
-// noise), and new functions arriving above 10 points.
+// DefaultThresholds: flag movements beyond 5 (percent or points), or
+// beyond 3× observed noise when that is larger, and new shares arriving
+// above 10 points.
 func DefaultThresholds() Thresholds {
-	return Thresholds{TolerancePts: 5, NoiseMult: 3, MinSharePts: 10}
+	return Thresholds{Tolerance: 5, NoiseMult: 3, MinSharePts: 10}
 }
 
 func (t Thresholds) orDefaults() Thresholds {
 	d := DefaultThresholds()
-	if t.TolerancePts > 0 {
-		d.TolerancePts = t.TolerancePts
+	if t.Tolerance > 0 {
+		d.Tolerance = t.Tolerance
 	}
 	if t.NoiseMult > 0 {
 		d.NoiseMult = t.NoiseMult
@@ -43,6 +46,46 @@ func (t Thresholds) orDefaults() Thresholds {
 		d.MinSharePts = t.MinSharePts
 	}
 	return d
+}
+
+// Judge applies the rule to one movement: worse is the change in the bad
+// direction (negative when it improved), noise the observed run-to-run
+// noise in the same unit. Zero-valued fields fall back to
+// DefaultThresholds.
+func (t Thresholds) Judge(worse, noise float64) (threshold float64, regression bool) {
+	t = t.orDefaults()
+	threshold = math.Max(t.Tolerance, t.NoiseMult*noise)
+	return threshold, worse > threshold
+}
+
+// SampleSD returns the sample standard deviation of vals — the run-to-run
+// noise estimate behind every threshold — and their mean. The deviation is
+// zero with fewer than two values: with no repeated-run evidence, only the
+// tolerance applies.
+func SampleSD(vals []float64) (sd, mean float64) {
+	if len(vals) < 2 {
+		return 0, 0
+	}
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	mean = sum / float64(len(vals))
+	var ss float64
+	for _, v := range vals {
+		ss += (v - mean) * (v - mean)
+	}
+	return math.Sqrt(ss / float64(len(vals)-1)), mean
+}
+
+// RelNoisePct is SampleSD as a percentage of the mean, the noise of a
+// metric compared by relative change. Zero when the mean is zero.
+func RelNoisePct(vals []float64) float64 {
+	sd, mean := SampleSD(vals)
+	if mean == 0 {
+		return 0
+	}
+	return 100 * math.Abs(sd/mean)
 }
 
 // FuncDelta is one function's share compared between two fingerprints.
@@ -103,38 +146,26 @@ func shareMap(shares []FuncShare) map[string]float64 {
 // shareNoise computes each function's share standard deviation over the
 // history tables. A fingerprint where the function fell outside the top N
 // counts as share 0 — slightly inflating noise for borderline functions,
-// which errs on the quiet side. Fewer than two history points → no noise
-// evidence, tolerance alone applies (the ledger gate's rule).
+// which errs on the quiet side.
 func shareNoise(history [][]FuncShare) map[string]float64 {
 	if len(history) < 2 {
 		return nil
 	}
-	sums := make(map[string][]float64)
-	for _, shares := range history {
-		m := shareMap(shares)
-		for name := range m {
-			if _, seen := sums[name]; !seen {
-				sums[name] = nil
-			}
+	maps := make([]map[string]float64, len(history))
+	names := make(map[string]bool)
+	for i, shares := range history {
+		maps[i] = shareMap(shares)
+		for name := range maps[i] {
+			names[name] = true
 		}
 	}
-	for name := range sums {
-		for _, shares := range history {
-			sums[name] = append(sums[name], shareMap(shares)[name])
+	noise := make(map[string]float64, len(names))
+	vals := make([]float64, len(maps))
+	for name := range names {
+		for i, m := range maps {
+			vals[i] = m[name]
 		}
-	}
-	noise := make(map[string]float64, len(sums))
-	for name, vals := range sums {
-		var sum float64
-		for _, v := range vals {
-			sum += v
-		}
-		mean := sum / float64(len(vals))
-		var ss float64
-		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
-		}
-		noise[name] = math.Sqrt(ss / float64(len(vals)-1))
+		noise[name], _ = SampleSD(vals)
 	}
 	return noise
 }
@@ -170,13 +201,12 @@ func diffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []
 			NoisePts: noise[name],
 			New:      !inOld,
 		}
-		fd.ThresholdPts = math.Max(th.TolerancePts, th.NoiseMult*fd.NoisePts)
 		if fd.New {
 			// A function the baseline never saw: flag when it arrives hot.
 			fd.ThresholdPts = th.MinSharePts
 			fd.Regression = newPct >= th.MinSharePts
 		} else {
-			fd.Regression = fd.DeltaPts > fd.ThresholdPts
+			fd.ThresholdPts, fd.Regression = th.Judge(fd.DeltaPts, fd.NoisePts)
 		}
 		out = append(out, fd)
 	}

@@ -2,10 +2,12 @@ package perfobs
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,12 +18,12 @@ import (
 
 func TestCaptureStartStop(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Start(dir, "run1", Options{})
+	c, err := Start(dir, "run1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The CPU profiler is process-global: a second capture must refuse.
-	if _, err := Start(dir, "run2", Options{}); !errors.Is(err, ErrBusy) {
+	if _, err := Start(dir, "run2"); !errors.Is(err, ErrBusy) {
 		t.Fatalf("second Start = %v, want ErrBusy", err)
 	}
 	// Allocate something attributable while the capture is armed.
@@ -50,7 +52,7 @@ func TestCaptureStartStop(t *testing.T) {
 		t.Fatalf("fingerprint heap dimension empty: %+v", fp)
 	}
 	// Stopped: the profiler is free again.
-	c2, err := Start(dir, "run3", Options{})
+	c2, err := Start(dir, "run3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +228,60 @@ func TestPhaseSamplerDeltas(t *testing.T) {
 	}
 }
 
+// TestPhaseSamplerWallClock: the sampler is the run's phase clock. Each
+// phase's wall time runs from its mark to the next, Phases reads them up
+// to now without closing the open phase, and Finish closes it.
+func TestPhaseSamplerWallClock(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := NewPhaseSampler()
+	s.Clock = func() time.Time { return now }
+	if s.Current() != "" || len(s.Phases()) != 0 {
+		t.Fatalf("fresh sampler: current %q, phases %+v", s.Current(), s.Phases())
+	}
+	s.Mark("generate")
+	now = now.Add(3 * time.Second)
+	s.Mark("fig3-1")
+	now = now.Add(7 * time.Second)
+	snap := s.Phases()
+	if len(snap) != 2 || snap[0].Wall != 3*time.Second || snap[1].Wall != 7*time.Second {
+		t.Fatalf("Phases = %+v, want generate 3s, fig3-1 7s", snap)
+	}
+	if s.Current() != "fig3-1" {
+		t.Fatalf("Phases closed the open phase: current %q", s.Current())
+	}
+	now = now.Add(time.Second)
+	done := s.Finish()
+	if len(done) != 2 || done[1].Name != "fig3-1" || done[1].Wall != 8*time.Second {
+		t.Fatalf("Finish = %+v, want fig3-1 at 8s", done)
+	}
+	if s.Current() != "" {
+		t.Fatalf("Finish left %q open", s.Current())
+	}
+}
+
+// TestPhaseSamplerConcurrent: marks, snapshots and the open-phase name are
+// read from several goroutines at once, as a progress reporter reads a
+// run's clock while the run marks it.
+func TestPhaseSamplerConcurrent(t *testing.T) {
+	s := NewPhaseSampler()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Mark("p")
+				_ = s.Current()
+				_ = s.Phases()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(s.Finish()); got != 200 {
+		t.Fatalf("Finish = %d phases, want one per mark (200)", got)
+	}
+}
+
 // TestProfilingBitIdentical is the acceptance check that capture changes
 // nothing about simulation results: the same workload simulated with a
 // capture armed and without is reflect.DeepEqual.
@@ -255,7 +311,7 @@ func TestProfilingBitIdentical(t *testing.T) {
 	}
 
 	plain := simulate()
-	c, err := Start(t.TempDir(), "bitident", Options{})
+	c, err := Start(t.TempDir(), "bitident")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,5 +326,30 @@ func TestProfilingBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, afterward) {
 		t.Fatalf("results diverge after profiling:\n  plain: %+v\n  after: %+v", plain, afterward)
+	}
+}
+
+// TestNoiseRule: one rule serves both units. The threshold is the
+// tolerance until observed noise times the multiplier exceeds it, zero
+// fields take the defaults, and the noise estimates need two samples (and,
+// relative, a non-zero mean).
+func TestNoiseRule(t *testing.T) {
+	if th, reg := (Thresholds{}).Judge(5.5, 1); th != 5 || !reg {
+		t.Errorf("default rule on 5.5 with noise 1 = %v, %v; want 5, true", th, reg)
+	}
+	if th, reg := (Thresholds{}).Judge(5.5, 2); th != 6 || reg {
+		t.Errorf("noise 2 widens to %v (regression %v); want 6, false", th, reg)
+	}
+	if th, reg := (Thresholds{Tolerance: 10, NoiseMult: 0.0001}).Judge(-20, 50); th != 10 || reg {
+		t.Errorf("an improvement never flags: %v, %v", th, reg)
+	}
+	if got, _ := SampleSD([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.001 {
+		t.Errorf("SampleSD = %v, want ~2.138", got)
+	}
+	if sd, _ := SampleSD([]float64{3}); sd != 0 || RelNoisePct([]float64{-1, 1}) != 0 {
+		t.Error("noise without two samples or with a zero mean must be 0")
+	}
+	if got := RelNoisePct([]float64{90, 110}); math.Abs(got-14.142) > 0.001 {
+		t.Errorf("RelNoisePct = %v, want ~14.142", got)
 	}
 }

@@ -163,62 +163,97 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// PhaseAlloc is one sweep phase's allocation delta: what the process
+// PhaseAlloc is one run phase: its wall time and what the process
 // allocated between the phase's start mark and the next mark (or Finish).
 type PhaseAlloc struct {
 	Name         string `json:"name"`
 	AllocBytes   int64  `json:"alloc_bytes"`
 	AllocObjects int64  `json:"alloc_objects"`
 	GCCycles     int64  `json:"gc_cycles"`
+	// Wall is the phase's wall time. Records carry it in their own
+	// phases list (obs.PhaseDuration), so it is not encoded here.
+	Wall time.Duration `json:"-"`
 }
 
-// PhaseSampler attributes allocation totals to named sweep phases by
-// snapshotting runtime/metrics at each phase boundary, pairing the
-// reporter's wall-clock phase marks with an allocation dimension. Process-
-// wide, not goroutine-scoped: concurrent work during a phase lands in that
-// phase's delta. Safe for concurrent use.
+// PhaseSampler is a run's phase clock: each mark closes the open phase,
+// timing it and attributing the allocation totals runtime/metrics moved by
+// since its mark. Process-wide, not goroutine-scoped: concurrent work
+// during a phase lands in that phase's delta. Safe for concurrent use.
 type PhaseSampler struct {
-	mu     sync.Mutex
-	cur    string
-	last   RuntimeStats
-	phases []PhaseAlloc
+	// Clock supplies wall time; tests inject a fake. Set before the first
+	// mark; nil means time.Now.
+	Clock func() time.Time
+
+	mu       sync.Mutex
+	cur      string
+	curStart time.Time
+	last     RuntimeStats
+	phases   []PhaseAlloc
 }
 
 // NewPhaseSampler starts a sampler with no open phase.
 func NewPhaseSampler() *PhaseSampler { return &PhaseSampler{} }
 
-// Mark closes the open phase (attributing allocations since its mark) and
-// opens a new one.
-func (s *PhaseSampler) Mark(name string) {
-	now := ReadRuntimeStats()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closeLocked(now)
-	s.cur = name
-	s.last = now
+func (s *PhaseSampler) now() time.Time {
+	if s.Clock != nil {
+		return s.Clock()
+	}
+	return time.Now()
 }
 
-// Finish closes the open phase and returns every phase delta in mark
-// order. Further marks start a fresh sequence.
-func (s *PhaseSampler) Finish() []PhaseAlloc {
-	now := ReadRuntimeStats()
+// Mark closes the open phase and opens a new one.
+func (s *PhaseSampler) Mark(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closeLocked(now)
-	out := s.phases
-	s.phases = nil
+	now, st := s.now(), ReadRuntimeStats()
+	s.phases = s.withOpen(s.phases, now, st)
+	s.cur, s.curStart, s.last = name, now, st
+}
+
+// Current returns the open phase's name, "" when none is open.
+func (s *PhaseSampler) Current() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}
+
+// Phases returns every phase so far in mark order, the open one measured
+// up to now, and leaves the open phase running.
+func (s *PhaseSampler) Phases() []PhaseAlloc {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.upToNow(s.phases[:len(s.phases):len(s.phases)])
+}
+
+// Finish closes the open phase and returns every phase in mark order.
+// Further marks start a fresh sequence.
+func (s *PhaseSampler) Finish() []PhaseAlloc {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.upToNow(s.phases)
+	s.phases, s.cur = nil, ""
 	return out
 }
 
-func (s *PhaseSampler) closeLocked(now RuntimeStats) {
+// upToNow closes the open phase onto out as of now. A sampler with no
+// open phase reads neither the clock nor the runtime.
+func (s *PhaseSampler) upToNow(out []PhaseAlloc) []PhaseAlloc {
 	if s.cur == "" {
-		return
+		return out
 	}
-	s.phases = append(s.phases, PhaseAlloc{
+	return s.withOpen(out, s.now(), ReadRuntimeStats())
+}
+
+// withOpen appends the open phase, closed at (now, st), to out.
+func (s *PhaseSampler) withOpen(out []PhaseAlloc, now time.Time, st RuntimeStats) []PhaseAlloc {
+	if s.cur == "" {
+		return out
+	}
+	return append(out, PhaseAlloc{
 		Name:         s.cur,
-		AllocBytes:   int64(now.AllocBytes - s.last.AllocBytes),
-		AllocObjects: int64(now.AllocObjects - s.last.AllocObjects),
-		GCCycles:     int64(now.GCCycles - s.last.GCCycles),
+		AllocBytes:   int64(st.AllocBytes - s.last.AllocBytes),
+		AllocObjects: int64(st.AllocObjects - s.last.AllocObjects),
+		GCCycles:     int64(st.GCCycles - s.last.GCCycles),
+		Wall:         now.Sub(s.curStart),
 	})
-	s.cur = ""
 }

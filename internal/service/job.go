@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/perfobs"
 	"repro/internal/runner"
 	"repro/internal/system"
 	"repro/internal/telemetry"
@@ -355,13 +354,6 @@ type Job struct {
 	changed  chan struct{} // closed and replaced on every event
 	results  []CellResult
 	restored bool // journal-replayed from a previous server life
-
-	// perf is the job's profile fingerprint when the service captured
-	// CPU/heap profiles for this run (Config.ProfileDir set and the
-	// process-global profiler was free). profileDir is where the raw
-	// pprof files landed.
-	perf       *perfobs.Fingerprint
-	profileDir string
 }
 
 func newJob(id, reqID, client string, req GridRequest, ctx context.Context, cancel context.CancelCauseFunc) *Job {
@@ -438,30 +430,6 @@ func (j *Job) Results() []CellResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.results
-}
-
-// setPerf records the run's profile fingerprint and raw-profile directory.
-func (j *Job) setPerf(fp *perfobs.Fingerprint, dir string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.perf = fp
-	j.profileDir = dir
-}
-
-// Perf returns the job's profile fingerprint, nil when the run was not
-// profiled.
-func (j *Job) Perf() *perfobs.Fingerprint {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.perf
-}
-
-// ProfileDir returns where the job's raw pprof files landed, "" when the
-// run was not profiled.
-func (j *Job) ProfileDir() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.profileDir
 }
 
 // Cancel asks the job to stop with the given cause. Safe at any state;

@@ -92,9 +92,6 @@ type Config struct {
 	// profiler is process-global, so when jobs overlap only the first gets
 	// profiled and the rest run unprofiled — capture never delays a job.
 	ProfileDir string
-	// ProfileKeep bounds retained per-job profile directories (default
-	// perfobs.DefaultKeepRuns).
-	ProfileKeep int
 	// Faults injects deterministic chaos into every job's cells (tests).
 	Faults *faultinject.Plan
 	// JournalWrap interposes on journal writes (fault injection; tests).
@@ -623,7 +620,7 @@ func (s *Service) runJob(job *Job) {
 	defer s.reg.Gauge(MJobsRunning).Add(-1)
 	if err := context.Cause(job.ctx()); err != nil {
 		// Canceled while queued.
-		s.finishJob(job, nil, err)
+		s.finishJob(job, nil, nil, err)
 		return
 	}
 	job.setState(StateRunning, "", "")
@@ -631,19 +628,15 @@ func (s *Service) runJob(job *Job) {
 		s.log.Warn("journal start entry failed", "job", job.id, "err", err)
 	}
 
-	// Per-job profile capture. Jobs that lose the race for the process-
-	// global CPU profiler simply run unprofiled.
-	var capt *perfobs.Capture
-	if s.cfg.ProfileDir != "" {
-		c, err := perfobs.Start(s.cfg.ProfileDir, job.id, perfobs.Options{KeepRuns: s.cfg.ProfileKeep})
-		switch {
-		case err == nil:
-			capt = c
-		case errors.Is(err, perfobs.ErrBusy):
-			s.log.Debug("profile capture skipped, profiler busy", "job", job.id)
-		default:
-			s.log.Warn("profile capture failed to start", "job", job.id, "err", err)
-		}
+	// The job's run record, which its ledger line projects, with a
+	// per-job profile capture under Config.ProfileDir. Jobs that lose the
+	// race for the process-global CPU profiler simply run unprofiled.
+	run, err := obs.StartRun(job.id, s.cfg.ProfileDir)
+	switch {
+	case errors.Is(err, perfobs.ErrBusy):
+		s.log.Debug("profile capture skipped, profiler busy", "job", job.id)
+	case err != nil:
+		s.log.Warn("profile capture failed to start", "job", job.id, "err", err)
 	}
 
 	ctx := job.ctx()
@@ -733,19 +726,14 @@ func (s *Service) runJob(job *Job) {
 			job.noteCell(ev.Key, ev.FromCheckpoint, ev.Err != nil, ev.Attempts > 1, errMsg)
 		},
 	})
-	if capt != nil {
-		// Stop before finishJob so the fingerprint reaches the job's ledger
-		// record.
-		if sum, err := capt.Stop(); err != nil {
-			s.log.Warn("profile capture stop failed", "job", job.id, "err", err)
-		} else if fp, ferr := capt.Fingerprint(0); ferr != nil {
-			s.log.Warn("profile digest failed", "job", job.id, "err", ferr)
-		} else {
-			job.setPerf(fp, sum.Dir)
-			s.log.Info("profiles captured", "job", job.id, "dir", sum.Dir)
-		}
+	// Finish before finishJob so the digest reaches the job's ledger
+	// record.
+	if sum, err := run.Finish(nil); err != nil {
+		s.log.Warn("profile capture failed", "job", job.id, "err", err)
+	} else if sum.Dir != "" {
+		s.log.Info("profiles captured", "job", job.id, "dir", sum.Dir)
 	}
-	s.finishJob(job, results, context.Cause(ctx))
+	s.finishJob(job, run.Manifest, results, context.Cause(ctx))
 }
 
 // ResultsFor returns a done job's cell results. For jobs restored from the
@@ -781,10 +769,10 @@ func (s *Service) ResultsFor(ctx context.Context, job *Job) ([]CellResult, error
 }
 
 // finishJob classifies the sweep outcome, updates the job, journals the
-// terminal state and appends a ledger record. Jobs stopped by the server
-// itself (drain abort, kill) stay non-terminal in the journal so the next
-// start requeues them.
-func (s *Service) finishJob(job *Job, results []runner.Result[CellResult], cause error) {
+// terminal state and appends a ledger record projected from the job's run
+// manifest m. Jobs stopped by the server itself (drain abort, kill) stay
+// non-terminal in the journal so the next start requeues them.
+func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[CellResult], cause error) {
 	vals, sweepErr := runner.Values(results)
 	switch {
 	case results != nil && sweepErr == nil:
@@ -798,7 +786,7 @@ func (s *Service) finishJob(job *Job, results []runner.Result[CellResult], cause
 			s.log.Warn("journal done entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "done", Job: job.id})
 		}
-		s.appendLedger(job, results)
+		s.appendLedger(job, m, results)
 		s.endTrace(job, StateDone, "", "")
 		s.log.Info("job done", "job", job.id, "cells", len(results))
 		return
@@ -886,45 +874,28 @@ func (s *Service) MetricsHandler() http.Handler {
 }
 
 // appendLedger records a completed job in the cross-run ledger, so
-// simreport sees service traffic alongside CLI runs.
-func (s *Service) appendLedger(job *Job, results []runner.Result[CellResult]) {
-	h := obs.Host()
+// simreport sees service traffic alongside CLI runs. The job's status
+// supplies the manifest's identity, timing and grid shape; the cycle totals
+// come straight from its cells.
+func (s *Service) appendLedger(job *Job, m *obs.Manifest, results []runner.Result[CellResult]) {
 	st := job.Status()
-	rec := ledger.Record{
-		RunID:      job.id,
-		Time:       st.Submitted,
-		Tool:       "cachesimd",
-		ConfigHash: st.ConfigHash,
-		Outcome:    "ok",
-		WallMs:     st.Finished.Sub(st.Started).Milliseconds(),
-		Cells: ledger.Cells{
-			Planned:  int64(st.Cells.Planned),
-			Done:     int64(st.Cells.Done),
-			Replayed: int64(st.Cells.Replayed),
-			Failed:   int64(st.Cells.Failed),
-		},
-		Env: ledger.Env{
-			GoVersion:   h.GoVersion,
-			GOOS:        h.GOOS,
-			GOARCH:      h.GOARCH,
-			GOMAXPROCS:  h.GOMAXPROCS,
-			GitDescribe: h.GitDescribe,
-			Hostname:    h.Hostname,
-		},
+	wall := st.Finished.Sub(st.Started)
+	m.StartTime, m.ConfigHash, m.Outcome, m.WallMs = st.Submitted, st.ConfigHash, "ok", wall.Milliseconds()
+	m.Cells = obs.ManifestCells{
+		Planned:  int64(st.Cells.Planned),
+		Done:     int64(st.Cells.Done),
+		Replayed: int64(st.Cells.Replayed),
+		Failed:   int64(st.Cells.Failed),
 	}
+	rec := ledger.FromManifest(m, "cachesimd")
+	var refs, cycles int64
 	for _, r := range results {
 		if r.Done {
-			rec.Refs += r.Value.Refs
-			rec.TotalCycles += r.Value.Cycles
+			refs += r.Value.Refs
+			cycles += r.Value.Cycles
 		}
 	}
-	if rec.Refs > 0 {
-		rec.CPI = float64(rec.TotalCycles) / float64(rec.Refs)
-		if wall := st.Finished.Sub(st.Started).Seconds(); wall > 0 {
-			rec.RefsPerSec = float64(rec.Refs) / wall
-		}
-	}
-	rec.Perf = job.Perf()
+	rec.SetCycles(refs, cycles, wall)
 	if _, err := ledger.Append(s.cfg.DataDir, rec); err != nil {
 		s.log.Warn("ledger append failed", "job", job.id, "err", err)
 	}

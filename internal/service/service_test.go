@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -124,6 +125,63 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 	if recs[0].Cells.Done != 2 || recs[0].TotalCycles == 0 || recs[0].CPI <= 0 {
 		t.Errorf("ledger record empty: %+v", recs[0])
+	}
+}
+
+// TestProfiledJobRecord: with Config.ProfileDir each job records through
+// its own run. Two concurrent jobs share the one process-global CPU
+// profiler, so at least one is profiled; a profiled job's capture lands
+// under its ID, and its ledger record — projected from the job's run
+// manifest — carries the digest under that same ID.
+func TestProfiledJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir)
+	cfg.ProfileDir = filepath.Join(dir, "profiles")
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	var jobs []*Job
+	for _, scale := range []float64{0.01, 0.02} {
+		req := smallGrid()
+		req.Scale = scale
+		job, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		if st := waitTerminal(t, job, 30*time.Second); st.State != StateDone {
+			t.Fatalf("job ended %s (%s / %s)", st.State, st.Error, st.Cause)
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ledger.Read(ledger.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(jobs) {
+		t.Fatalf("ledger holds %d records, want %d", len(recs), len(jobs))
+	}
+	profiled := 0
+	for _, rec := range recs {
+		if rec.Time.IsZero() || rec.Env.GoVersion == "" || rec.Cells.Planned != 2 {
+			t.Errorf("record identity, env or shape missing: %+v", rec)
+		}
+		if rec.Perf == nil {
+			continue
+		}
+		profiled++
+		if _, err := os.Stat(filepath.Join(cfg.ProfileDir, rec.RunID, "cpu.pprof")); err != nil {
+			t.Errorf("capture not under the record's run ID: %v", err)
+		}
+	}
+	if profiled == 0 {
+		t.Error("no job was profiled")
 	}
 }
 
