@@ -48,43 +48,26 @@ func benchAddrs(b *testing.B) []uint64 {
 	return addrs
 }
 
-// benchAccess times one access path over the address stream; one
-// iteration is one access. Each geometry has two variants: "result" is the
-// Result-returning method the system simulator and the instrumented
-// behavioural pass call, "outcome" the register-sized method the unchecked
-// behavioural pass calls.
-func benchAccess(b *testing.B, result func(*cache.Cache, uint64) bool, outcome func(*cache.Cache, uint64) bool) {
+// benchAccess times one access method over the address stream, once per
+// geometry; one iteration is one access.
+func benchAccess(b *testing.B, access func(*cache.Cache, uint64) cache.Result) {
 	addrs := benchAddrs(b)
 	for _, g := range benchGeometries {
-		for _, v := range []struct {
-			name   string
-			access func(*cache.Cache, uint64) bool
-		}{{"result", result}, {"outcome", outcome}} {
-			b.Run(g.name+"/"+v.name, func(b *testing.B) {
-				c := cache.MustNew(g.cfg)
-				var hits int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if v.access(c, addrs[i%len(addrs)]) {
-						hits++
-					}
+		b.Run(g.name, func(b *testing.B) {
+			c := cache.MustNew(g.cfg)
+			var hits int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if access(c, addrs[i%len(addrs)]).Hit {
+					hits++
 				}
-				if hits > b.N {
-					b.Fatal("more hits than accesses")
-				}
-			})
-		}
+			}
+			if hits > b.N {
+				b.Fatal("more hits than accesses")
+			}
+		})
 	}
 }
 
-func BenchmarkRead(b *testing.B) {
-	benchAccess(b,
-		func(c *cache.Cache, a uint64) bool { return c.Read(a).Hit },
-		func(c *cache.Cache, a uint64) bool { hit, _ := c.ReadOutcome(a); return hit })
-}
-
-func BenchmarkWrite(b *testing.B) {
-	benchAccess(b,
-		func(c *cache.Cache, a uint64) bool { return c.Write(a).Hit },
-		func(c *cache.Cache, a uint64) bool { hit, _, _ := c.WriteOutcome(a); return hit })
-}
+func BenchmarkRead(b *testing.B)  { benchAccess(b, (*cache.Cache).Read) }
+func BenchmarkWrite(b *testing.B) { benchAccess(b, (*cache.Cache).Write) }

@@ -147,67 +147,37 @@ func (c Config) String() string {
 		c.SizeWords, c.SizeWords*4, c.BlockWords, fetch, c.Assoc, c.Replacement, c.WritePolicy)
 }
 
-// Victim describes a line displaced by an allocation.
-type Victim struct {
-	// Valid reports whether a valid line was displaced at all.
-	Valid bool
-	// BlockAddr is the extended word address of the displaced block.
-	BlockAddr uint64
-	// Dirty reports whether the displaced block must be written back.
-	Dirty bool
-	// DirtyWords counts the dirty words in the displaced block; on write
-	// back the entire block transfers regardless, but the paper's
-	// Figure 3-1 reports both traffic ratios.
-	DirtyWords int
-	// WritebackWords is how many words the write back transfers: the
-	// whole block for whole-block caches ("On write backs, the entire
-	// block is transferred, regardless of which words were dirty"), or
-	// the dirty sub-blocks for sub-block caches.
-	WritebackWords int
-}
-
-// Writeback returns the victim's register-sized form, as the fast access
-// path reports it.
-func (v Victim) Writeback() Writeback {
-	return Writeback{BlockAddr: v.BlockAddr, Words: v.WritebackWords, DirtyWords: v.DirtyWords}
-}
-
-// Writeback is the register-sized report of the line an access displaced,
-// returned by the fast access path (ReadOutcome, WriteOutcome). It has
-// three word-sized fields, so the compiler keeps it in registers; the
-// seven-field Result is too large for that and is assembled in memory on
-// every access. BlockAddr is the displaced block's extended word address
-// (zero when nothing was displaced). Words is how many words its write
-// back transfers and DirtyWords how many of its words were dirty; both are
-// zero unless the displaced line was dirty.
+// Writeback describes the line an access displaced. BlockAddr is the
+// displaced block's extended word address (zero when nothing was
+// displaced). Words is how many words its write back transfers: the whole
+// block for whole-block caches ("On write backs, the entire block is
+// transferred, regardless of which words were dirty"), or the dirty
+// sub-blocks for sub-block caches. DirtyWords counts its dirty words; the
+// paper's Figure 3-1 reports both traffic ratios. Both counts are zero
+// unless the displaced line was dirty.
 type Writeback struct {
 	BlockAddr  uint64
 	Words      int
 	DirtyWords int
 }
 
-// set fills the victim from evict's register-sized report, field by field:
-// assembling a Victim and copying it whole makes the compiler move it with
-// 16-byte loads straight after byte-wide stores, which stalls
-// store-to-load forwarding. A dirty line always holds at least one dirty
-// word, so it always writes back a positive number of words: Words > 0
-// exactly when the victim was dirty.
-func (v *Victim) set(valid bool, wb Writeback) {
-	v.Valid = valid
-	v.BlockAddr = wb.BlockAddr
-	v.Dirty = wb.Words > 0
-	v.DirtyWords = wb.DirtyWords
-	v.WritebackWords = wb.Words
-}
+// Dirty reports whether the displaced line must be written back. A dirty
+// line always holds at least one dirty word, so it always writes back a
+// positive number of words.
+func (wb Writeback) Dirty() bool { return wb.Words > 0 }
 
-// Result reports the outcome of a single access.
+// Result reports the outcome of a single access. It has four fields in 32
+// bytes, so the compiler returns it in registers and every caller, the
+// behavioural pass's unchecked loop included, can take it whole.
 type Result struct {
 	// Hit reports whether the block was present.
 	Hit bool
 	// Allocated reports whether a line was (re)filled by this access.
 	Allocated bool
-	// Victim describes the displaced line when Allocated displaced one.
-	Victim Victim
+	// Displaced reports whether the fill evicted a valid line.
+	Displaced bool
+	// Victim describes the displaced line when Displaced is set.
+	Victim Writeback
 }
 
 // Interface is the access surface the simulator cores drive: a *Cache
@@ -233,7 +203,7 @@ type Cache struct {
 	masks []uint64 // lines × maskWords dirty bitmaps
 	vmask []uint64 // per-word valid bitmaps (sub-block mode only)
 	used  []uint64 // LRU ticks
-	fifo  []uint16 // per-set next victim way
+	fifo  []uint32 // per-set next victim way (FIFO replacement only)
 
 	tick uint64
 	rng  *rand.Rand
@@ -267,11 +237,14 @@ func New(cfg Config) (*Cache, error) {
 		dirty:      make([]bool, lines),
 		masks:      make([]uint64, lines*maskWords),
 		used:       make([]uint64, lines),
-		fifo:       make([]uint16, sets),
 		rng:        ReplacementRNG(cfg.Seed),
 	}
 	if cfg.SubBlocked() {
 		c.vmask = make([]uint64, lines*maskWords)
+	}
+	if cfg.Replacement == FIFO {
+		// 32 bits per set, since a set may hold more than 65,536 ways.
+		c.fifo = make([]uint32, sets)
 	}
 	return c, nil
 }
@@ -321,7 +294,7 @@ func (c *Cache) victimWay(set int) int {
 		return best
 	case FIFO:
 		w := int(c.fifo[set])
-		c.fifo[set] = uint16((w + 1) % c.assoc)
+		c.fifo[set] = uint32((w + 1) % c.assoc)
 		return base + w
 	default: // Random
 		if c.assoc == 1 {
@@ -419,12 +392,6 @@ func (c *Cache) fill(line int, block uint64) {
 	c.used[line] = c.tick
 }
 
-// Read, ReadOutcome, Write and WriteOutcome each spell out their own
-// control flow over the shared steps below (touch, allocate, markDirty):
-// a common core returning everything would cost every access an extra
-// call, and Read and Write are on the system simulator's per-reference
-// path. TestOutcomeMatchesResult keeps the two pairs in lockstep.
-
 // touch records a hit on line for LRU replacement.
 func (c *Cache) touch(line int) {
 	c.tick++
@@ -469,26 +436,9 @@ func (c *Cache) Read(addr uint64) (r Result) {
 		r.Allocated = true
 		return r
 	}
-	_, displaced, wb := c.allocate(block, addr)
+	_, r.Displaced, r.Victim = c.allocate(block, addr)
 	r.Allocated = true
-	r.Victim.set(displaced, wb)
 	return r
-}
-
-// ReadOutcome is Read for callers that need only the hit and the displaced
-// line: the same state transition, with every result in registers.
-func (c *Cache) ReadOutcome(addr uint64) (hit bool, wb Writeback) {
-	block := addr >> c.blockShift
-	if _, line := c.lookup(block); line >= 0 {
-		c.touch(line)
-		if c.wordValid(line, addr) {
-			return true, Writeback{}
-		}
-		c.fillSub(line, addr)
-		return false, Writeback{}
-	}
-	_, _, wb = c.allocate(block, addr)
-	return false, wb
 }
 
 // Write performs a store of the word at addr according to the configured
@@ -518,37 +468,11 @@ func (c *Cache) Write(addr uint64) (r Result) {
 	if !c.cfg.WriteAllocate {
 		return r
 	}
-	line, displaced, wb := c.allocate(block, addr)
+	var line int
+	line, r.Displaced, r.Victim = c.allocate(block, addr)
 	c.markDirty(line, addr)
 	r.Allocated = true
-	r.Victim.set(displaced, wb)
 	return r
-}
-
-// WriteOutcome is Write for callers that need only the hit, the fill and
-// the displaced line: the same state transition, with every result in
-// registers.
-func (c *Cache) WriteOutcome(addr uint64) (hit, allocated bool, wb Writeback) {
-	block := addr >> c.blockShift
-	if _, line := c.lookup(block); line >= 0 {
-		c.touch(line)
-		if c.wordValid(line, addr) {
-			c.markDirty(line, addr)
-			return true, false, Writeback{}
-		}
-		if !c.cfg.WriteAllocate {
-			return false, false, Writeback{}
-		}
-		c.fillSub(line, addr)
-		c.markDirty(line, addr)
-		return false, true, Writeback{}
-	}
-	if !c.cfg.WriteAllocate {
-		return false, false, Writeback{}
-	}
-	line, _, wb := c.allocate(block, addr)
-	c.markDirty(line, addr)
-	return false, true, wb
 }
 
 func (c *Cache) setDirtyWord(line int, addr uint64) {
@@ -563,17 +487,15 @@ func (c *Cache) Contains(addr uint64) bool {
 	return line >= 0
 }
 
-// Invalidate removes addr's block if present, returning its victim
-// description (used by multi-level coherence in the system simulator's
-// tests).
-func (c *Cache) Invalidate(addr uint64) Victim {
+// Invalidate removes addr's block, reporting whether it was present and
+// its write back. The cache's and the check package's tests use it to
+// evict a line outside the access stream.
+func (c *Cache) Invalidate(addr uint64) (present bool, wb Writeback) {
 	_, line := c.lookup(addr >> c.blockShift)
 	if line < 0 {
-		return Victim{}
+		return false, Writeback{}
 	}
-	var v Victim
-	v.set(c.evict(line))
-	return v
+	return c.evict(line)
 }
 
 // Reset invalidates every line.

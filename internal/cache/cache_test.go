@@ -83,7 +83,7 @@ func TestDirectMappedConflict(t *testing.T) {
 	if r.Hit {
 		t.Fatal("conflicting read hit")
 	}
-	if !r.Victim.Valid || r.Victim.BlockAddr != 0 {
+	if !r.Displaced || r.Victim.BlockAddr != 0 {
 		t.Fatalf("victim = %+v, want block 0", r.Victim)
 	}
 	if r := c.Read(0); r.Hit {
@@ -110,7 +110,7 @@ func TestLRUReplacement(t *testing.T) {
 	c.Read(64) // block 16 -> set 0
 	c.Read(0)  // touch block 0: 64 is now LRU
 	r := c.Read(128)
-	if r.Hit || !r.Victim.Valid || r.Victim.BlockAddr != 64 {
+	if r.Hit || !r.Displaced || r.Victim.BlockAddr != 64 {
 		t.Fatalf("LRU evicted %+v, want block at 64", r.Victim)
 	}
 	if !c.Read(0).Hit {
@@ -126,7 +126,7 @@ func TestFIFOReplacement(t *testing.T) {
 	c.Read(64)
 	c.Read(0) // touching must NOT save block 0 under FIFO
 	r := c.Read(128)
-	if r.Hit || !r.Victim.Valid || r.Victim.BlockAddr != 0 {
+	if r.Hit || !r.Displaced || r.Victim.BlockAddr != 0 {
 		t.Fatalf("FIFO evicted %+v, want block at 0", r.Victim)
 	}
 }
@@ -157,7 +157,7 @@ func TestWriteBackDirty(t *testing.T) {
 	c.Write(1)      // dirty word 1
 	c.Write(2)      // dirty word 2
 	r := c.Read(64) // evict it
-	if !r.Victim.Dirty {
+	if !r.Victim.Dirty() {
 		t.Fatal("dirty victim reported clean")
 	}
 	if r.Victim.DirtyWords != 2 {
@@ -187,8 +187,8 @@ func TestWriteMissAllocate(t *testing.T) {
 	if !c.Contains(5) {
 		t.Fatal("block missing after write-allocate")
 	}
-	v := c.Invalidate(5)
-	if !v.Dirty || v.DirtyWords != 1 {
+	_, v := c.Invalidate(5)
+	if !v.Dirty() || v.DirtyWords != 1 {
 		t.Fatalf("allocated block should be dirty in word 5: %+v", v)
 	}
 }
@@ -203,7 +203,7 @@ func TestWriteThroughNeverDirty(t *testing.T) {
 		t.Fatal("write-through cache holds dirty lines")
 	}
 	r := c.Read(64)
-	if r.Victim.Dirty {
+	if r.Victim.Dirty() {
 		t.Fatal("write-through victim dirty")
 	}
 }
@@ -215,7 +215,7 @@ func TestLargeBlockDirtyMask(t *testing.T) {
 	c.Write(0)
 	c.Write(127)
 	c.Write(64)
-	v := c.Invalidate(0)
+	_, v := c.Invalidate(0)
 	if v.DirtyWords != 3 {
 		t.Fatalf("dirty words = %d, want 3 across mask words", v.DirtyWords)
 	}
@@ -223,12 +223,12 @@ func TestLargeBlockDirtyMask(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := mustCache(t, base(64, 4, 1))
-	if v := c.Invalidate(0); v.Valid {
-		t.Fatal("invalidate of absent block returned victim")
+	if present, _ := c.Invalidate(0); present {
+		t.Fatal("invalidate of absent block reported it present")
 	}
 	c.Read(0)
-	if v := c.Invalidate(0); !v.Valid || v.BlockAddr != 0 {
-		t.Fatalf("invalidate = %+v", v)
+	if present, v := c.Invalidate(0); !present || v.BlockAddr != 0 {
+		t.Fatalf("invalidate = %v, %+v", present, v)
 	}
 	if c.Contains(0) {
 		t.Fatal("block present after invalidate")
@@ -352,43 +352,76 @@ func TestSequentialMissCount(t *testing.T) {
 	}
 }
 
-// TestOutcomeMatchesResult runs one access stream through two identical
-// caches, one by Read/Write and one by ReadOutcome/WriteOutcome, across
-// every replacement policy, write policy, allocation policy and sub-block
-// geometry: each access must report the same outcome and leave the two
-// caches in the same state.
+// TestOutcomeMatchesResult checks each access's reported outcome against
+// the set it touched, across every replacement policy, write policy,
+// allocation policy and sub-block geometry: Displaced and Victim must
+// describe exactly the valid line that left the set, read with SetState
+// before and after the access. It also pins Result and Writeback to at most
+// four fields and 32 bytes, the size the compiler returns in registers;
+// past it every access would build its result in memory.
 func TestOutcomeMatchesResult(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Result{}), reflect.TypeOf(Writeback{})} {
+		if typ.NumField() > 4 || typ.Size() > 32 {
+			t.Fatalf("%v has %d fields in %d bytes, want at most 4 fields and 32 bytes", typ, typ.NumField(), typ.Size())
+		}
+	}
 	for _, rep := range []Replacement{Random, LRU, FIFO} {
 		for _, wp := range []WritePolicy{WriteBack, WriteThrough} {
 			for _, alloc := range []bool{false, true} {
 				for _, geo := range []struct{ assoc, block, fetch int }{{1, 4, 0}, {2, 8, 0}, {8, 4, 0}, {1, 16, 4}, {4, 32, 8}} {
 					cfg := Config{SizeWords: 512, BlockWords: geo.block, Assoc: geo.assoc, FetchWords: geo.fetch,
 						Replacement: rep, WritePolicy: wp, WriteAllocate: alloc, Seed: 3}
-					ref, fast := MustNew(cfg), MustNew(cfg)
+					c := MustNew(cfg)
 					rng := rand.New(rand.NewPCG(uint64(geo.assoc), uint64(geo.block)))
 					for i := 0; i < 20000; i++ {
 						addr := uint64(rng.IntN(4096)) | uint64(rng.IntN(2))<<32
+						set := int(addr/uint64(cfg.BlockWords)) & (cfg.Sets() - 1)
+						before := c.SetState(set)
+						var r Result
 						if rng.IntN(3) == 0 {
-							want := ref.Write(addr)
-							hit, allocated, wb := fast.WriteOutcome(addr)
-							if hit != want.Hit || allocated != want.Allocated || wb != want.Victim.Writeback() {
-								t.Fatalf("%v access %d: WriteOutcome (%v, %v, %+v), Write %+v", cfg, i, hit, allocated, wb, want)
-							}
+							r = c.Write(addr)
 						} else {
-							want := ref.Read(addr)
-							hit, wb := fast.ReadOutcome(addr)
-							if hit != want.Hit || wb != want.Victim.Writeback() {
-								t.Fatalf("%v access %d: ReadOutcome (%v, %+v), Read %+v", cfg, i, hit, wb, want)
+							r = c.Read(addr)
+						}
+						after := c.SetState(set)
+						var left *LineState
+						for w := range before {
+							if before[w].Valid && (!after[w].Valid || after[w].Tag != before[w].Tag) {
+								left = &before[w]
 							}
 						}
-					}
-					for set := 0; set < cfg.Sets(); set++ {
-						if !reflect.DeepEqual(ref.SetState(set), fast.SetState(set)) {
-							t.Fatalf("%v: set %d state differs after the stream", cfg, set)
+						switch {
+						case r.Hit && r.Allocated, r.Displaced && !r.Allocated:
+							t.Fatalf("%v access %d: inconsistent result %+v", cfg, i, r)
+						case left == nil:
+							if r.Displaced || r.Victim != (Writeback{}) {
+								t.Fatalf("%v access %d: %+v reports a victim, but no line left the set", cfg, i, r)
+							}
+						case !r.Displaced || r.Victim.BlockAddr != left.Tag*uint64(cfg.BlockWords) ||
+							r.Victim.Dirty() != left.Dirty || (r.Victim.DirtyWords > 0) != left.Dirty:
+							t.Fatalf("%v access %d: %+v, but line %+v left the set", cfg, i, r, *left)
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFIFOWideSet: the FIFO pointer advances past way 65,535 of a set. The
+// full 2^17-way set is seeded directly; filling it through Read would scan
+// the set once per fill.
+func TestFIFOWideSet(t *testing.T) {
+	const ways = 1 << 17
+	c := mustCache(t, Config{SizeWords: ways, BlockWords: 1, Assoc: ways, Replacement: FIFO})
+	for w := range c.valid {
+		c.tags[w] = uint64(w)
+		c.valid[w] = true
+	}
+	c.fifo[0] = 1<<16 - 1
+	for i, want := range []uint64{1<<16 - 1, 1 << 16} {
+		if r := c.Read(ways + uint64(i)); !r.Displaced || r.Victim.BlockAddr != want {
+			t.Fatalf("replacement %d evicted %+v, want block %d", i, r, want)
 		}
 	}
 }

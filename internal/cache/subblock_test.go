@@ -58,7 +58,7 @@ func TestSubBlockReadFillsOnlySubBlock(t *testing.T) {
 	if r.Hit {
 		t.Fatal("unfetched sub-block hit")
 	}
-	if !r.Allocated || r.Victim.Valid {
+	if !r.Allocated || r.Displaced {
 		t.Fatalf("sub-block miss should allocate without a victim: %+v", r)
 	}
 	// Now both sub-blocks are resident.
@@ -75,7 +75,7 @@ func TestSubBlockEvictionClearsValidity(t *testing.T) {
 	c := mustCache(t, subCfg(64, 16, 4)) // 4 blocks, 16W each
 	c.Read(0)
 	r := c.Read(64) // same index in a 4-set cache of 16W blocks
-	if r.Hit || !r.Victim.Valid {
+	if r.Hit || !r.Displaced {
 		t.Fatalf("conflict expected: %+v", r)
 	}
 	// The original line is gone entirely, including its valid bits.
@@ -108,7 +108,7 @@ func TestSubBlockWriteAllocate(t *testing.T) {
 	c := mustCache(t, cfg)
 	c.Read(0)
 	r := c.Write(8) // absent sub-block, allocate it
-	if r.Hit || !r.Allocated || r.Victim.Valid {
+	if r.Hit || !r.Allocated || r.Displaced {
 		t.Fatalf("sub-block write-allocate: %+v", r)
 	}
 	if !c.Read(8).Hit {
@@ -123,7 +123,7 @@ func TestSubBlockWritebackWords(t *testing.T) {
 	c.Write(1)      // dirty sub-block 0
 	c.Write(2)      // second dirty word, same sub-block
 	r := c.Read(64) // evict
-	if !r.Victim.Dirty {
+	if !r.Victim.Dirty() {
 		t.Fatal("victim clean")
 	}
 	if r.Victim.DirtyWords != 2 {
@@ -131,8 +131,8 @@ func TestSubBlockWritebackWords(t *testing.T) {
 	}
 	// Only the one dirty sub-block (4 words) writes back, not the whole
 	// 16-word block.
-	if r.Victim.WritebackWords != 4 {
-		t.Fatalf("writeback words = %d, want 4", r.Victim.WritebackWords)
+	if r.Victim.Words != 4 {
+		t.Fatalf("writeback words = %d, want 4", r.Victim.Words)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestWholeBlockWritebackWords(t *testing.T) {
 	c.Read(0)
 	c.Write(1)
 	r := c.Read(256)
-	if r.Victim.WritebackWords != 16 {
-		t.Fatalf("whole-block writeback = %d words, want 16", r.Victim.WritebackWords)
+	if r.Victim.Words != 16 {
+		t.Fatalf("whole-block writeback = %d words, want 16", r.Victim.Words)
 	}
 }
 

@@ -415,20 +415,20 @@ func diffVerdict(res cache.Result, v Verdict) string {
 	}
 	diffBool("hit", res.Hit, v.Hit)
 	diffBool("allocated", res.Allocated, v.Allocated)
-	diffBool("victim-valid", res.Victim.Valid, v.VictimValid)
-	if res.Victim.Valid && v.VictimValid {
+	diffBool("victim-valid", res.Displaced, v.VictimValid)
+	if res.Displaced && v.VictimValid {
 		if res.Victim.BlockAddr != v.VictimBlockAddr {
 			diffs = append(diffs, fmt.Sprintf("victim-block real=%#x oracle=%#x",
 				res.Victim.BlockAddr, v.VictimBlockAddr))
 		}
-		diffBool("victim-dirty", res.Victim.Dirty, v.VictimDirty)
+		diffBool("victim-dirty", res.Victim.Dirty(), v.VictimDirty)
 		if res.Victim.DirtyWords != v.VictimDirtyWords {
 			diffs = append(diffs, fmt.Sprintf("victim-dirty-words real=%d oracle=%d",
 				res.Victim.DirtyWords, v.VictimDirtyWords))
 		}
-		if res.Victim.WritebackWords != v.VictimWbWords {
+		if res.Victim.Words != v.VictimWbWords {
 			diffs = append(diffs, fmt.Sprintf("victim-writeback-words real=%d oracle=%d",
-				res.Victim.WritebackWords, v.VictimWbWords))
+				res.Victim.Words, v.VictimWbWords))
 		}
 	}
 	return strings.Join(diffs, "; ")

@@ -15,10 +15,10 @@ import (
 
 // TestFastPathEquivalence states where the behavioural pass's fast access
 // path applies and pins that it changes nothing. BuildProfile with neither
-// a checker nor an armed explain recorder drives the caches through the
-// register-sized ReadOutcome/WriteOutcome; BuildProfileExplained with a
-// lockstep oracle or with an armed recorder drives them through the
-// Result-returning decorated route. All three must record the same events,
+// a checker nor an armed explain recorder calls the concrete *cache.Cache;
+// BuildProfileExplained with a lockstep oracle or with an armed recorder
+// calls the same Read and Write through the decorator stack
+// (cache.Interface). All three must record the same events,
 // gaps and counters, and replay to the same results, for every
 // organization the engine accepts.
 func TestFastPathEquivalence(t *testing.T) {

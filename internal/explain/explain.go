@@ -288,7 +288,7 @@ func (p *Probe) observe(addr uint64, res cache.Result, isWrite bool) {
 		if !res.Hit {
 			p.setMiss[set]++
 		}
-		if res.Victim.Valid {
+		if res.Displaced {
 			p.setEvict[set]++
 		}
 	}

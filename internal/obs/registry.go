@@ -224,7 +224,8 @@ type Exported struct {
 }
 
 // Export returns every metric with its family and current value, sorted by
-// name so exposition output is deterministic.
+// name so exposition output is deterministic. Metrics of different families
+// sharing a name keep the order counter, gauge, timing.
 func (r *Registry) Export() []Exported {
 	r.mu.Lock()
 	out := make([]Exported, 0, len(r.counters)+len(r.gauges)+len(r.timings))
@@ -243,7 +244,7 @@ func (r *Registry) Export() []Exported {
 	for n, t := range timings {
 		out = append(out, Exported{Name: n, Kind: "timing", Timing: t.Snapshot()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -272,36 +273,14 @@ func (r *Registry) CounterValuesWithPrefix(prefix string) map[string]int64 {
 // int64, timings as TimingSnapshot. The view is a copy; mutating it does
 // not affect the registry.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	counters := make([]*Counter, 0, len(r.counters))
-	names := make([]string, 0, len(r.counters))
-	for n, c := range r.counters {
-		names = append(names, n)
-		counters = append(counters, c)
-	}
-	gnames := make([]string, 0, len(r.gauges))
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for n, g := range r.gauges {
-		gnames = append(gnames, n)
-		gauges = append(gauges, g)
-	}
-	tnames := make([]string, 0, len(r.timings))
-	timings := make([]*Timing, 0, len(r.timings))
-	for n, t := range r.timings {
-		tnames = append(tnames, n)
-		timings = append(timings, t)
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]any, len(names)+len(gnames)+len(tnames))
-	for i, n := range names {
-		out[n] = counters[i].Value()
-	}
-	for i, n := range gnames {
-		out[n] = gauges[i].Value()
-	}
-	for i, n := range tnames {
-		out[n] = timings[i].Snapshot()
+	exp := r.Export()
+	out := make(map[string]any, len(exp))
+	for _, e := range exp {
+		if e.Kind == "timing" {
+			out[e.Name] = e.Timing
+		} else {
+			out[e.Name] = e.Value
+		}
 	}
 	return out
 }

@@ -150,11 +150,12 @@ func (r *Recorder) Match(now int64, addr uint64) {
 
 // --- Chrome trace-event export ----------------------------------------
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
-// (loadable in Perfetto and chrome://tracing). Simulated cycles are
-// written as microseconds one-to-one, so the viewer's time axis reads
-// directly in cycles.
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event JSON format
+// (loadable in Perfetto and chrome://tracing). The simulator writes
+// simulated cycles as microseconds one-to-one, so the viewer's time axis
+// reads directly in cycles; the service's job traces (internal/telemetry)
+// write real microseconds.
+type ChromeEvent struct {
 	Name  string            `json:"name"`
 	Cat   string            `json:"cat,omitempty"`
 	Phase string            `json:"ph"`
@@ -166,9 +167,41 @@ type chromeEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
+// ChromeRow names one timeline row (a thread, in the format's terms).
+type ChromeRow struct {
+	Tid  int
+	Name string
+}
+
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// WriteChrome writes events as indented Chrome trace-event JSON, preceded
+// by metadata naming process 1 and each of its rows, in the order given.
+func WriteChrome(w io.Writer, process string, rows []ChromeRow, events []ChromeEvent) error {
+	out := chromeTrace{
+		TraceEvents:     make([]ChromeEvent, 0, 1+len(rows)+len(events)),
+		DisplayTimeUnit: "ms",
+	}
+	out.TraceEvents = append(out.TraceEvents, ChromeEvent{
+		Name: "process_name", Phase: "M", Pid: 1,
+		Args: map[string]string{"name": process},
+	})
+	for _, row := range rows {
+		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
+			Name: "thread_name", Phase: "M", Pid: 1, Tid: row.Tid,
+			Args: map[string]string{"name": row.Name},
+		})
+	}
+	out.TraceEvents = append(out.TraceEvents, events...)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(out); err != nil {
+		return fmt.Errorf("encoding chrome trace: %w", err)
+	}
+	return nil
 }
 
 // WriteChromeTrace writes the recorded events as Chrome trace-event
@@ -177,26 +210,10 @@ type chromeTrace struct {
 // timeline rows.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	evs := r.Events()
-	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+5),
-		DisplayTimeUnit: "ms",
-	}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Phase: "M", Pid: 1,
-		Args: map[string]string{"name": "simulator"},
-	})
-	for _, row := range []struct {
-		tid  int
-		name string
-	}{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}} {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Phase: "M", Pid: 1, Tid: row.tid,
-			Args: map[string]string{"name": row.name},
-		})
-	}
+	out := make([]ChromeEvent, 0, len(evs))
 	for _, ev := range evs {
 		tid, _ := ev.Kind.track()
-		ce := chromeEvent{
+		ce := ChromeEvent{
 			Name: ev.Kind.String(),
 			Cat:  "sim",
 			Ts:   ev.Start,
@@ -220,12 +237,11 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			ce.Phase = "X"
 			ce.Dur = ev.End - ev.Start
 		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out = append(out, ce)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("simtrace: encoding chrome trace: %w", err)
+	rows := []ChromeRow{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}}
+	if err := WriteChrome(w, "simulator", rows, out); err != nil {
+		return fmt.Errorf("simtrace: %w", err)
 	}
 	return nil
 }

@@ -81,7 +81,7 @@ func (l *cacheLevel) fetchOwnBlock(start int64, addr uint64, res cache.Result) i
 	l.buf.Drain(start)
 	l.buf.FlushMatching(start, blockAddr, bw)
 	victimOut := 0
-	if res.Victim.Valid && res.Victim.Dirty {
+	if res.Victim.Dirty() {
 		victimOut = bw
 	}
 	dataAt, _ := l.next.ReadBlock(start, blockAddr, bw, victimOut)

@@ -296,10 +296,7 @@ func (s *System) missFetch(start int64, c cache.Interface, addr uint64, res cach
 	fetchAddr := addr &^ uint64(fw-1)
 	s.l1buf.Drain(start)
 	matched := s.l1buf.FlushMatching(start, fetchAddr, fw)
-	victimOut := 0
-	if res.Victim.Valid && res.Victim.Dirty {
-		victimOut = res.Victim.WritebackWords
-	}
+	victimOut := res.Victim.Words
 	if s.rec != nil {
 		for i, lvl := range s.levels {
 			s.svc[i] = lvl.serviceCycles
