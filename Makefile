@@ -31,9 +31,12 @@
 #                  scratch ledger, then `simreport gate` — the simulator is
 #                  deterministic, so any cycle-count drift between the two
 #                  runs is a real regression and fails the gate
-#   metricslint  — metrics hygiene: every telemetry metric snake_case,
-#                  declared exactly once, and METRICS.md regenerates to the
-#                  checked-in bytes (drift fails)
+#   metricslint  — metrics hygiene: the two tests that guard the one metric
+#                  catalog (internal/obs Catalog): every name snake_case and
+#                  declared once with a known kind and help text, and
+#                  METRICS.md renders to the checked-in bytes (drift fails;
+#                  `go test ./internal/telemetry -run TestMetricsMarkdown
+#                  -update` regenerates it)
 #   telemetrygate — span-recording overhead budget: the telemetry on/off
 #                  sub-benchmarks through the real service must stay within
 #                  2% of each other (bench2json -fail-over 3: the budget
@@ -144,10 +147,10 @@ perfgate:
 	$(GO) run ./cmd/simreport gate -ledger .perfgate -tolerance 0.1
 	@rm -rf .perfgate
 
-# Metrics hygiene: lint the telemetry metric catalog and fail if the
-# generated METRICS.md reference drifted from the code.
+# Metrics hygiene: lint the obs metric catalog and fail if the generated
+# METRICS.md reference drifted from it. `go test ./...` runs both tests too.
 metricslint:
-	$(GO) run ./cmd/metricslint
+	$(GO) test -count=1 -run '^(TestLintCatalog|TestMetricsMarkdown)$$' ./internal/obs ./internal/telemetry
 
 # overhead_gate is the off/on overhead-budget recipe the telemetry,
 # profiling, explain and simtrace gates share: three independent rounds,

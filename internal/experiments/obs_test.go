@@ -3,11 +3,14 @@ package experiments
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/explain"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/simtrace"
 )
 
 // buildManifestForTest assembles a manifest for a suite the way paperfigs
@@ -52,6 +55,34 @@ func TestSweepMetricsEndToEnd(t *testing.T) {
 	}
 	if got := reg.Counter(obs.MSimRefs).Value(); got == 0 {
 		t.Error("sim_refs = 0 after a real sweep")
+	}
+}
+
+// TestSweepMetricsInCatalog: a sweep with cycle attribution and explain
+// armed registers only catalog metrics of their declared kind, plus the
+// dynamic attrib_ counters.
+func TestSweepMetricsInCatalog(t *testing.T) {
+	s := MustNewSuiteWithTracesForTest(t)
+	reg := obs.NewRegistry()
+	ex := explain.All()
+	s.SetExec(ExecOptions{Workers: 2, Metrics: reg,
+		Trace: &simtrace.Options{Attrib: true}, Explain: &ex})
+	if _, err := s.SpeedSizeGrid(context.Background(), sweepSizes, sweepCycles, 1); err != nil {
+		t.Fatal(err)
+	}
+	attrib, explained := 0, false
+	for _, m := range reg.Export() {
+		if strings.HasPrefix(m.Name, obs.MAttribPrefix) {
+			attrib++
+			continue
+		}
+		explained = explained || m.Name == obs.MExplainCells
+		if d, ok := obs.Lookup(m.Name); !ok || d.Kind != m.Kind {
+			t.Errorf("registry metric %q (%s) is not a catalog entry of that kind", m.Name, m.Kind)
+		}
+	}
+	if attrib == 0 || !explained {
+		t.Fatalf("sweep registered %d attrib_ counters, explain cells %v: instruments not armed", attrib, explained)
 	}
 }
 

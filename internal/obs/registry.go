@@ -1,5 +1,6 @@
 // Package obs is the sweep observability layer: a lightweight metrics
-// registry fed by the runner's cell hooks, a progress/ETA reporter, a run
+// registry fed by the runner's cell hooks, the one catalog of every fixed
+// metric name with its kind and help text, a progress/ETA reporter, a run
 // manifest that makes every figure reproducible and every performance
 // change diffable, and an optional expvar + pprof debug server.
 //
@@ -17,58 +18,6 @@ import (
 	"time"
 
 	"repro/internal/stats"
-)
-
-// Standard metric names fed by the runner hooks (see RunnerHooks). CLIs and
-// tests read these back from the registry by name.
-const (
-	// MCellsPlanned counts cells submitted to sweeps so far. It grows as
-	// figures start, so ETA estimates cover only the work announced yet.
-	MCellsPlanned = "cells_planned"
-	// MCellsDone counts successful cells the runner completed: freshly
-	// simulated cells plus MCellsMemoHits.
-	MCellsDone = "cells_done"
-	// MCellsReplayed counts cells served from the checkpoint log.
-	MCellsReplayed = "cells_replayed"
-	// MCellsMemoHits counts cells an experiments Suite served from its
-	// in-process cell memo: the runner completed them, so they are part of
-	// MCellsDone, but nothing was simulated.
-	MCellsMemoHits = "cells_memo_hits"
-	// MProfilesBuilt counts behavioural passes an experiments Suite ran
-	// to fill its profile cache: one per (organization × trace) it needed,
-	// however many cells share the profile.
-	MProfilesBuilt = "profiles_built"
-	// MCellsFailed counts cells whose final attempt failed.
-	MCellsFailed = "cells_failed"
-	// MCellsPanicked counts failed cells whose final attempt panicked.
-	MCellsPanicked = "cells_panicked"
-	// MCellsRetried counts cells that needed more than one attempt.
-	MCellsRetried = "cells_retried"
-	// MCellsInflight gauges cells currently on a worker.
-	MCellsInflight = "cells_inflight"
-	// MSimRefs counts simulated references (warm window) across cells.
-	MSimRefs = "sim_refs"
-	// MCellLatency is the per-cell wall-clock timing histogram.
-	MCellLatency = "cell_latency"
-	// MAttribPrefix prefixes the per-component cycle-attribution counters
-	// (e.g. "attrib_mem_wait") the sweep runner aggregates across freshly
-	// computed cells when cycle attribution is armed. The suffixes are the
-	// simtrace component names.
-	MAttribPrefix = "attrib_"
-	// MAttribCells counts cells whose attribution fed those counters
-	// (checkpoint-replayed cells skip simulation and contribute nothing).
-	// Deliberately outside the attrib_ namespace so prefix scans see only
-	// component counters.
-	MAttribCells = "cells_attributed"
-	// MExplainCompulsory, MExplainCapacity and MExplainConflict aggregate
-	// the explain recorder's 3C miss classification across freshly
-	// computed cells when a sweep arms it (see internal/explain).
-	MExplainCompulsory = "explain_compulsory"
-	MExplainCapacity   = "explain_capacity"
-	MExplainConflict   = "explain_conflict"
-	// MExplainCells counts cells whose explain report fed those counters;
-	// like MAttribCells it sits outside the explain_ namespace on purpose.
-	MExplainCells = "cells_explained"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.
@@ -141,6 +90,9 @@ type TimingSnapshot struct {
 	P50Us  int64 `json:"p50_us"`
 	P95Us  int64 `json:"p95_us"`
 	MaxUs  int64 `json:"max_us"`
+	// SumUs is the exact total the exposition formats print; the JSON
+	// views (manifest, /debug/vars) keep their fixed keys without it.
+	SumUs int64 `json:"-"`
 }
 
 // Snapshot summarizes the timing under one lock acquisition.
@@ -153,6 +105,7 @@ func (t *Timing) Snapshot() TimingSnapshot {
 		P50Us:  t.h.Percentile(0.50),
 		P95Us:  t.h.Percentile(0.95),
 		MaxUs:  t.h.Max,
+		SumUs:  t.h.Sum,
 	}
 }
 
@@ -218,7 +171,7 @@ func (r *Registry) Timing(name string) *Timing {
 // point-in-time gauges — Snapshot flattens both to int64.
 type Exported struct {
 	Name   string
-	Kind   string // "counter", "gauge" or "timing"
+	Kind   Kind
 	Value  int64
 	Timing TimingSnapshot
 }
@@ -230,10 +183,10 @@ func (r *Registry) Export() []Exported {
 	r.mu.Lock()
 	out := make([]Exported, 0, len(r.counters)+len(r.gauges)+len(r.timings))
 	for n, c := range r.counters {
-		out = append(out, Exported{Name: n, Kind: "counter", Value: c.Value()})
+		out = append(out, Exported{Name: n, Kind: KindCounter, Value: c.Value()})
 	}
 	for n, g := range r.gauges {
-		out = append(out, Exported{Name: n, Kind: "gauge", Value: g.Value()})
+		out = append(out, Exported{Name: n, Kind: KindGauge, Value: g.Value()})
 	}
 	timings := make(map[string]*Timing, len(r.timings))
 	for n, t := range r.timings {
@@ -242,7 +195,7 @@ func (r *Registry) Export() []Exported {
 	r.mu.Unlock()
 	// Timing snapshots take the timing's own lock; do it outside r.mu.
 	for n, t := range timings {
-		out = append(out, Exported{Name: n, Kind: "timing", Timing: t.Snapshot()})
+		out = append(out, Exported{Name: n, Kind: KindTiming, Timing: t.Snapshot()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -276,7 +229,7 @@ func (r *Registry) Snapshot() map[string]any {
 	exp := r.Export()
 	out := make(map[string]any, len(exp))
 	for _, e := range exp {
-		if e.Kind == "timing" {
+		if e.Kind == KindTiming {
 			out[e.Name] = e.Timing
 		} else {
 			out[e.Name] = e.Value

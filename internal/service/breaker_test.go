@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func TestBreakerTripOnceAndProbeReset(t *testing.T) {
@@ -255,7 +254,7 @@ func TestSubmitOnPausedJournalIsDegraded(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "3" {
 		t.Errorf("Retry-After = %q, want 3", ra)
 	}
-	if n := s.Registry().Counter(telemetry.MShedDegraded).Value(); n != 2 {
+	if n := s.Registry().Counter(obs.MShedDegraded).Value(); n != 2 {
 		t.Errorf("shed_degraded = %d, want 2", n)
 	}
 	if n := len(s.Jobs()); n != 0 {

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // TestLegacyUnframedFilesCompat: data dirs written before checksummed
@@ -79,7 +79,7 @@ func TestLegacyUnframedFilesCompat(t *testing.T) {
 	}
 
 	// Nothing legacy was mistaken for corruption.
-	for _, m := range []string{telemetry.MJournalQuarantined, telemetry.MCellsQuarantined, telemetry.MLedgerQuarantined} {
+	for _, m := range []string{obs.MJournalQuarantined, obs.MCellsQuarantined, obs.MLedgerQuarantined} {
 		if v := s.Registry().Counter(m).Value(); v != 0 {
 			t.Errorf("%s = %d on clean legacy files", m, v)
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 type requestIDKey struct{}
@@ -108,11 +107,11 @@ func withObservability(next http.Handler, reg *obs.Registry, log *slog.Logger) h
 		ctx := WithClient(WithRequestID(r.Context(), reqID), clientIdentity(r))
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		d := time.Since(start)
-		reg.Counter(telemetry.MHTTPRequests).Add(1)
+		reg.Counter(obs.MHTTPRequests).Add(1)
 		if sw.code >= 400 {
-			reg.Counter(telemetry.MHTTPErrors).Add(1)
+			reg.Counter(obs.MHTTPErrors).Add(1)
 		}
-		reg.Timing(telemetry.MHTTPRequestLatency).Observe(d)
+		reg.Timing(obs.MHTTPRequestLatency).Observe(d)
 		log.Info("http",
 			"method", r.Method, "path", r.URL.Path,
 			"status", sw.code, "duration_us", d.Microseconds(),

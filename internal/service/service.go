@@ -161,20 +161,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Service metric names, alongside the runner's cell metrics in the same
-// registry. The canonical declarations (with kinds and help text) live in
-// internal/telemetry's Defs table; these aliases keep service call sites
-// and existing tests on the short names.
-const (
-	MJobsSubmitted = telemetry.MJobsSubmitted
-	MJobsDone      = telemetry.MJobsDone
-	MJobsFailed    = telemetry.MJobsFailed
-	MJobsCanceled  = telemetry.MJobsCanceled
-	MJobsShed      = telemetry.MJobsShed
-	MJobsRunning   = telemetry.MJobsRunning
-	MQueueDepth    = telemetry.MQueueDepth
-)
-
 // TraceDirName is the per-job trace export directory inside DataDir.
 const TraceDirName = "traces"
 
@@ -273,10 +259,10 @@ func Open(cfg Config) (*Service, error) {
 	// Pre-register the full metric catalog so a fresh server's /metrics
 	// exposes every series at zero instead of growing them as code paths
 	// first fire, and attach journal latency timings.
-	telemetry.Register(s.reg)
+	s.reg.RegisterCatalog()
 	journal.SetMetrics(
-		s.reg.Timing(telemetry.MJournalAppendLatency),
-		s.reg.Timing(telemetry.MJournalFsyncLatency),
+		s.reg.Timing(obs.MJournalAppendLatency),
+		s.reg.Timing(obs.MJournalFsyncLatency),
 	)
 	// The breaker observes every journal and cell-cache persistence
 	// attempt; enough consecutive failures flip the service degraded.
@@ -284,9 +270,9 @@ func Open(cfg Config) (*Service, error) {
 	cells.SetOnWrite(s.observeStorage("cell-cache"))
 	// Surface what the opening integrity scans found.
 	cellScan := cells.ScanStats()
-	s.reg.Counter(telemetry.MJournalQuarantined).Add(int64(replayStats.Scan.Quarantined))
-	s.reg.Counter(telemetry.MCellsQuarantined).Add(int64(cellScan.Quarantined))
-	s.reg.Counter(telemetry.MLedgerQuarantined).Add(int64(ledgerScan.Quarantined))
+	s.reg.Counter(obs.MJournalQuarantined).Add(int64(replayStats.Scan.Quarantined))
+	s.reg.Counter(obs.MCellsQuarantined).Add(int64(cellScan.Quarantined))
+	s.reg.Counter(obs.MLedgerQuarantined).Add(int64(ledgerScan.Quarantined))
 	if q := replayStats.Scan.Quarantined + cellScan.Quarantined + ledgerScan.Quarantined; q > 0 {
 		s.log.Warn("corrupt records quarantined on open",
 			"journal", replayStats.Scan.Quarantined,
@@ -329,7 +315,7 @@ func Open(cfg Config) (*Service, error) {
 	for _, job := range pending {
 		s.queue <- job
 	}
-	s.reg.Gauge(MQueueDepth).Set(int64(len(pending)))
+	s.reg.Gauge(obs.MQueueDepth).Set(int64(len(pending)))
 	if replayStats.Scan.Quarantined > 0 || replayStats.Orphans > 0 || len(pending) > 0 {
 		s.log.Info("journal replayed",
 			"jobs", len(replayed), "requeued", len(pending),
@@ -347,7 +333,7 @@ func (s *Service) Start() {
 		go func() {
 			defer s.wg.Done()
 			for job := range s.queue {
-				s.reg.Gauge(MQueueDepth).Add(-1)
+				s.reg.Gauge(obs.MQueueDepth).Add(-1)
 				if s.ctx.Err() != nil {
 					job.setState(StateInterrupted, "", causeName(context.Cause(s.ctx)))
 					continue
@@ -386,8 +372,8 @@ func (s *Service) observeStorage(source string) func(error) {
 func (s *Service) enterDegraded(source string, cause error) {
 	s.journal.SetPaused(true)
 	s.cells.SetPersist(false)
-	s.reg.Gauge(telemetry.MDegraded).Set(1)
-	s.reg.Counter(telemetry.MBreakerTrips).Add(1)
+	s.reg.Gauge(obs.MDegraded).Set(1)
+	s.reg.Counter(obs.MBreakerTrips).Add(1)
 	s.log.Error("storage breaker tripped; entering degraded mode",
 		"source", source, "err", cause)
 }
@@ -410,7 +396,7 @@ func (s *Service) probeLoop() {
 		if open, _ := s.breaker.state(); !open {
 			continue
 		}
-		s.reg.Counter(telemetry.MStorageProbes).Add(1)
+		s.reg.Counter(obs.MStorageProbes).Add(1)
 		jerr := s.journal.Probe()
 		cerr := s.cells.Probe()
 		if jerr != nil || cerr != nil {
@@ -436,7 +422,7 @@ func (s *Service) exitDegraded() {
 	parked := s.unjournaled
 	s.unjournaled = make(map[string]journalEntry)
 	s.mu.Unlock()
-	s.reg.Gauge(telemetry.MDegraded).Set(0)
+	s.reg.Gauge(obs.MDegraded).Set(0)
 	flushed := 0
 	for _, e := range parked {
 		if err := s.journal.append(e); err != nil {
@@ -484,7 +470,7 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.ctx.Err() != nil {
-		s.reg.Counter(telemetry.MShedDraining).Add(1)
+		s.reg.Counter(obs.MShedDraining).Add(1)
 		return nil, ErrDraining
 	}
 	if open, reason := s.breaker.state(); open {
@@ -494,8 +480,8 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	// the global bucket, so a greedy client is charged its own budget
 	// without draining everyone's — then the global rate bucket.
 	if len(s.queue) >= s.cfg.MaxQueue {
-		s.reg.Counter(MJobsShed).Add(1)
-		s.reg.Counter(telemetry.MShedQueue).Add(1)
+		s.reg.Counter(obs.MJobsShed).Add(1)
+		s.reg.Counter(obs.MShedQueue).Add(1)
 		return nil, &ShedError{Reason: "queue", RetryAfter: s.estimateDrain()}
 	}
 	client := ClientFrom(ctx)
@@ -505,15 +491,15 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 			qc = "local"
 		}
 		if ok, retryAfter := s.quota.Take(qc, req.Cost()); !ok {
-			s.reg.Counter(MJobsShed).Add(1)
-			s.reg.Counter(telemetry.MShedClient).Add(1)
+			s.reg.Counter(obs.MJobsShed).Add(1)
+			s.reg.Counter(obs.MShedClient).Add(1)
 			return nil, &ShedError{Reason: "client", RetryAfter: retryAfter}
 		}
-		s.reg.Gauge(telemetry.MQuotaClients).Set(int64(s.quota.Len()))
+		s.reg.Gauge(obs.MQuotaClients).Set(int64(s.quota.Len()))
 	}
 	if ok, retryAfter := s.bucket.Take(); !ok {
-		s.reg.Counter(MJobsShed).Add(1)
-		s.reg.Counter(telemetry.MShedRate).Add(1)
+		s.reg.Counter(obs.MJobsShed).Add(1)
+		s.reg.Counter(obs.MShedRate).Add(1)
 		return nil, &ShedError{Reason: "rate", RetryAfter: retryAfter}
 	}
 	id := newJobID()
@@ -539,8 +525,8 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	s.jobs[id] = job
 	s.order = append(s.order, id)
 	s.queue <- job // cannot block: depth checked under s.mu
-	s.reg.Counter(MJobsSubmitted).Add(1)
-	s.reg.Gauge(MQueueDepth).Add(1)
+	s.reg.Counter(obs.MJobsSubmitted).Add(1)
+	s.reg.Gauge(obs.MQueueDepth).Add(1)
 	s.log.Info("job accepted", "job", id, "cells", req.cellCount(),
 		"config", job.status.ConfigHash, "request_id", reqID, "client", client)
 	return job, nil
@@ -550,17 +536,17 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 // refuses it honestly, with the soonest the next probe could clear the
 // breaker as its Retry-After.
 func (s *Service) refuseDegraded(reason string) error {
-	s.reg.Counter(MJobsShed).Add(1)
-	s.reg.Counter(telemetry.MShedDegraded).Add(1)
+	s.reg.Counter(obs.MJobsShed).Add(1)
+	s.reg.Counter(obs.MShedDegraded).Add(1)
 	return &DegradedError{Reason: reason, RetryAfter: s.cfg.ProbeInterval}
 }
 
 // estimateDrain guesses how long until a queue slot frees: queue depth
 // over the observed job completion rate, clamped to [1s, 1m].
 func (s *Service) estimateDrain() time.Duration {
-	finished := s.reg.Counter(MJobsDone).Value() +
-		s.reg.Counter(MJobsFailed).Value() +
-		s.reg.Counter(MJobsCanceled).Value()
+	finished := s.reg.Counter(obs.MJobsDone).Value() +
+		s.reg.Counter(obs.MJobsFailed).Value() +
+		s.reg.Counter(obs.MJobsCanceled).Value()
 	elapsed := time.Since(s.start)
 	if finished == 0 || elapsed <= 0 {
 		return 2 * time.Second
@@ -616,8 +602,8 @@ func (s *Service) JournalErr() error { return s.journal.Err() }
 
 // runJob executes one job's grid on the runner pool.
 func (s *Service) runJob(job *Job) {
-	s.reg.Gauge(MJobsRunning).Add(1)
-	defer s.reg.Gauge(MJobsRunning).Add(-1)
+	s.reg.Gauge(obs.MJobsRunning).Add(1)
+	defer s.reg.Gauge(obs.MJobsRunning).Add(-1)
 	if err := context.Cause(job.ctx()); err != nil {
 		// Canceled while queued.
 		s.finishJob(job, nil, nil, err)
@@ -690,7 +676,7 @@ func (s *Service) runJob(job *Job) {
 			cellSpans[index].SetAttr("key", key)
 		},
 		OnAttempt: func(ev runner.AttemptEvent) {
-			s.reg.Counter(telemetry.MCellAttempts).Add(1)
+			s.reg.Counter(obs.MCellAttempts).Add(1)
 			a := tr.StartAt("attempt", cellSpans[ev.Index].ID(),
 				fmt.Sprintf("%s/a%d", ev.Key, ev.Attempt), 2+ev.Index, ev.Start)
 			a.SetAttr("attempt", fmt.Sprintf("%d", ev.Attempt))
@@ -780,7 +766,7 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 		// Count before the terminal state becomes visible: a client that
 		// polls the job to done and then scrapes /metrics must see the
 		// counter already bumped.
-		s.reg.Counter(MJobsDone).Add(1)
+		s.reg.Counter(obs.MJobsDone).Add(1)
 		job.setState(StateDone, "", "")
 		if err := s.journal.Done(job.id); err != nil {
 			s.log.Warn("journal done entry failed", "job", job.id, "err", err)
@@ -797,7 +783,7 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 		s.log.Warn("job interrupted", "job", job.id, "cause", causeName(cause))
 		return
 	case errors.Is(cause, ErrClientCanceled):
-		s.reg.Counter(MJobsCanceled).Add(1)
+		s.reg.Counter(obs.MJobsCanceled).Add(1)
 		job.setState(StateCanceled, "", causeName(cause))
 		if err := s.journal.Cancel(job.id); err != nil {
 			s.log.Warn("journal cancel entry failed", "job", job.id, "err", err)
@@ -810,7 +796,7 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 		if sweepErr != nil {
 			msg = sweepErr.Error()
 		}
-		s.reg.Counter(MJobsFailed).Add(1)
+		s.reg.Counter(obs.MJobsFailed).Add(1)
 		job.setState(StateFailed, msg, causeName(cause))
 		if err := s.journal.Fail(job.id, msg, causeName(cause)); err != nil {
 			s.log.Warn("journal fail entry failed", "job", job.id, "err", err)
@@ -837,7 +823,7 @@ func (s *Service) endTrace(job *Job, state JobState, errMsg, cause string) {
 		job.jobSpan.SetAttr("cause", cause)
 	}
 	job.jobSpan.End()
-	s.reg.Counter(telemetry.MTraceSpans).Add(int64(tr.Len()))
+	s.reg.Counter(obs.MTraceSpans).Add(int64(tr.Len()))
 	dir := filepath.Join(s.cfg.DataDir, TraceDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		s.log.Warn("trace dir", "job", job.id, "err", err)
@@ -867,8 +853,8 @@ func (s *Service) TraceDir() string { return filepath.Join(s.cfg.DataDir, TraceD
 // /metrics by NewServer and reusable on a debug listener.
 func (s *Service) MetricsHandler() http.Handler {
 	return telemetry.MetricsHandler(s.reg, func() {
-		s.reg.Gauge(telemetry.MTokensAvailable).Set(int64(s.bucket.Available()))
-		s.reg.Gauge(telemetry.MUptimeSeconds).Set(int64(s.Uptime().Seconds()))
+		s.reg.Gauge(obs.MTokensAvailable).Set(int64(s.bucket.Available()))
+		s.reg.Gauge(obs.MUptimeSeconds).Set(int64(s.Uptime().Seconds()))
 		telemetry.SyncRuntimeMetrics(s.reg)
 	})
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // soakSubmitAll pushes requests concurrently, retrying sheds and degraded
@@ -405,9 +404,9 @@ func TestChaosSoakDiskFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart over corrupted stores: %v", err)
 	}
-	jq := cfg2.Registry.Counter(telemetry.MJournalQuarantined).Value()
-	cq := cfg2.Registry.Counter(telemetry.MCellsQuarantined).Value()
-	lq := cfg2.Registry.Counter(telemetry.MLedgerQuarantined).Value()
+	jq := cfg2.Registry.Counter(obs.MJournalQuarantined).Value()
+	cq := cfg2.Registry.Counter(obs.MCellsQuarantined).Value()
+	lq := cfg2.Registry.Counter(obs.MLedgerQuarantined).Value()
 	t.Logf("quarantined on open: journal=%d cells=%d ledger=%d", jq, cq, lq)
 	if jq == 0 {
 		t.Error("no journal records quarantined despite bit-flipped writes")
@@ -612,7 +611,7 @@ func TestChaosSoakGreedyClient(t *testing.T) {
 	if greedyShed == 0 {
 		t.Error("greedy client was never shed; quota not enforced")
 	}
-	if got := cfg.Registry.Counter(telemetry.MShedClient).Value(); got == 0 {
+	if got := cfg.Registry.Counter(obs.MShedClient).Value(); got == 0 {
 		t.Error("jobs_shed_client counter never moved")
 	}
 	// Fairness bound: a polite submission waits at most a few refill

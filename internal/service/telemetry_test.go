@@ -19,12 +19,14 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
 // TestMetricsEndpoint: /metrics speaks valid Prometheus text format (the
-// strict parser round-trips it), exposes at least 20 distinct series, and
-// the series reflect real work.
+// strict parser round-trips it), exposes at least 20 distinct series, the
+// series reflect real work, and every metric the job left in the registry
+// is a catalog entry of its declared kind.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := startTestServer(t, testConfig(t.TempDir()))
 	defer s.Drain(context.Background())
@@ -81,6 +83,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if series[p+"uptime_seconds"] < 0 {
 		t.Error("uptime gauge missing")
+	}
+	for _, m := range s.Registry().Export() {
+		if d, ok := obs.Lookup(m.Name); !ok || d.Kind != m.Kind {
+			t.Errorf("registry metric %q (%s) is not a catalog entry of that kind", m.Name, m.Kind)
+		}
 	}
 }
 

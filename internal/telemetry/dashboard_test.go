@@ -2,12 +2,17 @@ package telemetry
 
 import (
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestDashboard: the page is self-contained HTML with the endpoint paths
-// substituted in and no unexpanded placeholders or external assets.
+// substituted in and no unexpanded placeholders or external assets, and
+// every metric its script reads is a catalog entry (a renamed one would
+// silently blank a tile).
 func TestDashboard(t *testing.T) {
 	h := Dashboard("/metrics", "/v1/jobs")
 	rec := httptest.NewRecorder()
@@ -27,6 +32,15 @@ func TestDashboard(t *testing.T) {
 	for _, reject := range []string{"__METRICS__", "__JOBS__", "src=\"http", "href=\"http"} {
 		if strings.Contains(body, reject) {
 			t.Errorf("page contains %q (placeholder or external asset)", reject)
+		}
+	}
+	reads := regexp.MustCompile(`g\(m, *"([^"]*)"\)`).FindAllStringSubmatch(body, -1)
+	if len(reads) == 0 {
+		t.Fatal("no g(m, \"...\") metric reads found in the page script")
+	}
+	for _, r := range reads {
+		if _, ok := obs.Lookup(r[1]); !ok {
+			t.Errorf("dashboard reads %q, which is not in the obs catalog", r[1])
 		}
 	}
 }

@@ -1,71 +1,55 @@
 package telemetry
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestLintDefs: the checked-in table passes, and each lint rule actually
-// fires on a violating table.
-func TestLintDefs(t *testing.T) {
-	if err := LintDefs(); err != nil {
-		t.Fatalf("shipped Defs table fails lint: %v", err)
-	}
-	orig := Defs
-	defer func() { Defs = orig }()
-	bad := map[string]MetricDef{
-		"not snake_case": {"QueueDepth", "gauge", "x"},
-		"unknown kind":   {"queue_depth2", "sparkline", "x"},
-		"empty help":     {"queue_depth3", "gauge", "  "},
-	}
-	for name, d := range bad {
-		Defs = append(append([]MetricDef{}, orig...), d)
-		if err := LintDefs(); err == nil {
-			t.Errorf("%s: lint passed for %+v", name, d)
+// metricsMarkdown renders the METRICS.md reference table from the obs
+// catalog.
+func metricsMarkdown() string {
+	var b strings.Builder
+	b.WriteString("# Metrics reference\n\n")
+	b.WriteString("<!-- Generated from the internal/obs Catalog by `go test ./internal/telemetry -run TestMetricsMarkdown -update`.\n")
+	b.WriteString("     Do not edit by hand: `make metricslint` fails when this file drifts. -->\n\n")
+	b.WriteString("Every fixed-name metric the sweep stack registers, exposed in Prometheus\n")
+	b.WriteString("text format at `/metrics` with the `" + PromPrefix + "` prefix. Timings are\n")
+	b.WriteString("rendered as summaries in microseconds (`_us` suffix, quantiles 0.5/0.95\n")
+	b.WriteString("plus `_sum`/`_count`). The dynamic per-component cycle-attribution\n")
+	b.WriteString("counters (`attrib_<component>`) are the one family outside this table;\n")
+	b.WriteString("their names come from simtrace component enums at runtime.\n\n")
+	b.WriteString("| Metric | Kind | Prometheus series | Help |\n")
+	b.WriteString("|---|---|---|---|\n")
+	for _, d := range obs.Catalog {
+		series := PromPrefix + d.Name
+		if d.Kind == obs.KindTiming {
+			series = PromPrefix + d.Name + `_us{quantile="..."}`
 		}
+		fmt.Fprintf(&b, "| `%s` | %s | `%s` | %s |\n", d.Name, d.Kind, series, d.Help)
 	}
-	Defs = append(append([]MetricDef{}, orig...), orig[0])
-	if err := LintDefs(); err == nil || !strings.Contains(err.Error(), "more than once") {
-		t.Errorf("duplicate name not caught: %v", err)
-	}
+	return b.String()
 }
 
-// TestRegisterCreatesCatalog: Register pre-creates every declared metric so
-// a fresh process exposes the whole catalog at zero.
-func TestRegisterCreatesCatalog(t *testing.T) {
-	reg := obs.NewRegistry()
-	Register(reg)
-	exported := reg.Export()
-	if len(exported) != len(Defs) {
-		t.Fatalf("registry has %d metrics after Register, want %d", len(exported), len(Defs))
-	}
-	for _, m := range exported {
-		d, ok := DefFor(m.Name)
-		if !ok {
-			t.Errorf("registered metric %q has no Def", m.Name)
-			continue
-		}
-		if d.Kind != m.Kind {
-			t.Errorf("metric %q registered as %s, declared %s", m.Name, m.Kind, d.Kind)
-		}
-	}
-}
-
-// TestMetricsMarkdown: the generated reference lists every metric and
-// carries the do-not-edit marker metricslint greps for.
+// TestMetricsMarkdown pins the checked-in METRICS.md, at the repository
+// root, to the obs catalog; -update rewrites it.
 func TestMetricsMarkdown(t *testing.T) {
-	md := MetricsMarkdown()
-	if !strings.Contains(md, "Generated from internal/telemetry Defs") {
-		t.Error("generated-file marker missing")
+	md := metricsMarkdown()
+	path := filepath.Join("..", "..", "METRICS.md")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(md), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, d := range Defs {
-		if !strings.Contains(md, "`"+d.Name+"`") {
-			t.Errorf("metric %q missing from METRICS.md", d.Name)
-		}
-		if !strings.Contains(md, d.Help) {
-			t.Errorf("help for %q missing from METRICS.md", d.Name)
-		}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != md {
+		t.Fatalf("METRICS.md drifted from the obs catalog; regenerate with `go test ./internal/telemetry -run TestMetricsMarkdown -update`")
 	}
 }

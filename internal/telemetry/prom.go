@@ -25,24 +25,21 @@ func WritePrometheus(w io.Writer, reg *obs.Registry) error {
 	for _, m := range reg.Export() {
 		name := PromPrefix + m.Name
 		help := "(undeclared metric)"
-		if d, ok := DefFor(m.Name); ok {
+		if d, ok := obs.Lookup(m.Name); ok {
 			help = d.Help
-		} else if strings.HasPrefix(m.Name, obs.MAttribPrefix) {
-			help = "Cycle attribution for the " + strings.TrimPrefix(m.Name, obs.MAttribPrefix) + " component."
 		}
 		switch m.Kind {
-		case "counter", "gauge":
-			typ := m.Kind
+		case obs.KindCounter, obs.KindGauge:
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(help))
-			fmt.Fprintf(bw, "# TYPE %s %s\n", name, typ)
+			fmt.Fprintf(bw, "# TYPE %s %s\n", name, m.Kind)
 			fmt.Fprintf(bw, "%s %d\n", name, m.Value)
-		case "timing":
+		case obs.KindTiming:
 			name += "_us"
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(help))
 			fmt.Fprintf(bw, "# TYPE %s summary\n", name)
 			fmt.Fprintf(bw, "%s{quantile=\"0.5\"} %d\n", name, m.Timing.P50Us)
 			fmt.Fprintf(bw, "%s{quantile=\"0.95\"} %d\n", name, m.Timing.P95Us)
-			fmt.Fprintf(bw, "%s_sum %d\n", name, m.Timing.MeanUs*m.Timing.Count)
+			fmt.Fprintf(bw, "%s_sum %d\n", name, m.Timing.SumUs)
 			fmt.Fprintf(bw, "%s_count %d\n", name, m.Timing.Count)
 		}
 	}

@@ -5,41 +5,19 @@ import (
 	"repro/internal/perfobs"
 )
 
-// Runtime telemetry metric names: Go runtime cost signals read from
-// runtime/metrics at scrape time, so /metrics and the dashboard show where
-// the process itself spends memory and pause time. All are gauges
-// refreshed by SyncRuntimeMetrics — cumulative totals included, since the
-// registry value is a snapshot of the runtime's own monotonic counter.
-const (
-	// MRuntimeHeapLive gauges live heap object bytes.
-	MRuntimeHeapLive = "runtime_heap_live_bytes"
-	// MRuntimeHeapGoal gauges the GC's current heap-size target.
-	MRuntimeHeapGoal = "runtime_heap_goal_bytes"
-	// MRuntimeGCCycles gauges completed GC cycles since process start.
-	MRuntimeGCCycles = "runtime_gc_cycles"
-	// MRuntimeGCPauseP50 gauges the median stop-the-world GC pause (µs).
-	MRuntimeGCPauseP50 = "runtime_gc_pause_p50_us"
-	// MRuntimeGCPauseMax gauges the worst stop-the-world GC pause (µs).
-	MRuntimeGCPauseMax = "runtime_gc_pause_max_us"
-	// MRuntimeSchedLatP95 gauges p95 goroutine scheduling latency (µs).
-	MRuntimeSchedLatP95 = "runtime_sched_latency_p95_us"
-	// MRuntimeAllocBytes gauges cumulative allocated bytes since start.
-	MRuntimeAllocBytes = "runtime_alloc_bytes"
-	// MRuntimeAllocObjects gauges cumulative allocated objects since start.
-	MRuntimeAllocObjects = "runtime_alloc_objects"
-)
-
 // SyncRuntimeMetrics refreshes the runtime_* gauges from a fresh
-// runtime/metrics snapshot. Services call it from their /metrics sync hook,
-// so the series cost one read per scrape and nothing between scrapes.
+// runtime/metrics snapshot, so /metrics and the dashboard show where the
+// process itself spends memory and pause time. Services call it from their
+// /metrics sync hook, so the series cost one read per scrape and nothing
+// between scrapes.
 func SyncRuntimeMetrics(reg *obs.Registry) {
 	st := perfobs.ReadRuntimeStats()
-	reg.Gauge(MRuntimeHeapLive).Set(int64(st.HeapLiveBytes))
-	reg.Gauge(MRuntimeHeapGoal).Set(int64(st.HeapGoalBytes))
-	reg.Gauge(MRuntimeGCCycles).Set(int64(st.GCCycles))
-	reg.Gauge(MRuntimeGCPauseP50).Set(st.GCPauseP50.Microseconds())
-	reg.Gauge(MRuntimeGCPauseMax).Set(st.GCPauseMax.Microseconds())
-	reg.Gauge(MRuntimeSchedLatP95).Set(st.SchedLatencyP95.Microseconds())
-	reg.Gauge(MRuntimeAllocBytes).Set(int64(st.AllocBytes))
-	reg.Gauge(MRuntimeAllocObjects).Set(int64(st.AllocObjects))
+	reg.Gauge(obs.MRuntimeHeapLive).Set(int64(st.HeapLiveBytes))
+	reg.Gauge(obs.MRuntimeHeapGoal).Set(int64(st.HeapGoalBytes))
+	reg.Gauge(obs.MRuntimeGCCycles).Set(int64(st.GCCycles))
+	reg.Gauge(obs.MRuntimeGCPauseP50).Set(st.GCPauseP50.Microseconds())
+	reg.Gauge(obs.MRuntimeGCPauseMax).Set(st.GCPauseMax.Microseconds())
+	reg.Gauge(obs.MRuntimeSchedLatP95).Set(st.SchedLatencyP95.Microseconds())
+	reg.Gauge(obs.MRuntimeAllocBytes).Set(int64(st.AllocBytes))
+	reg.Gauge(obs.MRuntimeAllocObjects).Set(int64(st.AllocObjects))
 }
