@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -33,14 +32,9 @@ func benchOrg(assoc int) Org {
 	return Org{ICache: cfg, DCache: cfg}
 }
 
-// retainedBytes is the heap a finished profile keeps alive: the Profile
-// and its event stream.
-func (p *Profile) retainedBytes() int {
-	return int(unsafe.Sizeof(*p)) + cap(p.events)*int(unsafe.Sizeof(event{}))
-}
-
 // BenchmarkBuildProfile times the behavioural pass on the fast access
-// path, reporting ns per reference and the bytes each profile retains.
+// path, reporting ns per reference and the bytes each profile retains, in
+// all and per event.
 func BenchmarkBuildProfile(b *testing.B) {
 	tr := benchTrace(b)
 	for _, g := range []struct {
@@ -57,7 +51,7 @@ func BenchmarkBuildProfile(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/ref")
-			b.ReportMetric(float64(p.retainedBytes()), "B/profile")
+			reportBytes(b, []*Profile{p})
 		})
 	}
 }
@@ -65,7 +59,8 @@ func BenchmarkBuildProfile(b *testing.B) {
 // BenchmarkBuildFamily times the one-walk build of the base
 // organization's direct-mapped size family, 4 KB to 4 MB in total at
 // 4-word blocks, reporting ns per reference per profile produced: the
-// figure to set against BuildProfile/dm's ns/ref.
+// figure to set against BuildProfile/dm's ns/ref. Its B/profile and
+// B/event average over the family's profiles.
 func BenchmarkBuildFamily(b *testing.B) {
 	tr := benchTrace(b)
 	var orgs []Org
@@ -74,12 +69,27 @@ func BenchmarkBuildFamily(b *testing.B) {
 			Replacement: cache.Random, WritePolicy: cache.WriteBack, Seed: 1988}
 		orgs = append(orgs, Org{ICache: cfg, DCache: cfg})
 	}
+	var ps []*Profile
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildFamily(orgs, tr); err != nil {
+		var err error
+		if ps, err = BuildFamily(orgs, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len())/float64(len(orgs)), "ns/ref")
+	reportBytes(b, ps)
+}
+
+// reportBytes reports the profiles' mean retained bytes (Profile.Bytes)
+// and their bytes per recorded event.
+func reportBytes(b *testing.B, ps []*Profile) {
+	bytes, events := 0, 0
+	for _, p := range ps {
+		bytes += p.Bytes()
+		events += p.Events()
+	}
+	b.ReportMetric(float64(bytes)/float64(len(ps)), "B/profile")
+	b.ReportMetric(float64(bytes)/float64(events), "B/event")
 }
 
 // BenchmarkReplay times the timing replay of a direct-mapped profile at the

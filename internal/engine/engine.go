@@ -20,6 +20,8 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/check"
@@ -95,66 +97,113 @@ const (
 	dStoreMissAlloc
 )
 
-// event is one couplet that interacts with the memory system (any miss, or
-// any store that must pass toward memory), plus the run of untimed couplets
-// preceding it. A marker event carries no couplet at all: it pins the
-// warm-start boundary inside the replay.
+// event is one 16-byte record of a profile's event stream. A head record
+// stands for one couplet that interacts with the memory system (any miss,
+// or any store that must pass toward memory), plus the run of untimed
+// couplets preceding it. A marker head carries no couplet at all: it pins
+// the warm-start boundary inside the replay.
 //
-// An event is 40 bytes. Extended addresses are 40 bits wide (an 8-bit PID
-// above a 32-bit word address), so each side's reference packs into one
-// word with room above it for the victim's write-back size (16 bits) and
-// a tag byte: the I word's tag holds the flag* bits, the D word's the dOp.
-// The victim block addresses are stored only for dirty victims, the only
-// ones the replay writes back.
+// A head's word holds the one address most events need, with the flags
+// and the dOp above it: the ifetch address when the ifetch missed, and
+// otherwise the data address. Extended addresses are 40 bits wide (an
+// 8-bit PID above a 32-bit word address). The rare extra words follow the
+// head as continuation records, one word each, in this order:
+//   - the data address, when the ifetch missed and the replay reads the
+//     data address too (flagXDAddr);
+//   - the ifetch's dirty victim (flagXIVic);
+//   - the data reference's dirty victim (flagXDVic).
+//
+// A victim word holds the block address below the write-back words. A
+// continuation record's gaps are zero, and only its head tells it from a
+// head, so the stream is read from its start (see decoded).
 type event struct {
 	gap          uint32 // non-event couplets since the previous event
 	gapStoreHits uint32 // how many of those contained a store hit (cost 2)
-	i            uint64 // ifetch address | victim write-back words | flags
-	iVic         uint64 // ifetch victim block address (dirty victims only)
-	d            uint64 // data address | victim write-back words | dOp
-	dVic         uint64 // data victim block address (dirty victims only)
+	w            uint64 // head: address | flags<<flagsShift | dOp<<opShift; continuation: one word
 }
 
 // Event word layout.
 const (
-	addrBits = 40 // extended word address: 8-bit PID above 32 address bits
-	wbShift  = addrBits
-	wbBits   = 16
-	tagShift = wbShift + wbBits
+	addrBits   = 40 // extended word address: 8-bit PID above 32 address bits
+	flagsShift = addrBits
+	opShift    = flagsShift + 8
+	wbShift    = addrBits // a victim word's write-back words
 
 	addrMask      = 1<<addrBits - 1
-	maxEventWords = 1<<wbBits - 1 // largest victim write back an event holds
+	maxEventWords = 1<<16 - 1 // largest victim write back an event records (victim word bits 40–55)
 )
 
-// Flags in the I word's tag byte.
+// Flags in a head record. The producers pass the first four to
+// eventLog.add, which sets the continuation flags.
 const (
 	flagMarker = 1 << iota // warm-start boundary, no couplet
 	flagHasI               // the couplet has an ifetch
 	flagIMiss              // the ifetch missed
+	flagDAddr              // the replay reads the data address
+	flagXDAddr             // a continuation holds the data address
+	flagXIVic              // a continuation holds the ifetch's dirty victim
+	flagXDVic              // a continuation holds the data reference's dirty victim
+
+	flagsX = flagXDAddr | flagXIVic | flagXDVic
 )
 
-// packRef packs one side of an event into a word.
-func packRef(addr uint64, wbWords uint64, tag uint8) uint64 {
-	return addr | wbWords<<wbShift | uint64(tag)<<tagShift
+// decoded is one event of a stream: its head record and where its
+// continuation records begin.
+type decoded struct {
+	event
+	evs []event // the stream
+	at  int     // the index of the first continuation record
 }
 
-func (e *event) flags() uint8   { return uint8(e.i >> tagShift) }
-func (e *event) iAddr() uint64  { return e.i & addrMask }
-func (e *event) iVicW() int     { return int(e.i >> wbShift & maxEventWords) }
-func (e *event) dOp() dOp       { return dOp(e.d >> tagShift) }
-func (e *event) dAddr() uint64  { return e.d & addrMask }
-func (e *event) dVicW() int     { return int(e.d >> wbShift & maxEventWords) }
-func (e *event) isMarker() bool { return e.flags()&flagMarker != 0 }
+// decode reads the event whose head record is d.evs[k] and returns the
+// index of the next head record. The index comes from a count of the
+// continuation flags rather than a branch per extra word: a mispredicted
+// branch here discards the work the replay has started on the next
+// events. The extra words are read where the replay needs them.
+func (d *decoded) decode(k int) int {
+	d.event = d.evs[k]
+	d.at = k + 1
+	return d.at + bits.OnesCount8(d.flags()&flagsX)
+}
 
-// eventLog accumulates a build's events in chunks that double in size up
-// to maxChunkEvents, so appending never copies the events already logged;
+func (d *decoded) flags() uint8 { return uint8(d.w >> flagsShift) }
+func (d *decoded) op() dOp      { return dOp(d.w >> opShift) }
+
+// iAddr is the ifetch address, valid only under flagIMiss.
+func (d *decoded) iAddr() uint64 { return d.w & addrMask }
+
+// dAddr is the data address, valid only under flagDAddr.
+func (d *decoded) dAddr() uint64 {
+	if d.flags()&flagXDAddr != 0 {
+		return d.evs[d.at].w
+	}
+	return d.w & addrMask
+}
+
+// iVic and dVic are the victim words (see fill), 0 for a clean victim.
+func (d *decoded) iVic() uint64 {
+	if d.flags()&flagXIVic == 0 {
+		return 0
+	}
+	return d.evs[d.at+bits.OnesCount8(d.flags()&flagXDAddr)].w
+}
+
+func (d *decoded) dVic() uint64 {
+	if d.flags()&flagXDVic == 0 {
+		return 0
+	}
+	return d.evs[d.at+bits.OnesCount8(d.flags()&(flagXDAddr|flagXIVic))].w
+}
+
+// eventLog accumulates a build's records in chunks that double in size up
+// to maxChunkEvents, so appending never copies the records already logged;
 // take copies them once into an exact-size slice. The chunks die with the
-// build, so a retained profile holds exactly its events and no append
+// build, so a retained profile holds exactly its records and no append
 // slack.
 type eventLog struct {
 	full [][]event // filled chunks, in order
 	cur  []event   // the chunk being filled
-	n    int       // events logged
+	n    int       // records logged
 }
 
 const (
@@ -162,7 +211,41 @@ const (
 	maxChunkEvents = 1 << 16
 )
 
-func (l *eventLog) add(e event) {
+// add encodes one event: its head record, then a continuation record per
+// extra word (see event). flags holds the producer's flags; iAddr is read
+// under flagIMiss and dAddr under flagDAddr. iVic and dVic are the victim
+// words (see fill).
+func (l *eventLog) add(gap, gapStoreHits uint32, flags uint8, op dOp, iAddr, dAddr, iVic, dVic uint64) {
+	var head uint64
+	switch {
+	case flags&flagIMiss != 0:
+		head = iAddr
+		if flags&flagDAddr != 0 {
+			flags |= flagXDAddr
+		}
+	case flags&flagDAddr != 0:
+		head = dAddr
+	}
+	if iVic != 0 {
+		flags |= flagXIVic
+	}
+	if dVic != 0 {
+		flags |= flagXDVic
+	}
+	l.put(event{gap: gap, gapStoreHits: gapStoreHits,
+		w: head | uint64(flags)<<flagsShift | uint64(op)<<opShift})
+	if flags&flagXDAddr != 0 {
+		l.put(event{w: dAddr})
+	}
+	if iVic != 0 {
+		l.put(event{w: iVic})
+	}
+	if dVic != 0 {
+		l.put(event{w: dVic})
+	}
+}
+
+func (l *eventLog) put(e event) {
 	if len(l.cur) == cap(l.cur) {
 		l.grow()
 	}
@@ -177,7 +260,7 @@ func (l *eventLog) grow() {
 	l.cur = make([]event, 0, min(max(2*cap(l.cur), minChunkEvents), maxChunkEvents))
 }
 
-// take returns the logged events as one exact-size slice.
+// take returns the logged records as one exact-size slice.
 func (l *eventLog) take() []event {
 	out := make([]event, 0, l.n)
 	for _, c := range l.full {
@@ -187,12 +270,13 @@ func (l *eventLog) take() []event {
 }
 
 // Profile is the behavioural digest of (organization × trace): everything
-// the timing phase needs, at one record per memory-system interaction.
+// the timing phase needs, at about one 16-byte record per memory-system
+// interaction (see event).
 type Profile struct {
 	Org       Org
 	TraceName string
 
-	events []event
+	events []event // head and continuation records (see event)
 	// tailGap counts trailing non-event couplets after the last event.
 	tailGap          uint32
 	tailGapStoreHits uint32
@@ -210,15 +294,24 @@ func (p *Profile) TotalCounters() system.Counters { return p.total }
 // after the warm-start boundary (timing fields are zero).
 func (p *Profile) WarmCounters() system.Counters { return p.total.Sub(p.warmSnap) }
 
-// Events returns the number of recorded miss events (markers excluded).
+// Events returns the number of recorded miss events (markers and
+// continuation records excluded).
 func (p *Profile) Events() int {
 	n := 0
-	for k := range p.events {
-		if !p.events[k].isMarker() {
+	d := decoded{evs: p.events}
+	for k := 0; k < len(p.events); {
+		k = d.decode(k)
+		if d.flags()&flagMarker == 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// Bytes returns the heap the profile keeps alive: the Profile and its
+// event stream, continuation records included.
+func (p *Profile) Bytes() int {
+	return int(unsafe.Sizeof(*p)) + cap(p.events)*int(unsafe.Sizeof(event{}))
 }
 
 // BuildProfile simulates the trace's cache behaviour against the
@@ -302,17 +395,16 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 		p.total.Refs += int64(n)
 
 		var (
-			iWord, iVic, dWord, dVic uint64
+			flags                    uint8
 			op                       = dNone
-			interacts                bool
+			iAddr, dAddr, iVic, dVic uint64
 		)
 		di := i // index of the couplet's data reference, -1 for none
 		switch first := refs[i]; first.Kind {
 		case trace.Ifetch:
 			p.total.Ifetches++
 			addr := first.Extended()
-			flags := uint8(flagHasI)
-			var wbWords uint64
+			flags = flagHasI
 			var res cache.Result
 			if ic.slow == nil {
 				res = ic.c.Read(addr)
@@ -322,10 +414,9 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 			if !res.Hit {
 				p.total.IfetchMisses++
 				flags |= flagIMiss
-				interacts = true
-				wbWords, iVic = p.fill(ifw, res.Victim)
+				iAddr = addr
+				iVic = p.fill(ifw, res.Victim)
 			}
-			iWord = packRef(addr, wbWords, flags)
 			di = -1
 			if n == 2 {
 				di = i + 1
@@ -340,7 +431,6 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 			// the data reference's kind is one of the two.
 			dref := refs[di]
 			addr := dref.Extended()
-			var wbWords uint64
 			if dref.Kind == trace.Load {
 				p.total.Loads++
 				var res cache.Result
@@ -354,8 +444,8 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 				} else {
 					p.total.LoadMisses++
 					op = dLoadMiss
-					interacts = true
-					wbWords, dVic = p.fill(dfw, res.Victim)
+					flags |= flagDAddr
+					dVic = p.fill(dfw, res.Victim)
 				}
 			} else {
 				p.total.Stores++
@@ -371,29 +461,30 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 					op = dStoreHit
 					if wtThrough {
 						p.total.StoreThroughWords++
-						interacts = true
+						flags |= flagDAddr
 					}
 				case !res.Allocated:
 					p.total.StoreMisses++
 					p.total.StoreThroughWords++
 					op = dStoreMissNoAlloc
-					interacts = true
+					flags |= flagDAddr
 				default:
 					p.total.StoreMisses++
 					op = dStoreMissAlloc
-					interacts = true
+					flags |= flagDAddr
 					if wtThrough {
 						p.total.StoreThroughWords++
 					}
-					wbWords, dVic = p.fill(dfw, res.Victim)
+					dVic = p.fill(dfw, res.Victim)
 				}
 			}
-			dWord = packRef(addr, wbWords, uint8(op))
+			dAddr = addr
 		}
 
-		if interacts {
-			log.add(event{gap: gap, gapStoreHits: gapStoreHits,
-				i: iWord, iVic: iVic, d: dWord, dVic: dVic})
+		// A couplet interacts when its ifetch missed or the replay reads
+		// its data address: a data miss or a write-through store.
+		if flags&(flagIMiss|flagDAddr) != 0 {
+			log.add(gap, gapStoreHits, flags, op, iAddr, dAddr, iVic, dVic)
 			gap, gapStoreHits = 0, 0
 		} else {
 			gap++
@@ -419,19 +510,19 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 func (p *Profile) markWarm(log *eventLog, gap, gapStoreHits uint32, exp *explain.Recorder) {
 	p.warmSnap = p.total
 	exp.MarkWarm()
-	log.add(event{gap: gap, gapStoreHits: gapStoreHits, i: packRef(0, 0, flagMarker)})
+	log.add(gap, gapStoreHits, flagMarker, dNone, 0, 0, 0, 0)
 }
 
 // fill accounts the traffic of a read (or write-allocate) miss and returns
-// what the event records of its victim: the write-back size and block
-// address of a dirty victim, zeros for a clean one.
-func (p *Profile) fill(fetchWords int, wb cache.Writeback) (wbWords, vicAddr uint64) {
+// the word the event records of its victim: a dirty victim's block address
+// below its write-back words, 0 for a clean one.
+func (p *Profile) fill(fetchWords int, wb cache.Writeback) uint64 {
 	p.total.ReadWordsFetched += int64(fetchWords)
 	if wb.Words == 0 {
-		return 0, 0
+		return 0
 	}
 	p.total.WritebackBlocks++
 	p.total.WritebackWords += int64(wb.Words)
 	p.total.WritebackDirtyWords += int64(wb.DirtyWords)
-	return uint64(wb.Words), wb.BlockAddr
+	return wb.BlockAddr | uint64(wb.Words)<<wbShift
 }

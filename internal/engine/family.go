@@ -266,35 +266,35 @@ func (w *familyWalk) walk(t *trace.Trace, is, ds *familySide) error {
 		// The sizes below the larger of the two hits interact.
 		for j := range max(iHit, dHit) {
 			p := w.ps[j]
-			var iWord, iVic, dWord, dVic uint64
+			m := &w.last[j]
+			var (
+				flags      uint8
+				op         = dNone
+				iVic, dVic uint64
+			)
 			if hasI {
-				flags := uint8(flagHasI)
-				var wbWords uint64
+				flags = flagHasI
 				if j < iHit {
 					p.total.IfetchMisses++
 					flags |= flagIMiss
-					wbWords, iVic = p.fill(w.block, w.iWB[j])
+					iVic = p.fill(w.block, w.iWB[j])
 				}
-				iWord = packRef(iAddr, wbWords, flags)
 			}
 			if di >= 0 {
-				op := dOps[1]
-				var wbWords uint64
+				op = dOps[1]
 				if j < dHit {
 					op = dOps[0]
+					flags |= flagDAddr
 					if store {
 						p.total.StoreMisses++
 						p.total.StoreThroughWords++
 					} else {
 						p.total.LoadMisses++
-						wbWords, dVic = p.fill(w.block, w.dWB[j])
+						dVic = p.fill(w.block, w.dWB[j])
 					}
 				}
-				dWord = packRef(dAddr, wbWords, uint8(op))
 			}
-			m := &w.last[j]
-			w.logs[j].add(event{gap: uint32(couplet - m.couplet), gapStoreHits: uint32(stores - m.stores),
-				i: iWord, iVic: iVic, d: dWord, dVic: dVic})
+			w.logs[j].add(uint32(couplet-m.couplet), uint32(stores-m.stores), flags, op, iAddr, dAddr, iVic, dVic)
 			m.couplet = couplet + 1
 			m.stores = stores
 			if store {
@@ -334,8 +334,7 @@ func (w *familyWalk) markWarm(couplet, stores int64) {
 		w.settle(p)
 		p.warmSnap = p.total
 		m := &w.last[j]
-		w.logs[j].add(event{gap: uint32(couplet - m.couplet), gapStoreHits: uint32(stores - m.stores),
-			i: packRef(0, 0, flagMarker)})
+		w.logs[j].add(uint32(couplet-m.couplet), uint32(stores-m.stores), flagMarker, dNone, 0, 0, 0, 0)
 		*m = gapMark{couplet, stores}
 	}
 }

@@ -115,8 +115,9 @@ func (ln *lane) init(p *Profile, ct CycleTiming, chk *check.Checker, rec *simtra
 
 // missFetch mirrors system.(*System).missFetch for the whole-block
 // completion policy with main memory downstream. f is the cache's fetch
-// unit; wbWords is the victim's write-back size (0 for a clean miss).
-func (ln *lane) missFetch(start int64, f fetchUnit, addr uint64, wbWords int, vicAddr uint64) int64 {
+// unit; vic is the event's victim word (0 for a clean miss).
+func (ln *lane) missFetch(start int64, f fetchUnit, addr, vic uint64) int64 {
+	wbWords := int(vic >> wbShift)
 	fetchAddr := addr &^ uint64(f.words-1)
 	matched := false
 	if ln.buf.Len() > 0 { // an empty buffer has nothing to drain or match
@@ -131,6 +132,7 @@ func (ln *lane) missFetch(start int64, f fetchUnit, addr uint64, wbWords int, vi
 	}
 	complete := dataAt
 	if wbWords > 0 {
+		vicAddr := vic & addrMask
 		rel := ln.enqueueTracked(dataAt, vicAddr, wbWords, dataAt)
 		ln.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
 		if rel > complete {
@@ -239,16 +241,17 @@ func (p *Profile) ReplayLanes(cts []CycleTiming) ([]system.Result, error) {
 }
 
 // replay is the timing phase: one walk of the event stream that steps
-// every lane through each event in turn. An event's fields are decoded
-// once for all lanes, and the lanes of one event mostly take the same
-// branches, so the later lanes' branches predict well.
+// every lane through each event in turn. An event's head is decoded once
+// for all lanes; a victim word is read in the miss branch that writes it
+// back. The lanes of one event mostly take the same branches, so the
+// later lanes' branches predict well.
 func (p *Profile) replay(lanes []lane) error {
 	wt := p.Org.DCache.WritePolicy == cache.WriteThrough
-	for k := range p.events {
-		ev := &p.events[k] // read in place: no copy per event
+	ev := decoded{evs: p.events}
+	for k := 0; k < len(p.events); {
+		k = ev.decode(k)
 		gap, gapStoreHits := int64(ev.gap), int64(ev.gapStoreHits)
-		flags := ev.flags()
-		op := ev.dOp()
+		flags, op := ev.flags(), ev.op()
 		iAddr, dAddr := ev.iAddr(), ev.dAddr()
 		for l := range lanes {
 			ln := &lanes[l]
@@ -279,7 +282,7 @@ func (p *Profile) replay(lanes []lane) error {
 			comp := now + 1
 			if flags&flagHasI != 0 {
 				if flags&flagIMiss != 0 {
-					c := ln.missFetch(now+1, ln.ifetch, iAddr, ev.iVicW(), ev.iVic)
+					c := ln.missFetch(now+1, ln.ifetch, iAddr, ev.iVic())
 					rec.NoteMiss(simtrace.Ifetch, now, c, iAddr)
 					if c > comp {
 						comp = c
@@ -304,7 +307,7 @@ func (p *Profile) replay(lanes []lane) error {
 					comp = done
 				}
 			case dLoadMiss:
-				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVicW(), ev.dVic)
+				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic())
 				rec.NoteMiss(simtrace.Load, now, c, dAddr)
 				if c > comp {
 					comp = c
@@ -316,7 +319,7 @@ func (p *Profile) replay(lanes []lane) error {
 					comp = done
 				}
 			case dStoreMissAlloc:
-				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVicW(), ev.dVic)
+				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic())
 				c++
 				if wt {
 					c = ln.storeThrough(now, c, dAddr)

@@ -60,7 +60,8 @@ func TestSweepMetricsEndToEnd(t *testing.T) {
 
 // TestSweepMetricsInCatalog: a sweep with cycle attribution and explain
 // armed registers only catalog metrics of their declared kind, plus the
-// dynamic attrib_ counters.
+// dynamic attrib_ counters, and its profile builds feed the
+// profile_cache_bytes gauge.
 func TestSweepMetricsInCatalog(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	reg := obs.NewRegistry()
@@ -70,19 +71,23 @@ func TestSweepMetricsInCatalog(t *testing.T) {
 	if _, err := s.SpeedSizeGrid(context.Background(), sweepSizes, sweepCycles, 1); err != nil {
 		t.Fatal(err)
 	}
-	attrib, explained := 0, false
+	attrib, explained, resident := 0, false, false
 	for _, m := range reg.Export() {
 		if strings.HasPrefix(m.Name, obs.MAttribPrefix) {
 			attrib++
 			continue
 		}
 		explained = explained || m.Name == obs.MExplainCells
+		resident = resident || m.Name == obs.MProfileCacheBytes && m.Value > 0
 		if d, ok := obs.Lookup(m.Name); !ok || d.Kind != m.Kind {
 			t.Errorf("registry metric %q (%s) is not a catalog entry of that kind", m.Name, m.Kind)
 		}
 	}
 	if attrib == 0 || !explained {
 		t.Fatalf("sweep registered %d attrib_ counters, explain cells %v: instruments not armed", attrib, explained)
+	}
+	if !resident {
+		t.Errorf("sweep built profiles but %s is not positive", obs.MProfileCacheBytes)
 	}
 }
 

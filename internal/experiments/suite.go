@@ -239,6 +239,7 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 				return
 			}
 			e.p = p
+			s.noteResident(p)
 			if rec.On() {
 				e.exp = rec.ReportWarm()
 				s.recordExplain(e.exp)
@@ -297,8 +298,23 @@ func (s *Suite) buildFamily(i int, fam *familyBuild) ([]*engine.Profile, error) 
 			m.Counter(obs.MProfilesBuilt).Add(int64(len(fam.orgs)))
 		}
 		fam.profiles, fam.err = engine.BuildFamily(fam.orgs, s.Traces[i])
+		s.noteResident(fam.profiles...)
 	})
 	return fam.profiles, fam.err
+}
+
+// noteResident adds the bytes of profiles joining the profile cache to
+// the profile_cache_bytes gauge.
+func (s *Suite) noteResident(ps ...*engine.Profile) {
+	m := s.exec.Metrics
+	if m == nil {
+		return
+	}
+	n := 0
+	for _, p := range ps {
+		n += p.Bytes()
+	}
+	m.Gauge(obs.MProfileCacheBytes).Add(int64(n))
 }
 
 // ReplayWarm replays the organization at the timing against every trace

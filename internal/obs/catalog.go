@@ -29,10 +29,13 @@ const (
 	// MProfilesBuilt grows once per (organization × trace) a Suite
 	// needed, however many cells share the profile.
 	MProfilesBuilt = "profiles_built"
-	MCellsFailed   = "cells_failed"
-	MCellsPanicked = "cells_panicked"
-	MCellsRetried  = "cells_retried"
-	MCellsInflight = "cells_inflight"
+	// MProfileCacheBytes grows as profiles join a Suite's profile
+	// cache; the cache keeps them for the Suite's life.
+	MProfileCacheBytes = "profile_cache_bytes"
+	MCellsFailed       = "cells_failed"
+	MCellsPanicked     = "cells_panicked"
+	MCellsRetried      = "cells_retried"
+	MCellsInflight     = "cells_inflight"
 	// MAttribCells sits outside the attrib_ namespace so prefix scans
 	// see only component counters. Checkpoint-replayed cells skip
 	// simulation and do not count.
@@ -110,6 +113,7 @@ var Catalog = []Def{
 	{MCellsReplayed, KindCounter, "Cells served memoized from the checkpoint cache."},
 	{MCellsMemoHits, KindCounter, "Cells served from an experiments suite's in-process cell memo (no simulation ran)."},
 	{MProfilesBuilt, KindCounter, "Behavioural passes an experiments suite ran to fill its profile cache."},
+	{MProfileCacheBytes, KindGauge, "Bytes the profiles in experiments suites' profile caches keep resident."},
 	{MCellsFailed, KindCounter, "Cells whose final attempt failed."},
 	{MCellsPanicked, KindCounter, "Failed cells whose final attempt panicked."},
 	{MCellsRetried, KindCounter, "Cells that needed more than one attempt."},

@@ -48,6 +48,9 @@ type Manifest struct {
 	CellLatency TimingSnapshot     `json:"cell_latency"`
 	Throughput  ManifestThroughput `json:"throughput"`
 	Phases      []PhaseDuration    `json:"phases,omitempty"`
+	// ProfileCacheBytes is what the run's experiments suites kept
+	// resident in their profile caches (profile_cache_bytes).
+	ProfileCacheBytes int64 `json:"profile_cache_bytes,omitempty"`
 
 	// Attribution aggregates the simtrace cycle attribution across every
 	// freshly computed cell when the run armed it (component name →
@@ -226,6 +229,7 @@ func (m *Manifest) FillFromRegistry(reg *Registry, wall time.Duration) {
 	}
 	m.Cells.Cold = m.Cells.Done - m.Cells.MemoHits
 	m.CellLatency = reg.Timing(MCellLatency).Snapshot()
+	m.ProfileCacheBytes = reg.Gauge(MProfileCacheBytes).Value()
 	if n := reg.Counter(MAttribCells).Value(); n > 0 {
 		m.AttribCells = n
 		m.Attribution = reg.CounterValuesWithPrefix(MAttribPrefix)

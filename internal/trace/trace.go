@@ -143,7 +143,7 @@ type Summary struct {
 func Summarize(t *Trace) Summary {
 	s := Summary{Name: t.Name, Refs: len(t.Refs), Measured: len(t.Refs) - t.WarmStart}
 	seen := make(map[uint64]struct{}, 1<<16)
-	procs := make(map[uint8]struct{}, 16)
+	var procs [256]bool // by PID: a map here took half the scan's time
 	for _, r := range t.Refs {
 		switch r.Kind {
 		case Ifetch:
@@ -154,9 +154,13 @@ func Summarize(t *Trace) Summary {
 			s.Stores++
 		}
 		seen[r.Extended()] = struct{}{}
-		procs[r.PID] = struct{}{}
+		procs[r.PID] = true
 	}
 	s.UniqueAddr = len(seen)
-	s.Processes = len(procs)
+	for _, in := range procs {
+		if in {
+			s.Processes++
+		}
+	}
 	return s
 }

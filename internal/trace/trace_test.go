@@ -97,6 +97,19 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeExtremePIDs: the process count covers the whole PID
+// range, both ends included.
+func TestSummarizeExtremePIDs(t *testing.T) {
+	tr := &Trace{Name: "pids", Refs: []Ref{
+		{Addr: 1, PID: 0, Kind: Ifetch}, {Addr: 1, PID: 255, Kind: Load},
+		{Addr: 2, PID: 255, Kind: Ifetch}, {Addr: 1, PID: 0, Kind: Store},
+	}}
+	s := Summarize(tr)
+	if s.Processes != 2 || s.UniqueAddr != 3 {
+		t.Fatalf("processes/unique = %d/%d, want 2/3", s.Processes, s.UniqueAddr)
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	orig := sample()
