@@ -209,7 +209,7 @@ allocgate:
 		| sed -E 's/^(Benchmark[A-Za-z0-9_]+)-[0-9]+/\1/' \
 		| $(GO) run ./cmd/bench2json -o .allocgate/new.json
 	$(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics allocs/op,B/op \
-		BENCH_20260807.json .allocgate/new.json
+		BENCH_20261019.json .allocgate/new.json
 	@rm -rf .allocgate
 
 # Hot-path regression radar, both halves of the profiling contract:

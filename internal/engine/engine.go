@@ -351,15 +351,20 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	if err != nil {
 		return nil, err
 	}
-	ic := side{c: l1.I.Real, slow: l1.I.Stack}
-	dc := side{c: l1.D.Real, slow: l1.D.Stack}
-
 	p := &Profile{Org: org, TraceName: t.Name}
-	var log eventLog
-	if err := p.simulate(t, &ic, &dc, l1.Chk, exp, &log); err != nil {
+	one := [1]member{{p: p}}
+	ifw, dfw := org.fetchWords()
+	w := walk{
+		ifw: ifw, dfw: dfw,
+		ic:  side{c: l1.I.Real, slow: l1.I.Stack},
+		dc:  side{c: l1.D.Real, slow: l1.D.Stack},
+		wt:  org.DCache.WritePolicy == cache.WriteThrough,
+		chk: l1.Chk,
+		exp: exp,
+	}
+	if err := w.run(t, one[:]); err != nil {
 		return nil, err
 	}
-	p.events = log.take()
 	tally := p.total.SelfCheckTally()
 	if err := l1.Chk.Finish(&tally); err != nil {
 		return nil, err
@@ -370,53 +375,81 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	return p, nil
 }
 
-// simulate is the behavioural pass proper: it drives every couplet of the
-// trace through the caches, accumulates the profile's counters and gaps,
-// and logs the events.
-func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp *explain.Recorder, log *eventLog) error {
-	wtThrough := p.Org.DCache.WritePolicy == cache.WriteThrough
-	ifw, dfw := p.Org.fetchWords()
+// walk is the behavioural pass: one walk of a trace that builds the
+// profiles of a group of members at once. The walk does the work the
+// members share: it decodes each couplet, checks its kinds, counts the
+// references once, places the warm-start marker and computes every gap.
+// Only the probe differs between the two member kinds:
+//   - one cache of any organization (BuildProfile), probed through side,
+//     with the checker polled and the explain recorder marked;
+//   - a direct-mapped size family (BuildFamily), probed through
+//     familySide, which stops at the first size that hits.
+//
+// The members are passed to the walk's methods rather than held in it, so
+// that a one-cache build keeps its member on the stack.
+type walk struct {
+	ifw, dfw int             // fetch words of the ifetch and data sides
+	shared   system.Counters // the reference counts, common to every member
+	// couplet and stores count the couplets walked and the store
+	// couplets among them.
+	couplet, stores int64
 
+	// One cache (fam == nil).
+	ic, dc side
+	wt     bool // the data cache writes through
+	chk    *check.Checker
+	exp    *explain.Recorder
+
+	fam *family // a direct-mapped size family, smallest size first
+}
+
+// member is one profile a walk builds.
+type member struct {
+	p    *Profile
+	log  eventLog
+	last gapMark
+}
+
+// gapMark is where a member's current gap began: the couplet after its
+// last event, and how many store couplets preceded that point. A member's
+// gap is the couplets since its mark, and the gap's store hits are the
+// store couplets since then. That holds for every cache: every store miss
+// and every write-through store is an event (flagDAddr), so a store
+// couplet outside an event is a store hit.
+type gapMark struct {
+	couplet, stores int64
+}
+
+// couplet is one decoded couplet: an ifetch, a data reference, or both.
+type couplet struct {
+	hasI, load, store bool
+	iAddr, dAddr      uint64
+}
+
+// run walks every couplet of the trace through the members and leaves
+// each member's profile complete.
+func (w *walk) run(t *trace.Trace, ms []member) error {
 	refs := t.Refs
-	var gap, gapStoreHits uint32
 	warmTaken := t.WarmStart == 0
-
 	for i := 0; i < len(refs); {
-		if chk.Diverged() {
-			return chk.Err()
+		if w.chk.Diverged() {
+			return w.chk.Err()
 		}
 		if !warmTaken && i >= t.WarmStart {
-			p.markWarm(log, gap, gapStoreHits, exp)
-			gap, gapStoreHits = 0, 0
+			w.markWarm(ms)
 			warmTaken = true
 		}
 		n := trace.CoupletLen(refs, i)
-		p.total.Couplets++
-		p.total.Refs += int64(n)
+		w.shared.Couplets++
+		w.shared.Refs += int64(n)
 
-		var (
-			flags                    uint8
-			op                       = dNone
-			iAddr, dAddr, iVic, dVic uint64
-		)
+		var c couplet
 		di := i // index of the couplet's data reference, -1 for none
 		switch first := refs[i]; first.Kind {
 		case trace.Ifetch:
-			p.total.Ifetches++
-			addr := first.Extended()
-			flags = flagHasI
-			var res cache.Result
-			if ic.slow == nil {
-				res = ic.c.Read(addr)
-			} else {
-				res = ic.slow.Read(addr)
-			}
-			if !res.Hit {
-				p.total.IfetchMisses++
-				flags |= flagIMiss
-				iAddr = addr
-				iVic = p.fill(ifw, res.Victim)
-			}
+			w.shared.Ifetches++
+			c.hasI = true
+			c.iAddr = first.Extended()
 			di = -1
 			if n == 2 {
 				di = i + 1
@@ -425,92 +458,149 @@ func (p *Profile) simulate(t *trace.Trace, ic, dc *side, chk *check.Checker, exp
 		default:
 			return t.KindError(i)
 		}
-
 		if di >= 0 {
 			// CoupletLen pairs an ifetch only with a load or store, so
 			// the data reference's kind is one of the two.
 			dref := refs[di]
-			addr := dref.Extended()
+			c.dAddr = dref.Extended()
 			if dref.Kind == trace.Load {
-				p.total.Loads++
-				var res cache.Result
-				if dc.slow == nil {
-					res = dc.c.Read(addr)
-				} else {
-					res = dc.slow.Read(addr)
-				}
-				if res.Hit {
-					op = dLoadHit
-				} else {
-					p.total.LoadMisses++
-					op = dLoadMiss
-					flags |= flagDAddr
-					dVic = p.fill(dfw, res.Victim)
-				}
+				w.shared.Loads++
+				c.load = true
 			} else {
-				p.total.Stores++
-				var res cache.Result
-				if dc.slow == nil {
-					res = dc.c.Write(addr)
-				} else {
-					res = dc.slow.Write(addr)
-				}
-				switch {
-				case res.Hit:
-					p.total.StoreHits++
-					op = dStoreHit
-					if wtThrough {
-						p.total.StoreThroughWords++
-						flags |= flagDAddr
-					}
-				case !res.Allocated:
-					p.total.StoreMisses++
-					p.total.StoreThroughWords++
-					op = dStoreMissNoAlloc
-					flags |= flagDAddr
-				default:
-					p.total.StoreMisses++
-					op = dStoreMissAlloc
-					flags |= flagDAddr
-					if wtThrough {
-						p.total.StoreThroughWords++
-					}
-					dVic = p.fill(dfw, res.Victim)
-				}
+				w.shared.Stores++
+				c.store = true
 			}
-			dAddr = addr
 		}
 
-		// A couplet interacts when its ifetch missed or the replay reads
-		// its data address: a data miss or a write-through store.
-		if flags&(flagIMiss|flagDAddr) != 0 {
-			log.add(gap, gapStoreHits, flags, op, iAddr, dAddr, iVic, dVic)
-			gap, gapStoreHits = 0, 0
+		if w.fam != nil {
+			w.probeFamily(ms, &c)
 		} else {
-			gap++
-			if op == dStoreHit {
-				gapStoreHits++
-			}
+			w.probeOne(&ms[0], &c)
+		}
+		w.couplet++
+		if c.store {
+			w.stores++
 		}
 		i += n
 	}
 	if !warmTaken {
-		p.markWarm(log, gap, gapStoreHits, exp)
-		gap, gapStoreHits = 0, 0
+		w.markWarm(ms)
 	}
-	p.tailGap = gap
-	p.tailGapStoreHits = gapStoreHits
+	for k := range ms {
+		m := &ms[k]
+		w.settle(m.p)
+		m.p.tailGap = uint32(w.couplet - m.last.couplet)
+		m.p.tailGapStoreHits = uint32(w.stores - m.last.stores)
+		m.p.events = m.log.take()
+		m.log = eventLog{}
+	}
 	return nil
 }
 
-// markWarm snapshots the counters at the warm-start boundary and appends
-// the marker event that carries the gap pending there. (A method rather
-// than a closure: a closure capturing the gap counters would keep them in
-// memory for the whole pass.)
-func (p *Profile) markWarm(log *eventLog, gap, gapStoreHits uint32, exp *explain.Recorder) {
-	p.warmSnap = p.total
-	exp.MarkWarm()
-	log.add(gap, gapStoreHits, flagMarker, dNone, 0, 0, 0, 0)
+// probeOne drives the couplet through the one cache and logs its event if
+// it interacts: its ifetch missed, or the replay reads its data address (a
+// data miss or a write-through store).
+func (w *walk) probeOne(m *member, c *couplet) {
+	p := m.p
+	var (
+		flags      uint8
+		op         = dNone
+		iVic, dVic uint64
+	)
+	if c.hasI {
+		flags = flagHasI
+		var res cache.Result
+		if w.ic.slow == nil {
+			res = w.ic.c.Read(c.iAddr)
+		} else {
+			res = w.ic.slow.Read(c.iAddr)
+		}
+		if !res.Hit {
+			p.total.IfetchMisses++
+			flags |= flagIMiss
+			iVic = p.fill(w.ifw, res.Victim)
+		}
+	}
+	switch {
+	case c.load:
+		var res cache.Result
+		if w.dc.slow == nil {
+			res = w.dc.c.Read(c.dAddr)
+		} else {
+			res = w.dc.slow.Read(c.dAddr)
+		}
+		if res.Hit {
+			op = dLoadHit
+		} else {
+			p.total.LoadMisses++
+			op = dLoadMiss
+			flags |= flagDAddr
+			dVic = p.fill(w.dfw, res.Victim)
+		}
+	case c.store:
+		var res cache.Result
+		if w.dc.slow == nil {
+			res = w.dc.c.Write(c.dAddr)
+		} else {
+			res = w.dc.slow.Write(c.dAddr)
+		}
+		switch {
+		case res.Hit:
+			op = dStoreHit
+			if w.wt {
+				p.total.StoreThroughWords++
+				flags |= flagDAddr
+			}
+		case !res.Allocated:
+			p.total.StoreMisses++
+			p.total.StoreThroughWords++
+			op = dStoreMissNoAlloc
+			flags |= flagDAddr
+		default:
+			p.total.StoreMisses++
+			op = dStoreMissAlloc
+			flags |= flagDAddr
+			if w.wt {
+				p.total.StoreThroughWords++
+			}
+			dVic = p.fill(w.dfw, res.Victim)
+		}
+	}
+	if flags&(flagIMiss|flagDAddr) != 0 {
+		w.emit(m, c, flags, op, iVic, dVic)
+	}
+}
+
+// emit logs the member's event for the couplet, with the gap since its
+// mark, and moves the mark past the couplet.
+func (w *walk) emit(m *member, c *couplet, flags uint8, op dOp, iVic, dVic uint64) {
+	m.log.add(uint32(w.couplet-m.last.couplet), uint32(w.stores-m.last.stores), flags, op, c.iAddr, c.dAddr, iVic, dVic)
+	m.last = gapMark{w.couplet + 1, w.stores}
+	if c.store {
+		m.last.stores++
+	}
+}
+
+// markWarm snapshots every member's counters at the warm-start boundary
+// and logs each member's marker event with the gap pending there.
+func (w *walk) markWarm(ms []member) {
+	for k := range ms {
+		m := &ms[k]
+		w.settle(m.p)
+		m.p.warmSnap = m.p.total
+		m.log.add(uint32(w.couplet-m.last.couplet), uint32(w.stores-m.last.stores), flagMarker, dNone, 0, 0, 0, 0)
+		m.last = gapMark{w.couplet, w.stores}
+	}
+	w.exp.MarkWarm()
+}
+
+// settle copies the shared reference counts into a member's totals and
+// derives its store hits: every store misses or hits.
+func (w *walk) settle(p *Profile) {
+	tot := &p.total
+	tot.Refs, tot.Couplets = w.shared.Refs, w.shared.Couplets
+	tot.Ifetches, tot.Loads, tot.Stores = w.shared.Ifetches, w.shared.Loads, w.shared.Stores
+	tot.StoreHits = tot.Stores - tot.StoreMisses
 }
 
 // fill accounts the traffic of a read (or write-allocate) miss and returns

@@ -66,10 +66,16 @@ func subAlloc(sizeWords, blockWords, fetchWords int) cache.Config {
 	return cfg
 }
 
+func withRep(cfg cache.Config, rep cache.Replacement) cache.Config {
+	cfg.Replacement = rep
+	return cfg
+}
+
 // TestEngineMatchesSystem asserts that the two-phase engine reproduces the
 // single-phase reference simulator exactly — cycle counts, stall cycles,
 // buffer matches, memory operations and every behavioural counter — across
-// a grid of organizations, timings and traces.
+// a grid of organizations, timings and traces. Random replacement is the
+// paper's; the LRU and FIFO rows cross-check the other policies.
 func TestEngineMatchesSystem(t *testing.T) {
 	traces := crossTraces(t)
 
@@ -88,6 +94,8 @@ func TestEngineMatchesSystem(t *testing.T) {
 		{"tiny", Org{ICache: l1(256, 2, 1, cache.WriteBack, false), DCache: l1(256, 2, 1, cache.WriteBack, false)}},
 		{"subblock", Org{ICache: sub(2048, 16, 4), DCache: sub(2048, 16, 4)}},
 		{"subblock-alloc", Org{ICache: sub(2048, 32, 8), DCache: subAlloc(2048, 32, 8)}},
+		{"2way-lru", Org{ICache: withRep(l1(1024, 4, 2, cache.WriteBack, false), cache.LRU), DCache: withRep(l1(1024, 4, 2, cache.WriteBack, false), cache.LRU)}},
+		{"8way-fifo-alloc", Org{ICache: withRep(l1(2048, 4, 8, cache.WriteBack, false), cache.FIFO), DCache: withRep(l1(2048, 4, 8, cache.WriteBack, true), cache.FIFO)}},
 	}
 	timings := []Timing{
 		{CycleNs: 40, Mem: mem.DefaultConfig(), WriteBufDepth: 4},

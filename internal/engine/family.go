@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/explain"
-	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -151,13 +150,6 @@ func (fs *familySide) write(addr uint64) int {
 // BuildFamily builds the profiles of a direct-mapped size family (see
 // FamilyApplies) in one walk of the trace. Each profile equals
 // BuildProfile's for its organization.
-//
-// Each reference probes the sizes from the smallest upward and stops at
-// the first hit; each size that misses logs its own event, as the
-// per-configuration pass does. Reference counts are kept once for the
-// whole family. A size's gap is the couplets since its last event, and
-// its gap's store hits are the store couplets since then: under
-// write-back without write-allocate, every store outside an event hits.
 func BuildFamily(orgs []Org, t *trace.Trace) ([]*Profile, error) {
 	if !FamilyApplies(orgs, nil, nil) {
 		return nil, errors.New("engine: the organizations do not form a direct-mapped size family")
@@ -169,172 +161,77 @@ func BuildFamily(orgs []Org, t *trace.Trace) ([]*Profile, error) {
 	dcfgs := make([]cache.Config, n)
 	icfgs := make([]cache.Config, n)
 	ps := make([]*Profile, n)
+	ms := make([]member, n)
 	for j, o := range orgs {
 		dcfgs[j], icfgs[j] = o.DCache, o.ICache
 		ps[j] = &Profile{Org: o, TraceName: t.Name}
+		ms[j].p = ps[j]
 	}
-	ds := newFamilySide(dcfgs)
-	is := ds
+	f := &family{ds: newFamilySide(dcfgs), iWB: make([]cache.Writeback, n), dWB: make([]cache.Writeback, n)}
+	f.is = f.ds
 	if !orgs[0].Unified {
-		is = newFamilySide(icfgs)
+		f.is = newFamilySide(icfgs)
 	}
-	w := &familyWalk{
-		ps:    ps,
-		logs:  make([]eventLog, n),
-		last:  make([]gapMark, n),
-		iWB:   make([]cache.Writeback, n),
-		dWB:   make([]cache.Writeback, n),
-		block: ds.blockWords,
-	}
-	if err := w.walk(t, is, ds); err != nil {
+	block := f.ds.blockWords // whole-block fetch
+	w := walk{ifw: block, dfw: block, fam: f}
+	if err := w.run(t, ms); err != nil {
 		return nil, err
-	}
-	for j, p := range ps {
-		p.events = w.logs[j].take()
-		w.logs[j] = eventLog{}
 	}
 	return ps, nil
 }
 
-// gapMark is where a size's current gap began: the couplet after its last
-// event, and how many store couplets preceded that point.
-type gapMark struct {
-	couplet, stores int64
-}
-
-// familyWalk is the state of one BuildFamily walk.
-type familyWalk struct {
-	ps     []*Profile
-	logs   []eventLog
-	last   []gapMark
-	block  int             // fetch words: whole-block fetch
-	shared system.Counters // the reference counts, common to every size
-	// Per size, the victim of the couplet's ifetch and of its data read.
-	// A unified family's two reads probe one side, so they need a slice
-	// each.
+// family is the member state of a BuildFamily walk: its sides and, per
+// size, the victim of the couplet's ifetch and of its data read. A unified
+// family's two reads probe one side, so they need a slice each.
+type family struct {
+	is, ds   *familySide
 	iWB, dWB []cache.Writeback
 }
 
-// walk drives every couplet of the trace through the family.
-func (w *familyWalk) walk(t *trace.Trace, is, ds *familySide) error {
-	refs := t.Refs
-	var couplet, stores int64 // couplets walked, store couplets among them
-	warmTaken := t.WarmStart == 0
-	for i := 0; i < len(refs); {
-		if !warmTaken && i >= t.WarmStart {
-			w.markWarm(couplet, stores)
-			warmTaken = true
-		}
-		n := trace.CoupletLen(refs, i)
-		w.shared.Couplets++
-		w.shared.Refs += int64(n)
-
-		var iAddr, dAddr uint64
-		hasI, store := false, false
-		iHit, dHit := 0, 0 // the first size at which each side hits
-		di := i            // index of the couplet's data reference, -1 for none
-		switch first := refs[i]; first.Kind {
-		case trace.Ifetch:
-			w.shared.Ifetches++
-			iAddr = first.Extended()
-			hasI = true
-			iHit = is.read(iAddr, w.iWB)
-			di = -1
-			if n == 2 {
-				di = i + 1
+// probeFamily drives the couplet through the family. Each reference probes
+// the sizes from the smallest upward and stops at the first hit; the sizes
+// below the larger of the two hits interact, and each logs its own event.
+func (w *walk) probeFamily(ms []member, c *couplet) {
+	f := w.fam
+	iHit, dHit := 0, 0 // the first size at which each side hits
+	if c.hasI {
+		iHit = f.is.read(c.iAddr, f.iWB)
+	}
+	dOps := [2]dOp{dNone, dNone} // the data op where it misses, and where it hits
+	switch {
+	case c.load:
+		dHit = f.ds.read(c.dAddr, f.dWB)
+		dOps = [2]dOp{dLoadMiss, dLoadHit}
+	case c.store:
+		dHit = f.ds.write(c.dAddr)
+		dOps = [2]dOp{dStoreMissNoAlloc, dStoreHit}
+	}
+	for j := range max(iHit, dHit) {
+		p := ms[j].p
+		var (
+			flags      uint8
+			op         = dOps[1]
+			iVic, dVic uint64
+		)
+		if c.hasI {
+			flags = flagHasI
+			if j < iHit {
+				p.total.IfetchMisses++
+				flags |= flagIMiss
+				iVic = p.fill(w.ifw, f.iWB[j])
 			}
-		case trace.Load, trace.Store:
-		default:
-			return t.KindError(i)
 		}
-		dOps := [2]dOp{dNone, dNone} // the data op where it misses, and where it hits
-		if di >= 0 {
-			dref := refs[di]
-			dAddr = dref.Extended()
-			if dref.Kind == trace.Load {
-				w.shared.Loads++
-				dHit = ds.read(dAddr, w.dWB)
-				dOps = [2]dOp{dLoadMiss, dLoadHit}
+		if j < dHit {
+			op = dOps[0]
+			flags |= flagDAddr
+			if c.store {
+				p.total.StoreMisses++
+				p.total.StoreThroughWords++
 			} else {
-				w.shared.Stores++
-				store = true
-				dHit = ds.write(dAddr)
-				dOps = [2]dOp{dStoreMissNoAlloc, dStoreHit}
+				p.total.LoadMisses++
+				dVic = p.fill(w.dfw, f.dWB[j])
 			}
 		}
-
-		// The sizes below the larger of the two hits interact.
-		for j := range max(iHit, dHit) {
-			p := w.ps[j]
-			m := &w.last[j]
-			var (
-				flags      uint8
-				op         = dNone
-				iVic, dVic uint64
-			)
-			if hasI {
-				flags = flagHasI
-				if j < iHit {
-					p.total.IfetchMisses++
-					flags |= flagIMiss
-					iVic = p.fill(w.block, w.iWB[j])
-				}
-			}
-			if di >= 0 {
-				op = dOps[1]
-				if j < dHit {
-					op = dOps[0]
-					flags |= flagDAddr
-					if store {
-						p.total.StoreMisses++
-						p.total.StoreThroughWords++
-					} else {
-						p.total.LoadMisses++
-						dVic = p.fill(w.block, w.dWB[j])
-					}
-				}
-			}
-			w.logs[j].add(uint32(couplet-m.couplet), uint32(stores-m.stores), flags, op, iAddr, dAddr, iVic, dVic)
-			m.couplet = couplet + 1
-			m.stores = stores
-			if store {
-				m.stores++
-			}
-		}
-		couplet++
-		if store {
-			stores++
-		}
-		i += n
-	}
-	if !warmTaken {
-		w.markWarm(couplet, stores)
-	}
-	for j, p := range w.ps {
-		w.settle(p)
-		p.tailGap = uint32(couplet - w.last[j].couplet)
-		p.tailGapStoreHits = uint32(stores - w.last[j].stores)
-	}
-	return nil
-}
-
-// settle copies the family's shared reference counts into a size's
-// totals and derives its store hits: every store misses or hits.
-func (w *familyWalk) settle(p *Profile) {
-	tot := &p.total
-	tot.Refs, tot.Couplets = w.shared.Refs, w.shared.Couplets
-	tot.Ifetches, tot.Loads, tot.Stores = w.shared.Ifetches, w.shared.Loads, w.shared.Stores
-	tot.StoreHits = tot.Stores - tot.StoreMisses
-}
-
-// markWarm snapshots every size's counters at the warm-start boundary and
-// logs each size's marker event with the gap pending there.
-func (w *familyWalk) markWarm(couplet, stores int64) {
-	for j, p := range w.ps {
-		w.settle(p)
-		p.warmSnap = p.total
-		m := &w.last[j]
-		w.logs[j].add(uint32(couplet-m.couplet), uint32(stores-m.stores), flagMarker, dNone, 0, 0, 0, 0)
-		*m = gapMark{couplet, stores}
+		w.emit(&ms[j], c, flags, op, iVic, dVic)
 	}
 }

@@ -66,7 +66,7 @@ func TestProfileCacheKeysWholeOrganization(t *testing.T) {
 // organizations in one walk per trace, with the profiles a
 // per-configuration build gives; profiles_built counts profiles, not
 // walks; and a family declared over sizes already in the cache builds
-// nothing again.
+// nothing again: the unified row is a new group.
 func TestFamilySlots(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	reg := obs.NewRegistry()
@@ -79,31 +79,56 @@ func TestFamilySlots(t *testing.T) {
 	if built := reg.Counter(obs.MProfilesBuilt).Value(); built != n {
 		t.Fatalf("profiles_built = %d, want %d", built, n)
 	}
-	for i, tr := range s.Traces {
-		var fam *familyBuild
-		for _, kb := range sizes {
-			org := orgFor(kb, 4, 1)
+	// oneGroup requires the organizations' slots of trace i to form one
+	// build group of exactly those slots, and returns it.
+	oneGroup := func(i int, orgs []engine.Org) *buildGroup {
+		t.Helper()
+		var g *buildGroup
+		for _, org := range orgs {
 			e := s.profiles[profileKey{traceIdx: i, org: org}]
-			if e == nil || e.fam == nil || (fam != nil && e.fam != fam) {
-				t.Fatalf("%s %d KB: slot %+v is not in the trace's one family", tr.Name, kb, e)
+			if e == nil || (g != nil && e.g != g) {
+				t.Fatalf("%s %v: slot %+v is not in the trace's one group", s.Traces[i].Name, org.DCache, e)
 			}
-			fam = e.fam
+			g = e.g
+		}
+		if len(g.slots) != len(orgs) {
+			t.Fatalf("%s: the group has %d slots, want %d", s.Traces[i].Name, len(g.slots), len(orgs))
+		}
+		return g
+	}
+	split := make([]*buildGroup, len(s.Traces))
+	for i, tr := range s.Traces {
+		var orgs []engine.Org
+		for _, kb := range sizes {
+			orgs = append(orgs, orgFor(kb, 4, 1))
+		}
+		split[i] = oneGroup(i, orgs)
+		for _, org := range orgs {
 			want, err := engine.BuildProfile(org, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(e.p, want) {
-				t.Fatalf("%s %d KB: family profile differs from BuildProfile's", tr.Name, kb)
+			if !reflect.DeepEqual(s.profiles[profileKey{traceIdx: i, org: org}].p, want) {
+				t.Fatalf("%s %v: family profile differs from BuildProfile's", tr.Name, org.DCache)
 			}
 		}
 	}
 	// The split row's sizes are all built; the unified row is a new
-	// family.
+	// group.
 	if _, err := s.RunSplitUnified(context.Background(), []int{16, 32}, 40); err != nil {
 		t.Fatal(err)
 	}
 	if built := reg.Counter(obs.MProfilesBuilt).Value(); built != n+int64(2*len(s.Traces)) {
 		t.Fatalf("profiles_built = %d after split/unified, want %d", built, n+int64(2*len(s.Traces)))
+	}
+	for i := range s.Traces {
+		var unified []engine.Org
+		for _, kb := range []int{16, 32} {
+			unified = append(unified, engine.Org{DCache: l1Config(kb*1024/4, 4, 1), Unified: true})
+		}
+		if g := oneGroup(i, unified); g == split[i] {
+			t.Fatalf("%s: the unified row joined the split row's group", s.Traces[i].Name)
+		}
 	}
 }
 

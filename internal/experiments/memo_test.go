@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,7 +99,8 @@ func TestCellMemoSkipsFailures(t *testing.T) {
 // TestProfileCacheDropsPanickedBuild: a behavioural pass that panics is
 // not cached. The panic reaches the building caller, and the next caller
 // for the same (organization × trace) builds afresh instead of receiving
-// a nil profile with a nil error.
+// a nil profile with a nil error. The same holds for every slot of a
+// declared family whose one walk panics.
 func TestProfileCacheDropsPanickedBuild(t *testing.T) {
 	s := NewSuiteWithTraces([]*trace.Trace{nil}) // a nil trace panics the pass
 	org := orgFor(64, 4, 1)
@@ -117,6 +119,44 @@ func TestProfileCacheDropsPanickedBuild(t *testing.T) {
 	}
 	if p.TraceName != s.Traces[0].Name {
 		t.Fatalf("profile of trace %q, want %q", p.TraceName, s.Traces[0].Name)
+	}
+
+	// A declared family's one walk panics the same way: the panic reaches
+	// the building caller, the family's slots are dropped, and every
+	// organization then gets a fresh profile, counted as built.
+	s = NewSuiteWithTraces([]*trace.Trace{nil})
+	reg := obs.NewRegistry()
+	s.SetExec(ExecOptions{Metrics: reg})
+	orgs := []engine.Org{orgFor(8, 4, 1), orgFor(16, 4, 1), orgFor(32, 4, 1)}
+	s.declareFamily(orgs)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("walking a family over a nil trace did not panic")
+			}
+		}()
+		s.profile(0, orgs[1])
+	}()
+	if len(s.profiles) != 0 {
+		t.Fatalf("%d slots survive the panicked family walk", len(s.profiles))
+	}
+	tr := sweepTestTraces()[0]
+	s.Traces[0] = tr
+	for _, org := range orgs {
+		p, err := s.profile(0, org)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := engine.BuildProfile(org, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("%v: profile after the panicked family walk differs from BuildProfile's", org.DCache)
+		}
+	}
+	if built := reg.Counter(obs.MProfilesBuilt).Value(); built != int64(len(orgs)) {
+		t.Fatalf("profiles_built = %d, want %d", built, len(orgs))
 	}
 }
 

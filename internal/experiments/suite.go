@@ -82,20 +82,15 @@ type Suite struct {
 	evRec *simtrace.Recorder
 }
 
-// profileEntry is a single-flight slot in the profile cache.
+// profileEntry is one slot of the profile cache. Its build group fills
+// it: the slot is ready once the group's Once has run with g.ok set.
 type profileEntry struct {
-	once sync.Once
-	ok   bool // the build returned, with a profile or an error; false after a panic
-	p    *engine.Profile
+	g *buildGroup
+	p *engine.Profile
 	// exp is the warm-window explainability report of the behavioural
 	// pass, nil unless ExecOptions.Explain armed the recorder.
 	exp *explain.Report
 	err error
-
-	// fam, when set, is the size family whose one walk builds this
-	// slot's profile, as fam.profiles[famIdx] (see declareFamily).
-	fam    *familyBuild
-	famIdx int
 }
 
 // profileKey names a profile: the trace and the whole organization.
@@ -104,13 +99,15 @@ type profileKey struct {
 	org      engine.Org
 }
 
-// familyBuild is one trace's direct-mapped size family: the
-// organizations whose profile slots one engine.BuildFamily walk fills.
-type familyBuild struct {
-	once     sync.Once
-	orgs     []engine.Org
-	profiles []*engine.Profile // nil until the walk succeeds
-	err      error
+// buildGroup is the single-flight build of the profile slots one walk of
+// a trace fills: a declared direct-mapped size family (see declareFamily)
+// or one organization.
+type buildGroup struct {
+	once  sync.Once
+	ok    bool // the build returned, with profiles or errors; false after a panic
+	trace int
+	orgs  []engine.Org
+	slots []*profileEntry // slots[k] holds orgs[k]'s profile
 }
 
 // NewSuite generates the eight Table 1 workloads at the given scale
@@ -198,69 +195,93 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 		s.mu.Lock()
 		e, ok := s.profiles[key]
 		if !ok {
-			e = &profileEntry{}
-			s.profiles[key] = e
+			e = s.group(i, []engine.Org{org}).slots[0]
 		}
 		s.mu.Unlock()
-		e.once.Do(func() {
-			// A panicking build drops the slot before the panic leaves
-			// the Once, so callers waiting on it build afresh, as the
-			// cell memo does.
-			defer func() {
-				if !e.ok {
-					s.mu.Lock()
-					delete(s.profiles, key)
-					s.mu.Unlock()
-				}
-			}()
-			rec := explain.Attach(s.exec.Explain)
-			if e.fam != nil && s.exec.SelfCheck == nil && rec == nil {
-				if ps, err := s.buildFamily(i, e.fam); ps != nil || err != nil {
-					if err != nil {
-						e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
-							org.DCache.String(), s.Traces[i].Name, err)
-					} else {
-						e.p = ps[e.famIdx]
-					}
-					e.ok = true
-					return
-				}
-				// The family walk panicked in another caller: build
-				// this slot on its own.
-			}
-			if m := s.exec.Metrics; m != nil {
-				m.Counter(obs.MProfilesBuilt).Add(1)
-			}
-			p, err := engine.BuildProfileExplained(org, s.Traces[i], s.exec.SelfCheck, rec)
-			if err != nil {
-				e.err = fmt.Errorf("experiments: profiling %s against %s: %w",
-					org.DCache.String(), s.Traces[i].Name, err)
-				e.ok = true
-				return
-			}
-			e.p = p
-			s.noteResident(p)
-			if rec.On() {
-				e.exp = rec.ReportWarm()
-				s.recordExplain(e.exp)
-			}
-			e.ok = true
-		})
-		if e.ok {
+		e.g.once.Do(func() { s.build(e.g) })
+		if e.g.ok {
 			return e.p, e.exp, e.err
 		}
 		// The build panicked in another caller and dropped the slot.
 	}
 }
 
+// group makes a build group of the organizations' slots for trace i that
+// the cache does not hold yet. The caller holds s.mu.
+func (s *Suite) group(i int, orgs []engine.Org) *buildGroup {
+	g := &buildGroup{trace: i}
+	for _, org := range orgs {
+		key := profileKey{traceIdx: i, org: org}
+		if _, ok := s.profiles[key]; ok {
+			continue // built, or being built, already
+		}
+		e := &profileEntry{g: g}
+		g.orgs = append(g.orgs, org)
+		g.slots = append(g.slots, e)
+		s.profiles[key] = e
+	}
+	return g
+}
+
+// build fills every slot of the group. A group of several slots is a size
+// family and walks the trace once (engine.BuildFamily); a single
+// organization takes the checked or explained pass if an instrument is
+// armed. A family is never declared while one is armed, and options are
+// set before any sweep runs (SetExec). A panicking build drops the
+// group's slots before the panic leaves the Once, so callers waiting on
+// it build afresh, as the cell memo does.
+func (s *Suite) build(g *buildGroup) {
+	defer func() {
+		if !g.ok {
+			s.mu.Lock()
+			for k, e := range g.slots {
+				if key := (profileKey{traceIdx: g.trace, org: g.orgs[k]}); s.profiles[key] == e {
+					delete(s.profiles, key)
+				}
+			}
+			s.mu.Unlock()
+		}
+	}()
+	tr := s.Traces[g.trace]
+	var ps []*engine.Profile
+	var err error
+	if len(g.slots) > 1 {
+		ps, err = engine.BuildFamily(g.orgs, tr)
+	} else {
+		rec := explain.Attach(s.exec.Explain)
+		var p *engine.Profile
+		if p, err = engine.BuildProfileExplained(g.orgs[0], tr, s.exec.SelfCheck, rec); err == nil {
+			ps = []*engine.Profile{p}
+			if rec.On() {
+				g.slots[0].exp = rec.ReportWarm()
+				s.recordExplain(g.slots[0].exp)
+			}
+		}
+	}
+	bytes := 0
+	for k, e := range g.slots {
+		if err != nil {
+			e.err = fmt.Errorf("experiments: profiling %s against %s: %w", g.orgs[k].DCache.String(), tr.Name, err)
+			continue
+		}
+		e.p = ps[k]
+		bytes += e.p.Bytes()
+	}
+	if m := s.exec.Metrics; m != nil {
+		m.Counter(obs.MProfilesBuilt).Add(int64(len(g.slots)))
+		m.Gauge(obs.MProfileCacheBytes).Add(int64(bytes))
+	}
+	g.ok = true
+}
+
 // declareFamily tells the profile cache that the organizations form a
 // direct-mapped size family (engine.FamilyApplies): for each trace, the
-// first cell to need one of their profiles builds every one not yet in
-// the cache in one engine.BuildFamily walk. The figure code declares
-// the family; the cache never guesses one. Nothing is declared when the
-// organizations are no family, or when the checker or the explain
-// recorder is armed, since those need every access of every
-// configuration. A slot built after either is armed builds on its own.
+// slots of those not yet in the cache form one build group, which the
+// first cell to need one of their profiles fills in one walk. The figure
+// code declares the family; the cache never guesses one. Nothing is
+// declared when the organizations are no family, or when the checker or
+// the explain recorder is armed, since those need every access of every
+// configuration.
 func (s *Suite) declareFamily(orgs []engine.Org) {
 	if len(orgs) < 2 || !engine.FamilyApplies(orgs, s.exec.SelfCheck, explain.Attach(s.exec.Explain)) {
 		return
@@ -268,53 +289,8 @@ func (s *Suite) declareFamily(orgs []engine.Org) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.Traces {
-		fam := &familyBuild{}
-		var slots []*profileEntry
-		for _, org := range orgs {
-			key := profileKey{traceIdx: i, org: org}
-			if _, ok := s.profiles[key]; ok {
-				continue // built, or being built, already
-			}
-			e := &profileEntry{famIdx: len(fam.orgs)}
-			fam.orgs = append(fam.orgs, org)
-			slots = append(slots, e)
-			s.profiles[key] = e
-		}
-		if len(slots) < 2 {
-			continue // a family of one is a plain slot
-		}
-		for _, e := range slots {
-			e.fam = fam
-		}
+		s.group(i, orgs)
 	}
-}
-
-// buildFamily runs the family's walk once, for whichever of its slots
-// needs a profile first, and returns its profiles or its error. Both are
-// nil when the walk panicked: each slot then builds on its own.
-func (s *Suite) buildFamily(i int, fam *familyBuild) ([]*engine.Profile, error) {
-	fam.once.Do(func() {
-		if m := s.exec.Metrics; m != nil {
-			m.Counter(obs.MProfilesBuilt).Add(int64(len(fam.orgs)))
-		}
-		fam.profiles, fam.err = engine.BuildFamily(fam.orgs, s.Traces[i])
-		s.noteResident(fam.profiles...)
-	})
-	return fam.profiles, fam.err
-}
-
-// noteResident adds the bytes of profiles joining the profile cache to
-// the profile_cache_bytes gauge.
-func (s *Suite) noteResident(ps ...*engine.Profile) {
-	m := s.exec.Metrics
-	if m == nil {
-		return
-	}
-	n := 0
-	for _, p := range ps {
-		n += p.Bytes()
-	}
-	m.Gauge(obs.MProfileCacheBytes).Add(int64(n))
 }
 
 // ReplayWarm replays the organization at the timing against every trace
