@@ -44,10 +44,8 @@
 #   allocgate    — allocation budget: the deterministic benchmarks' allocs/op
 #                  and B/op against the checked-in BENCH snapshot
 #                  (bench2json -fail-metrics allocs/op,B/op)
-#   profilegate  — hot-path regression radar: two profiled cachesim runs into
-#                  a scratch ledger, then `simreport perf -gate`; plus the
-#                  profiling on/off overhead benchmark under the same 2%
-#                  budget as telemetrygate
+#   profilegate  — profiling overhead budget: the profiling on/off
+#                  benchmark under the same 2% budget as telemetrygate
 #   explaingate  — explainability contract: a -explain -selfcheck sweep
 #                  (3C conservation asserted inside every run) plus the
 #                  absent-vs-disabled overhead benchmark under the same 2%
@@ -200,31 +198,24 @@ telemetrygate:
 # replay and the system simulator), diffed against the checked-in snapshot.
 # allocs/op is exact, so any growth is a real new allocation on the hot
 # path; the 3% headroom only absorbs B/op rounding from size-class drift.
-# The sed strips the -GOMAXPROCS name suffix so the gate works on any
-# machine; removed-benchmark lines in the diff are expected (the snapshot
-# holds the full suite, the gate reruns only the deterministic subset).
+# bench2json stores names without the -GOMAXPROCS suffix, so the gate works
+# on any machine; removed-benchmark lines in the diff are expected (the
+# snapshot holds the full suite, the gate reruns only the deterministic
+# subset).
 allocgate:
 	@rm -rf .allocgate && mkdir -p .allocgate
 	@$(GO) test -run '^$$' -bench 'Table1Traces$$|BehavioralPass$$|TimingReplay$$|SystemSimulator$$' -benchmem . \
-		| sed -E 's/^(Benchmark[A-Za-z0-9_]+)-[0-9]+/\1/' \
 		| $(GO) run ./cmd/bench2json -o .allocgate/new.json
 	$(GO) run ./cmd/bench2json -diff -fail-over 3 -fail-metrics allocs/op,B/op \
 		BENCH_20261019.json .allocgate/new.json
 	@rm -rf .allocgate
 
-# Hot-path regression radar, both halves of the profiling contract:
-# (1) two profiled runs into a scratch ledger must agree — `simreport perf
-# -gate` diffs the second run's allocation fingerprint against the first
-# under the noise-aware share-point thresholds, so a function newly hot on
-# the capture path fails the gate; (2) the profiling on/off overhead
-# benchmark (CPU profiler armed at 100 Hz + dense heap sampling around the
-# same simulation) through overhead_gate, each round measuring three
-# off/on pairs (the measured overhead itself is ~0–2%).
+# Profiling overhead budget: the profiling on/off benchmark (CPU profiler
+# armed at 100 Hz + dense heap sampling around the same simulation)
+# through overhead_gate, each round measuring three off/on pairs (the
+# measured overhead itself is ~0–2%).
 profilegate:
-	@rm -rf .profilegate && mkdir -p .profilegate
-	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
-	$(GO) run ./cmd/cachesim -workload all -scale 0.25 -ledger .profilegate -profile .profilegate/profiles >/dev/null
-	$(GO) run ./cmd/simreport perf -ledger .profilegate -gate
+	@rm -rf .profilegate
 	$(call overhead_gate,profilegate,ProfileOverhead,off,on,150x)
 	@rm -rf .profilegate
 

@@ -7,8 +7,8 @@
 // The snapshot keeps every metric the benchmark reported (ns/op, B/op,
 // allocs/op and custom b.ReportMetric units such as refs/s), so `make bench`
 // runs taken weeks apart can be compared without re-running the baseline.
-// Diff output flags regressions: a positive ns/op delta means the new run is
-// slower.
+// Benchmark names are stored without the -GOMAXPROCS suffix. Diff output
+// flags regressions: a positive ns/op delta means the new run is slower.
 package main
 
 import (
@@ -164,6 +164,9 @@ func Parse(r io.Reader) (*Snapshot, error) {
 // parseBenchLine parses e.g.
 //
 //	BenchmarkFigure3_1-8  5  230123456 ns/op  96 B/op  2 allocs/op  9.8e+04 refs
+//
+// dropping the -GOMAXPROCS suffix (-8) that go test appends when
+// GOMAXPROCS > 1, so snapshots from machines of any width compare by name.
 func parseBenchLine(line string) (Bench, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
@@ -173,7 +176,13 @@ func parseBenchLine(line string) (Bench, bool) {
 	if err != nil {
 		return Bench{}, false
 	}
-	b := Bench{Name: f[0], Iters: iters, Metrics: map[string]float64{}}
+	name := f[0]
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	b := Bench{Name: name, Iters: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

@@ -28,7 +28,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("benches = %+v", snap.Benches)
 	}
 	b := snap.Benches[0]
-	if b.Name != "BenchmarkFigure3_1-8" || b.Iters != 5 {
+	if b.Name != "BenchmarkFigure3_1" || b.Iters != 5 {
 		t.Errorf("bench[0] = %+v", b)
 	}
 	want := map[string]float64{"ns/op": 230123456, "refs": 98304, "B/op": 96, "allocs/op": 2}
@@ -36,6 +36,14 @@ func TestParse(t *testing.T) {
 		if b.Metrics[unit] != v {
 			t.Errorf("%s = %v, want %v", unit, b.Metrics[unit], v)
 		}
+	}
+	// A snapshot of `make bench` output names benchmarks as allocgate does.
+	snap, err = Parse(strings.NewReader("BenchmarkBehavioralPass-2  26  44000000 ns/op  280000 B/op  26 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Benches) != 1 || snap.Benches[0].Name != "BenchmarkBehavioralPass" {
+		t.Errorf("suffixed bench = %+v", snap.Benches)
 	}
 }
 

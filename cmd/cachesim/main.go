@@ -77,7 +77,7 @@ func run() error {
 		eventsOut = flag.String("events", "", "write the run's timeline events to this file as Chrome trace-event JSON (load in Perfetto)")
 		manifest  = flag.String("manifest", "", "write a run manifest JSON here (includes attribution and warm-up when armed)")
 		ledgerDir = flag.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
-		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); the digest lands in the manifest as perf and, with -ledger, in the run record for `simreport perf`")
+		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept) and list them in the manifest; read them with go tool pprof")
 	)
 	flag.Parse()
 
@@ -133,7 +133,7 @@ func run() error {
 	}
 
 	// The run record brackets the whole run — trace generation through
-	// reporting — so its phases and the -profile digest see the same hot
+	// reporting — so its phases and the -profile capture see the same hot
 	// paths a production sweep would. Without -profile no capture runs and
 	// output is bit-identical.
 	run, err := obs.StartRun(obs.RunID(), *profDir)
@@ -370,8 +370,9 @@ func run() error {
 		}
 	}
 	// Finish the run before the manifest/ledger block so the phases and
-	// the digest land in both. The capture snapshots the heap profile after
-	// a forced GC, so the report phase's allocations are attributed too.
+	// the profile paths land in both. The capture snapshots the heap
+	// profile after a forced GC, so the report phase's allocations are
+	// attributed too.
 	sum, err := run.Finish(reg)
 	if err != nil {
 		return err

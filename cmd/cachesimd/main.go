@@ -87,7 +87,7 @@ func run() error {
 		probeIv    = flag.Duration("probe-interval", 0, "degraded-mode storage probe cadence, also the Retry-After on degraded refusals (0 = default 2s)")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM; in-flight jobs past it are checkpointed for the next start")
 		faultsSpec = flag.String("faults", "", "chaos: fault-injection plan for every job's cells (e.g. seed=1,panic=0.02,transient=0.1)")
-		profileDir = flag.String("profile", "", "capture per-job CPU+heap pprof profiles into DIR/<job-id>/ (the 16 newest are kept), with the digest in the job's ledger record; overlapping jobs share one process-global CPU profiler, so only the first overlapping job is profiled")
+		profileDir = flag.String("profile", "", "capture per-job CPU+heap pprof profiles into DIR/<job-id>/ (the 16 newest are kept); read them with go tool pprof; overlapping jobs share one process-global CPU profiler, so only the first overlapping job is profiled")
 		debugAddr  = flag.String("debug-addr", "", "also serve /debug/vars, /debug/pprof, /metrics and /debug/dashboard on this address")
 		telem      = flag.Bool("telemetry", true, "record request/job/cell/attempt spans and export job traces (metrics stay on regardless)")
 		verbose    = flag.Bool("v", false, "debug-level logging")

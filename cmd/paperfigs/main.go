@@ -174,7 +174,7 @@ func run() (err error) {
 
 		progress  = flag.Duration("progress", 0, "print sweep progress/ETA lines to stderr at this interval (0 = off)")
 		debugAddr = flag.String("debug-addr", "", "serve live expvar and pprof on this address (e.g. :8080; :0 picks a free port)")
-		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); arms the manifest, where the digest lands as perf, and with -ledger the run record")
+		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); arms the manifest, which lists them; read them with go tool pprof")
 		manifest  = flag.String("manifest", "", "write the run manifest JSON here (default when observability is on: <checkpoint>.manifest.json, else paperfigs.manifest.json)")
 		ledgerDir = flag.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
 		logLevel  = flag.String("log", "info", "structured log level on stderr: debug, info, warn, error")
@@ -329,9 +329,9 @@ func run() (err error) {
 			m.Checkpoint = &obs.ManifestCheckpoint{Path: *ckpt}
 		}
 		defer func() {
-			// Finish the run first so the phases, the digest and the
-			// profile paths land in the manifest (and the ledger projection
-			// below) even on interrupted or failed runs.
+			// Finish the run first so the phases and the profile paths
+			// land in the manifest (and the ledger projection below) even
+			// on interrupted or failed runs.
 			if sum, ferr := run.Finish(reg); ferr != nil {
 				logger.Error("profile capture failed", "err", ferr)
 			} else if sum.Dir != "" {

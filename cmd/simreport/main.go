@@ -7,10 +7,7 @@
 //	simreport show -ledger DIR [RUN]        # one run in full, with trends
 //	simreport diff -ledger DIR [OLD NEW]    # two runs metric by metric
 //	simreport gate -ledger DIR [-tolerance 5]  # exit 1 on regression
-//	simreport perf -ledger DIR [RUN]        # a profiled run's hot-path fingerprint
-//	simreport perf -ledger DIR -gate        # exit 1 on hot-path regression
 //	simreport explain -ledger DIR [RUN]     # an explained run's 3C/reuse/heat panels
-//	simreport flame FILE.pprof              # top-down text call tree of a profile
 //	simreport html -ledger DIR -o report.html  # self-contained HTML report
 //
 // RUN selectors are "latest", "prev", a run id, or a unique run-id prefix.
@@ -50,9 +47,7 @@ commands:
   show   render one run in full, with trend sparklines for its config
   diff   compare two runs metric by metric (-json for machine output)
   gate   fail (exit 1) when the newest run regressed beyond tolerance
-  perf   show, diff or gate profiled runs' hot-path fingerprints
   explain  render an explained run's 3C classification, reuse and heat panels
-  flame  render a captured pprof file as a top-down text call tree
   html   write a self-contained HTML report of the whole ledger
 
 common flags:
@@ -84,16 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return code
 		}
 		err = gerr
-	case "perf":
-		code, perr := cmdPerf(rest, stdout, stderr)
-		if perr == nil {
-			return code
-		}
-		err = perr
 	case "explain":
 		err = cmdExplain(rest, stdout, stderr)
-	case "flame":
-		err = cmdFlame(rest, stdout, stderr)
 	case "html":
 		err = cmdHTML(rest, stdout, stderr)
 	case "help", "-h", "-help", "--help":

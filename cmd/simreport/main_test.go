@@ -155,6 +155,14 @@ func TestGateEndToEnd(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "gate: ok") {
 		t.Errorf("clean ledger: exit %d\n%s", code, out)
 	}
+
+	// Records written when runs still ledgered a profile digest carry a
+	// "perf" object. They load whole (the checksum covers the unchanged
+	// payload), none counts as corrupt, and the gate reads all four.
+	code, out, errb = runCmd(t, "gate", "-ledger", filepath.Join("testdata", "perf", "ledger.ndjson"))
+	if code != 0 || errb != "" || !strings.Contains(out, "(3 prior run(s))") || !strings.Contains(out, "gate: ok") {
+		t.Errorf("ledger with perf records: exit %d, stderr %q\n%s", code, errb, out)
+	}
 }
 
 // TestGateSkipsFirstRun: a first ledgered run exits 0 with an explanation,

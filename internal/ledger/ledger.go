@@ -24,7 +24,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/explain"
 	"repro/internal/obs"
-	"repro/internal/perfobs"
 )
 
 // SchemaVersion is stamped into every record this build appends. Readers
@@ -99,11 +98,6 @@ type Record struct {
 	// Warmup maps trace name → first warm-stable reference, from the
 	// interval instrument's stabilization estimator.
 	Warmup map[string]int64 `json:"warmup,omitempty"`
-	// Perf is the run's profile fingerprint (top functions by CPU self-time
-	// and allocation share), present when the run captured profiles via
-	// -profile. It sits next to CPI and latency so `simreport perf` can
-	// trend and gate hot-path composition the way `gate` trends totals.
-	Perf *perfobs.Fingerprint `json:"perf,omitempty"`
 	// Explain is the run's merged explainability report (3C miss classes,
 	// reuse-distance histograms, set pressure), present when the run armed
 	// -explain. `simreport diff` turns its 3C totals into composition-shift
@@ -158,7 +152,6 @@ func FromManifest(m *obs.Manifest, tool string) Record {
 		rec.CPI = float64(rec.TotalCycles) / float64(rec.Refs)
 	}
 	rec.Explain = m.Explain
-	rec.Perf = m.Perf
 	if len(m.Warmup) > 0 {
 		rec.Warmup = make(map[string]int64, len(m.Warmup))
 		for _, w := range m.Warmup {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/perfobs"
 )
 
 func sampleRecord(id string, cycles int64) Record {
@@ -246,7 +245,6 @@ func TestFromManifest(t *testing.T) {
 	m.Throughput = obs.ManifestThroughput{RefsSimulated: 50_000, RefsPerSec: 1000, CellsPerSec: 2}
 	m.Attribution = map[string]int64{"base_issue": 60_000, "mem_wait": 15_000}
 	m.Warmup = []obs.ManifestWarmup{{Trace: "mu3", Window: 3, StartRef: 12_288}}
-	m.Perf = &perfobs.Fingerprint{AllocBytes: 4096}
 
 	rec := FromManifest(m, "paperfigs")
 	if rec.Schema != SchemaVersion || rec.RunID != "r-1" || rec.Tool != "paperfigs" {
@@ -272,9 +270,6 @@ func TestFromManifest(t *testing.T) {
 	}
 	if rec.Env.GoVersion != m.Host.GoVersion || rec.Env.GOMAXPROCS != m.Host.GOMAXPROCS {
 		t.Errorf("env = %+v", rec.Env)
-	}
-	if rec.Perf != m.Perf {
-		t.Errorf("perf = %+v, want the manifest's fingerprint", rec.Perf)
 	}
 }
 
@@ -314,8 +309,8 @@ func TestRunRecordsOneID(t *testing.T) {
 			t.Errorf("profile %s is not under the run's directory", p.Path)
 		}
 	}
-	if rec.Perf == nil || rec.Perf != m.Perf || len(rec.Perf.PhaseAllocs) != 1 {
-		t.Errorf("record perf = %+v, want the manifest's fingerprint with its phase", rec.Perf)
+	if len(m.Profiles) != 2 || len(m.PhaseAllocs) != 1 {
+		t.Errorf("manifest profiles %+v, phase_allocs %+v; want cpu and heap, one phase", m.Profiles, m.PhaseAllocs)
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/perfobs"
+	"repro/internal/perfobs/pproftest"
 )
 
 // TestDebugProfileConcurrent409: while one CPU capture streams, a second
@@ -71,9 +74,11 @@ func TestDebugProfileConcurrent409(t *testing.T) {
 	if r.status != http.StatusOK {
 		t.Fatalf("first capture status = %d; body: %s", r.status, r.body)
 	}
-	if _, err := perfobs.Parse(r.body); err != nil {
-		t.Fatalf("first capture is not a decodable profile: %v", err)
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := os.WriteFile(path, r.body, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	pproftest.RequireDecodes(t, path)
 }
 
 // TestDebugProfileConflictsWithRunCapture: when a run-level perfobs capture

@@ -75,9 +75,6 @@ type Manifest struct {
 	// PhaseAllocs breaks the run's allocation totals down per phase
 	// (runtime/metrics deltas around the same marks Phases times).
 	PhaseAllocs []perfobs.PhaseAlloc `json:"phase_allocs,omitempty"`
-	// Perf is the digest of the captured profiles (top functions by CPU
-	// self-time and allocation share), present when the run captured them.
-	Perf *perfobs.Fingerprint `json:"perf,omitempty"`
 }
 
 // ManifestProfile references one captured pprof profile file.

@@ -48,9 +48,8 @@ func StartRun(id, profileDir string) (*Run, error) {
 func (r *Run) ID() string { return r.Manifest.RunID }
 
 // Phase closes the open phase and opens the named one. This is the run's
-// one phase clock: the manifest's phases and phase_allocs, the profile
-// fingerprint's phase allocations and the Progress breakdown all read
-// these marks.
+// one phase clock: the manifest's phases and phase_allocs and the Progress
+// breakdown all read these marks.
 func (r *Run) Phase(name string) { r.marks.Mark(name) }
 
 // Progress starts a progress reporter on the run's phase clock, printing
@@ -63,8 +62,8 @@ func (r *Run) Progress(w io.Writer, reg *Registry, interval time.Duration) {
 // Finish completes the record. It stops the reporter (which prints its
 // final line and breakdown), closes the open phase and fills the
 // manifest's wall time, Phases and PhaseAllocs and, given a registry, its
-// cell tallies, latency and throughput. With a capture it stops and
-// digests it into Profiles and Perf, and returns what it wrote. Later
+// cell tallies, latency and throughput. With a capture it stops it, lists
+// the written files in Profiles and returns what it wrote. Later
 // calls do nothing, so a deferred Finish releases the profiler on early
 // error returns.
 func (r *Run) Finish(reg *Registry) (perfobs.Summary, error) {
@@ -90,12 +89,6 @@ func (r *Run) Finish(reg *Registry) (perfobs.Summary, error) {
 	if err != nil {
 		return sum, err
 	}
-	fp, err := r.capt.Fingerprint(0)
-	if err != nil {
-		return sum, err
-	}
-	fp.PhaseAllocs = phases
-	m.Perf = fp
 	m.Profiles = []ManifestProfile{
 		{Kind: "cpu", Path: sum.CPUPath, Bytes: sum.CPUBytes},
 		{Kind: "heap", Path: sum.HeapPath, Bytes: sum.HeapBytes},

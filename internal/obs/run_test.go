@@ -8,7 +8,7 @@ import (
 
 // TestRunFinishRecordsPhases: a run finished with no reporter and no
 // capture still carries phases and phase_allocs, in mark order and with
-// matching names, and no profile digest.
+// matching names, and no profiles.
 func TestRunFinishRecordsPhases(t *testing.T) {
 	run, err := StartRun("run-1", "")
 	if err != nil {
@@ -22,8 +22,8 @@ func TestRunFinishRecordsPhases(t *testing.T) {
 		t.Fatalf("Finish = %+v, %v; want no capture", sum, err)
 	}
 	m := run.Manifest
-	if m.RunID != "run-1" || m.Perf != nil || m.Profiles != nil {
-		t.Errorf("manifest id %q, perf %v, profiles %v", m.RunID, m.Perf, m.Profiles)
+	if m.RunID != "run-1" || m.Profiles != nil {
+		t.Errorf("manifest id %q, profiles %v", m.RunID, m.Profiles)
 	}
 	if len(m.Phases) != 3 || len(m.PhaseAllocs) != 3 {
 		t.Fatalf("phases %+v, phase_allocs %+v; want 3 of each", m.Phases, m.PhaseAllocs)

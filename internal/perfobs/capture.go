@@ -1,3 +1,14 @@
+// Package perfobs is the performance observatory, off by default. It
+// captures CPU and heap pprof profiles per run with bounded retention,
+// samples runtime/metrics around a run's phases (allocations, GC pauses,
+// heap goal, scheduler latency), and holds the one noise rule every
+// run-to-run comparison applies. The captured files are plain pprof
+// profiles: `go tool pprof` reads them, with -top, -tree, -diff_base and
+// -raw.
+//
+// Nothing here runs inside the simulator's inner loop: capture brackets a
+// whole run and runtime sampling is scrape-time only. With no -profile flag
+// the simulator output is bit-identical to an unprofiled build.
 package perfobs
 
 import (
@@ -146,18 +157,6 @@ func (c *Capture) Stop() (Summary, error) {
 // String renders the summary as the one-line note the CLIs print.
 func (s Summary) String() string {
 	return fmt.Sprintf("%s (cpu %dB, heap %dB)", s.Dir, s.CPUBytes, s.HeapBytes)
-}
-
-// Fingerprint digests the capture's profile files. Call after Stop.
-func (c *Capture) Fingerprint(topN int) (*Fingerprint, error) {
-	if c == nil || !c.stopped {
-		return nil, fmt.Errorf("perfobs: fingerprint before Stop")
-	}
-	return FingerprintFiles(
-		filepath.Join(c.runDir, CPUProfileName),
-		filepath.Join(c.runDir, HeapProfileName),
-		topN,
-	)
 }
 
 // Prune removes the oldest run directories under dir beyond keep, by

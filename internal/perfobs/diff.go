@@ -1,7 +1,6 @@
 package perfobs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -12,7 +11,7 @@ import (
 // observed run-to-run noise), where the noise is the sample standard
 // deviation over earlier runs of the same configuration (see SampleSD).
 // Ledger metrics move in relative percent. Shares move in absolute
-// percentage points: a function going from 0.1% to 0.3% of allocations
+// percentage points: a component going from 0.1% to 0.3% of a total
 // tripled but does not matter; 30% → 36% does.
 type Thresholds struct {
 	// Tolerance is the minimum movement that flags regardless of noise:
@@ -88,50 +87,31 @@ func RelNoisePct(vals []float64) float64 {
 	return 100 * math.Abs(sd/mean)
 }
 
-// FuncDelta is one function's share compared between two fingerprints.
+// FuncShare is one component's share of a composition: a function's share
+// of a profile dimension, a miss class's share of the misses.
+type FuncShare struct {
+	Func string `json:"func"`
+	// Value is the component's cost in the composition's unit.
+	Value int64 `json:"value"`
+	// SharePct is Value as a percentage of the composition total.
+	SharePct float64 `json:"share_pct"`
+}
+
+// FuncDelta is one component's share compared between two compositions.
 type FuncDelta struct {
 	Func   string  `json:"func"`
 	OldPct float64 `json:"old_pct"`
 	NewPct float64 `json:"new_pct"`
 	// DeltaPts is NewPct - OldPct in percentage points.
 	DeltaPts float64 `json:"delta_pts"`
-	// NoisePts is the function's share standard deviation over the history
-	// fingerprints; ThresholdPts the effective flag threshold.
+	// NoisePts is the component's share standard deviation over the
+	// history compositions; ThresholdPts the effective flag threshold.
 	NoisePts     float64 `json:"noise_pts"`
 	ThresholdPts float64 `json:"threshold_pts"`
-	// New marks a function present now but absent from the baseline.
+	// New marks a component present now but absent from the baseline.
 	New bool `json:"new,omitempty"`
 	// Regression marks the delta as beyond threshold in the bad direction.
 	Regression bool `json:"regression,omitempty"`
-}
-
-// Diff compares two fingerprints dimension by dimension.
-type Diff struct {
-	CPU  []FuncDelta `json:"cpu,omitempty"`
-	Heap []FuncDelta `json:"heap,omitempty"`
-	// AllocBytesPct is the relative change in total allocated bytes,
-	// when both sides measured it.
-	AllocBytesPct float64 `json:"alloc_bytes_pct,omitempty"`
-}
-
-// Regressions returns the flagged deltas: always the heap dimension (alloc
-// shares are near-deterministic), plus CPU when gateCPU is set (CPU shares
-// are sampled, so they gate only on request).
-func (d Diff) Regressions(gateCPU bool) []FuncDelta {
-	var out []FuncDelta
-	for _, fd := range d.Heap {
-		if fd.Regression {
-			out = append(out, fd)
-		}
-	}
-	if gateCPU {
-		for _, fd := range d.CPU {
-			if fd.Regression {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
 }
 
 // shareMap flattens a share table to func → share points.
@@ -143,10 +123,10 @@ func shareMap(shares []FuncShare) map[string]float64 {
 	return m
 }
 
-// shareNoise computes each function's share standard deviation over the
-// history tables. A fingerprint where the function fell outside the top N
-// counts as share 0 — slightly inflating noise for borderline functions,
-// which errs on the quiet side.
+// shareNoise computes each component's share standard deviation over the
+// history tables. A table missing the component counts it as share 0 —
+// slightly inflating noise for borderline components, which errs on the
+// quiet side.
 func shareNoise(history [][]FuncShare) map[string]float64 {
 	if len(history) < 2 {
 		return nil
@@ -170,9 +150,13 @@ func shareNoise(history [][]FuncShare) map[string]float64 {
 	return noise
 }
 
-// diffShares compares one dimension's share tables. history carries that
-// same dimension from earlier runs of the configuration, for noise.
-func diffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []FuncDelta {
+// DiffShares compares two named composition tables (share points per
+// component) under the noise-aware thresholds, for any share-of-total
+// composition, like the ledger's 3C miss-class shifts. history supplies
+// the same composition from earlier runs (for noise); zero-valued th
+// fields fall back to DefaultThresholds.
+func DiffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []FuncDelta {
+	th = th.orDefaults()
 	oldM, newM := shareMap(oldS), shareMap(newS)
 	noise := shareNoise(history)
 	names := make([]string, 0, len(oldM)+len(newM))
@@ -202,7 +186,7 @@ func diffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []
 			New:      !inOld,
 		}
 		if fd.New {
-			// A function the baseline never saw: flag when it arrives hot.
+			// A component the baseline never saw: flag when it arrives hot.
 			fd.ThresholdPts = th.MinSharePts
 			fd.Regression = newPct >= th.MinSharePts
 		} else {
@@ -217,52 +201,4 @@ func diffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []
 		return out[i].Func < out[j].Func
 	})
 	return out
-}
-
-// DiffShares compares two named composition tables (share points per
-// component) under the noise-aware thresholds — the same machinery
-// DiffFingerprints applies to profile function shares, exported for any
-// share-of-total composition, like the ledger's 3C miss-class shifts.
-// history supplies the same composition from earlier runs (for noise);
-// zero-valued th fields fall back to DefaultThresholds.
-func DiffShares(oldS, newS []FuncShare, history [][]FuncShare, th Thresholds) []FuncDelta {
-	return diffShares(oldS, newS, history, th.orDefaults())
-}
-
-// DiffFingerprints compares oldFp → newFp. history supplies earlier
-// fingerprints of the same configuration (oldest first, excluding newFp)
-// for the noise-aware thresholds; it may be empty or nil.
-func DiffFingerprints(oldFp, newFp *Fingerprint, history []*Fingerprint, th Thresholds) Diff {
-	th = th.orDefaults()
-	var cpuHist, heapHist [][]FuncShare
-	for _, h := range history {
-		if h == nil {
-			continue
-		}
-		if len(h.CPU) > 0 {
-			cpuHist = append(cpuHist, h.CPU)
-		}
-		if len(h.Heap) > 0 {
-			heapHist = append(heapHist, h.Heap)
-		}
-	}
-	var d Diff
-	if len(oldFp.CPU) > 0 || len(newFp.CPU) > 0 {
-		d.CPU = diffShares(oldFp.CPU, newFp.CPU, cpuHist, th)
-	}
-	if len(oldFp.Heap) > 0 || len(newFp.Heap) > 0 {
-		d.Heap = diffShares(oldFp.Heap, newFp.Heap, heapHist, th)
-	}
-	if oldFp.AllocBytes > 0 && newFp.AllocBytes > 0 {
-		d.AllocBytesPct = 100 * float64(newFp.AllocBytes-oldFp.AllocBytes) / float64(oldFp.AllocBytes)
-	}
-	return d
-}
-
-// String renders one delta as a report line fragment.
-func (fd FuncDelta) String() string {
-	if fd.New {
-		return fmt.Sprintf("%s: new hot function at %.1f%% (flag floor %.1f pts)", fd.Func, fd.NewPct, fd.ThresholdPts)
-	}
-	return fmt.Sprintf("%s: %.1f%% -> %.1f%% (%+.1f pts, threshold %.1f)", fd.Func, fd.OldPct, fd.NewPct, fd.DeltaPts, fd.ThresholdPts)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/perfobs/pproftest"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -40,16 +41,7 @@ func TestCaptureStartStop(t *testing.T) {
 		t.Fatalf("summary = %+v, want both profiles written", sum)
 	}
 	for _, path := range []string{sum.CPUPath, sum.HeapPath} {
-		if _, err := Parse(mustRead(t, path)); err != nil {
-			t.Fatalf("captured %s does not decode: %v", path, err)
-		}
-	}
-	fp, err := c.Fingerprint(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fp.Heap) == 0 || fp.AllocBytes <= 0 {
-		t.Fatalf("fingerprint heap dimension empty: %+v", fp)
+		pproftest.RequireDecodes(t, path)
 	}
 	// Stopped: the profiler is free again.
 	c2, err := Start(dir, "run3")
@@ -63,15 +55,6 @@ func TestCaptureStartStop(t *testing.T) {
 	if _, err := c2.Stop(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func mustRead(t *testing.T, path string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestPruneRetention(t *testing.T) {
@@ -112,15 +95,21 @@ func TestPruneRetention(t *testing.T) {
 	}
 }
 
-func fp(shares ...FuncShare) *Fingerprint {
-	return &Fingerprint{Heap: shares, AllocBytes: 1 << 20}
+// flagged returns the deltas DiffShares marked as regressions.
+func flagged(deltas []FuncDelta) []FuncDelta {
+	var out []FuncDelta
+	for _, fd := range deltas {
+		if fd.Regression {
+			out = append(out, fd)
+		}
+	}
+	return out
 }
 
-func TestDiffFingerprintsShareGrowth(t *testing.T) {
-	oldFp := fp(FuncShare{"gen", 70 << 10, 70}, FuncShare{"sim", 30 << 10, 30})
-	newFp := fp(FuncShare{"gen", 58 << 10, 58}, FuncShare{"sim", 42 << 10, 42})
-	d := DiffFingerprints(oldFp, newFp, nil, Thresholds{})
-	regs := d.Regressions(false)
+func TestDiffSharesShareGrowth(t *testing.T) {
+	oldS := []FuncShare{{"gen", 70 << 10, 70}, {"sim", 30 << 10, 30}}
+	newS := []FuncShare{{"gen", 58 << 10, 58}, {"sim", 42 << 10, 42}}
+	regs := flagged(DiffShares(oldS, newS, nil, Thresholds{}))
 	if len(regs) != 1 || regs[0].Func != "sim" {
 		t.Fatalf("regressions = %+v, want just sim", regs)
 	}
@@ -129,58 +118,43 @@ func TestDiffFingerprintsShareGrowth(t *testing.T) {
 	}
 }
 
-func TestDiffFingerprintsNewHotFunction(t *testing.T) {
-	oldFp := fp(FuncShare{"gen", 100 << 10, 100})
-	newFp := fp(FuncShare{"gen", 60 << 10, 60}, FuncShare{"leak", 40 << 10, 40})
-	d := DiffFingerprints(oldFp, newFp, nil, Thresholds{})
+func TestDiffSharesNewHotComponent(t *testing.T) {
+	oldS := []FuncShare{{"gen", 100 << 10, 100}}
+	newS := []FuncShare{{"gen", 60 << 10, 60}, {"leak", 40 << 10, 40}}
 	var hit *FuncDelta
-	for i := range d.Heap {
-		if d.Heap[i].Func == "leak" {
-			hit = &d.Heap[i]
+	d := DiffShares(oldS, newS, nil, Thresholds{})
+	for i := range d {
+		if d[i].Func == "leak" {
+			hit = &d[i]
 		}
 	}
 	if hit == nil || !hit.New || !hit.Regression {
-		t.Fatalf("leak delta = %+v, want flagged as new hot function", hit)
+		t.Fatalf("leak delta = %+v, want flagged as new hot component", hit)
 	}
 	// The same newcomer below the floor is churn, not a regression.
-	small := fp(FuncShare{"gen", 95 << 10, 95}, FuncShare{"tiny", 5 << 10, 5})
-	d2 := DiffFingerprints(oldFp, small, nil, Thresholds{})
-	if regs := d2.Regressions(false); len(regs) != 0 {
+	small := []FuncShare{{"gen", 95 << 10, 95}, {"tiny", 5 << 10, 5}}
+	if regs := flagged(DiffShares(oldS, small, nil, Thresholds{})); len(regs) != 0 {
 		t.Fatalf("small newcomer flagged: %+v", regs)
 	}
 }
 
-func TestDiffFingerprintsNoiseWidensThreshold(t *testing.T) {
+func TestDiffSharesNoiseWidensThreshold(t *testing.T) {
 	// History shows "gen" wobbling several points between identical runs;
 	// the same wobble again must not flag, though it exceeds the 5-point
 	// tolerance alone.
-	history := []*Fingerprint{
-		fp(FuncShare{"gen", 0, 60}, FuncShare{"sim", 0, 40}),
-		fp(FuncShare{"gen", 0, 68}, FuncShare{"sim", 0, 32}),
-		fp(FuncShare{"gen", 0, 61}, FuncShare{"sim", 0, 39}),
+	history := [][]FuncShare{
+		{{"gen", 0, 60}, {"sim", 0, 40}},
+		{{"gen", 0, 68}, {"sim", 0, 32}},
+		{{"gen", 0, 61}, {"sim", 0, 39}},
 	}
-	oldFp := fp(FuncShare{"gen", 0, 60}, FuncShare{"sim", 0, 40})
-	newFp := fp(FuncShare{"gen", 0, 67}, FuncShare{"sim", 0, 33})
-	d := DiffFingerprints(oldFp, newFp, history, Thresholds{})
-	if regs := d.Regressions(false); len(regs) != 0 {
+	oldS := []FuncShare{{"gen", 0, 60}, {"sim", 0, 40}}
+	newS := []FuncShare{{"gen", 0, 67}, {"sim", 0, 33}}
+	if regs := flagged(DiffShares(oldS, newS, history, Thresholds{})); len(regs) != 0 {
 		t.Fatalf("historically noisy wobble flagged: %+v", regs)
 	}
 	// Without that history the same delta flags.
-	d2 := DiffFingerprints(oldFp, newFp, nil, Thresholds{})
-	if regs := d2.Regressions(false); len(regs) != 1 || regs[0].Func != "gen" {
+	if regs := flagged(DiffShares(oldS, newS, nil, Thresholds{})); len(regs) != 1 || regs[0].Func != "gen" {
 		t.Fatalf("no-history regressions = %+v, want gen", regs)
-	}
-}
-
-func TestDiffCPUGatesOnlyOnRequest(t *testing.T) {
-	oldFp := &Fingerprint{CPU: []FuncShare{{"hot", 0, 50}, {"cold", 0, 50}}}
-	newFp := &Fingerprint{CPU: []FuncShare{{"hot", 0, 80}, {"cold", 0, 20}}}
-	d := DiffFingerprints(oldFp, newFp, nil, Thresholds{})
-	if regs := d.Regressions(false); len(regs) != 0 {
-		t.Fatalf("CPU regressions gated without opt-in: %+v", regs)
-	}
-	if regs := d.Regressions(true); len(regs) != 1 || regs[0].Func != "hot" {
-		t.Fatalf("opted-in CPU regressions = %+v, want hot", regs)
 	}
 }
 

@@ -712,8 +712,8 @@ func (s *Service) runJob(job *Job) {
 			job.noteCell(ev.Key, ev.FromCheckpoint, ev.Err != nil, ev.Attempts > 1, errMsg)
 		},
 	})
-	// Finish before finishJob so the digest reaches the job's ledger
-	// record.
+	// Finish before finishJob so the run's wall time reaches the job's
+	// ledger record.
 	if sum, err := run.Finish(nil); err != nil {
 		s.log.Warn("profile capture failed", "job", job.id, "err", err)
 	} else if sum.Dir != "" {
@@ -754,24 +754,27 @@ func (s *Service) ResultsFor(ctx context.Context, job *Job) ([]CellResult, error
 	return job.Results(), nil
 }
 
-// finishJob classifies the sweep outcome, updates the job, journals the
-// terminal state and appends a ledger record projected from the job's run
-// manifest m. Jobs stopped by the server itself (drain abort, kill) stay
-// non-terminal in the journal so the next start requeues them.
+// finishJob classifies the sweep outcome, journals the terminal state,
+// then publishes it on the job (write ahead: a client that has seen a job
+// end never reads a journal that still has it running), and appends a
+// ledger record projected from the job's run manifest m. Jobs stopped by
+// the server itself (drain abort, kill) stay non-terminal in the journal
+// so the next start requeues them.
 func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[CellResult], cause error) {
 	vals, sweepErr := runner.Values(results)
 	switch {
 	case results != nil && sweepErr == nil:
 		job.setResults(vals)
-		// Count before the terminal state becomes visible: a client that
-		// polls the job to done and then scrapes /metrics must see the
-		// counter already bumped.
+		// Count and journal before the terminal state becomes visible: a
+		// client that polls the job to done and then scrapes /metrics or
+		// reads the journal must see the counter bumped and the entry
+		// written.
 		s.reg.Counter(obs.MJobsDone).Add(1)
-		job.setState(StateDone, "", "")
 		if err := s.journal.Done(job.id); err != nil {
 			s.log.Warn("journal done entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "done", Job: job.id})
 		}
+		job.setState(StateDone, "", "")
 		s.appendLedger(job, m, results)
 		s.endTrace(job, StateDone, "", "")
 		s.log.Info("job done", "job", job.id, "cells", len(results))
@@ -784,11 +787,11 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 		return
 	case errors.Is(cause, ErrClientCanceled):
 		s.reg.Counter(obs.MJobsCanceled).Add(1)
-		job.setState(StateCanceled, "", causeName(cause))
 		if err := s.journal.Cancel(job.id); err != nil {
 			s.log.Warn("journal cancel entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "cancel", Job: job.id})
 		}
+		job.setState(StateCanceled, "", causeName(cause))
 		s.endTrace(job, StateCanceled, "", causeName(cause))
 		return
 	default:
@@ -797,11 +800,11 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 			msg = sweepErr.Error()
 		}
 		s.reg.Counter(obs.MJobsFailed).Add(1)
-		job.setState(StateFailed, msg, causeName(cause))
 		if err := s.journal.Fail(job.id, msg, causeName(cause)); err != nil {
 			s.log.Warn("journal fail entry failed", "job", job.id, "err", err)
 			s.parkUnjournaled(journalEntry{T: "fail", Job: job.id, Err: msg, Cause: causeName(cause)})
 		}
+		job.setState(StateFailed, msg, causeName(cause))
 		s.endTrace(job, StateFailed, msg, causeName(cause))
 		s.log.Warn("job failed", "job", job.id, "err", msg, "cause", causeName(cause))
 	}

@@ -130,9 +130,8 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 
 // TestProfiledJobRecord: with Config.ProfileDir each job records through
 // its own run. Two concurrent jobs share the one process-global CPU
-// profiler, so at least one is profiled; a profiled job's capture lands
-// under its ID, and its ledger record — projected from the job's run
-// manifest — carries the digest under that same ID.
+// profiler, so at least one is profiled; every capture directory is named
+// by a ledgered job's run ID and holds that job's CPU profile.
 func TestProfiledJobRecord(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
@@ -167,21 +166,27 @@ func TestProfiledJobRecord(t *testing.T) {
 	if len(recs) != len(jobs) {
 		t.Fatalf("ledger holds %d records, want %d", len(recs), len(jobs))
 	}
-	profiled := 0
+	ids := make(map[string]bool, len(recs))
 	for _, rec := range recs {
 		if rec.Time.IsZero() || rec.Env.GoVersion == "" || rec.Cells.Planned != 2 {
 			t.Errorf("record identity, env or shape missing: %+v", rec)
 		}
-		if rec.Perf == nil {
-			continue
-		}
-		profiled++
-		if _, err := os.Stat(filepath.Join(cfg.ProfileDir, rec.RunID, "cpu.pprof")); err != nil {
-			t.Errorf("capture not under the record's run ID: %v", err)
-		}
+		ids[rec.RunID] = true
 	}
-	if profiled == 0 {
+	captures, err := os.ReadDir(cfg.ProfileDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(captures) == 0 {
 		t.Error("no job was profiled")
+	}
+	for _, c := range captures {
+		if !ids[c.Name()] {
+			t.Errorf("capture %s is not under a ledgered run ID", c.Name())
+		}
+		if _, err := os.Stat(filepath.Join(cfg.ProfileDir, c.Name(), "cpu.pprof")); err != nil {
+			t.Errorf("capture %s holds no CPU profile: %v", c.Name(), err)
+		}
 	}
 }
 
