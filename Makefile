@@ -23,8 +23,8 @@
 #                  SIGTERM drain to exit 0)
 #   attrib       — simtrace contract: an -attrib -selfcheck grid (cycle
 #                  conservation asserted inside every run) plus the
-#                  absent-vs-disabled simtrace overhead pair under the same
-#                  2% budget as telemetrygate
+#                  absent-vs-disabled simtrace overhead pair under the
+#                  shared 2% overhead budget (overhead_gate)
 #   vulncheck    — govulncheck when installed; advisory only, never fails
 #                  the gate (the container may not ship it)
 #   perfgate     — regression radar: two ledgered cachesim runs into a
@@ -35,22 +35,19 @@
 #                  catalog (internal/obs Catalog): every name snake_case and
 #                  declared once with a known kind and help text, and
 #                  METRICS.md renders to the checked-in bytes (drift fails;
-#                  `go test ./internal/telemetry -run TestMetricsMarkdown
-#                  -update` regenerates it)
-#   telemetrygate — span-recording overhead budget: the telemetry on/off
-#                  sub-benchmarks through the real service must stay within
-#                  2% of each other (bench2json -fail-over 3: the budget
-#                  plus one point of measurement floor)
+#                  `go test ./internal/obs -run TestMetricsMarkdown -update`
+#                  regenerates it)
 #   allocgate    — allocation budget: the deterministic benchmarks' allocs/op
 #                  and B/op against the checked-in BENCH snapshot
 #                  (bench2json -fail-metrics allocs/op,B/op)
 #   profilegate  — profiling overhead budget: the profiling on/off
-#                  benchmark under the same 2% budget as telemetrygate
+#                  benchmark under the shared 2% overhead budget
+#                  (overhead_gate)
 #   explaingate  — explainability contract: a -explain -selfcheck sweep
 #                  (3C conservation asserted inside every run) plus the
-#                  absent-vs-disabled overhead benchmark under the same 2%
-#                  budget as telemetrygate — runs without -explain must not
-#                  pay for the instrumentation's existence
+#                  absent-vs-disabled overhead benchmark under the shared
+#                  2% overhead budget (overhead_gate) — runs without
+#                  -explain must not pay for the instrumentation's existence
 #   check        — all of the above
 #
 # `make fuzz-long` runs the trace-format fuzzers for 30 s each and is not
@@ -66,9 +63,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz fuzz-long selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate bench clean
+.PHONY: check build vet test race fuzz fuzz-long selfcheck faults soak vulncheck attrib perfgate metricslint allocgate profilegate explaingate bench clean
 
-check: vet build test race fuzz selfcheck faults soak vulncheck attrib perfgate metricslint telemetrygate allocgate profilegate explaingate
+check: vet build test race fuzz selfcheck faults soak vulncheck attrib perfgate metricslint allocgate profilegate explaingate
 
 build:
 	$(GO) build ./...
@@ -148,10 +145,10 @@ perfgate:
 # Metrics hygiene: lint the obs metric catalog and fail if the generated
 # METRICS.md reference drifted from it. `go test ./...` runs both tests too.
 metricslint:
-	$(GO) test -count=1 -run '^(TestLintCatalog|TestMetricsMarkdown)$$' ./internal/obs ./internal/telemetry
+	$(GO) test -count=1 -run '^(TestLintCatalog|TestMetricsMarkdown)$$' ./internal/obs
 
-# overhead_gate is the off/on overhead-budget recipe the telemetry,
-# profiling, explain and simtrace gates share: three independent rounds,
+# overhead_gate is the off/on overhead-budget recipe the profiling,
+# explain and simtrace gates share: three independent rounds,
 # each one `go test` run measuring the off/on pair back to back (adjacent
 # in time, so machine drift hits both halves alike), each folded with
 # -best and diffed on its own through the bench2json fail-over gate. The
@@ -184,14 +181,6 @@ define overhead_gate
 done; \
 if [ $$pass -eq 0 ]; then echo "$(1): FAIL — every round over budget"; exit 1; fi
 endef
-
-# Telemetry overhead budget: the span-recording on/off pair through the
-# real service, via overhead_gate (on a shared single-core runner the
-# serialized span recording itself measures ~2–2.5%).
-telemetrygate:
-	@rm -rf .telemetrygate
-	$(call overhead_gate,telemetrygate,TelemetryOverhead,off,on,50x)
-	@rm -rf .telemetrygate
 
 # Allocation budget: the benchmarks whose allocs/op and B/op reproduce
 # exactly run to run (trace generation, the behavioural pass, the timing
@@ -263,4 +252,4 @@ bench:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .perfgate .telemetrygate .allocgate .profilegate .explaingate .attrib
+	rm -rf .perfgate .allocgate .profilegate .explaingate .attrib

@@ -22,7 +22,6 @@ import (
 	"repro/internal/explain"
 	"repro/internal/mem"
 	"repro/internal/perfobs"
-	"repro/internal/service"
 	"repro/internal/simtrace"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -323,12 +322,6 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead measures the cost of the service's span
-// recording end to end: one sweep job through the real service with
-// telemetry off vs on. `make telemetrygate` diffs the two sub-benchmarks
-// with bench2json -fail-over to enforce the ≤2% overhead budget. Each
-// iteration uses a distinct workload scale so the memoized cell cache
-// never short-circuits the simulation being measured.
 // BenchmarkProfileOverhead measures the steady-state tax of running the
 // simulator under an armed perfobs capture — CPU profiler sampling at 100 Hz
 // and the heap profiler at the observatory's denser 16 KiB sampling rate —
@@ -390,51 +383,4 @@ func cpuTime(b *testing.B) int64 {
 		b.Fatal(err)
 	}
 	return ru.Utime.Nano() + ru.Stime.Nano()
-}
-
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		noTel bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s, err := service.Open(service.Config{
-				DataDir:     b.TempDir(),
-				JobWorkers:  1,
-				NoTelemetry: mode.noTel,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Start()
-			defer s.Kill()
-			b.ResetTimer()
-			start := cpuTime(b)
-			for i := 0; i < b.N; i++ {
-				job, err := s.Submit(service.GridRequest{
-					Workloads: []string{"mu3"},
-					Scale:     0.04 + float64(i%64)*0.0003,
-					SizesKB:   []int{1, 2, 4, 8},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				seq := 0
-				for {
-					evs, changed, terminal := job.EventsSince(seq)
-					seq += len(evs)
-					if terminal {
-						break
-					}
-					<-changed
-				}
-				if st := job.Status(); st.State != service.StateDone {
-					b.Fatalf("job ended %s (%s)", st.State, st.Error)
-				}
-			}
-			// cpu-ns/op so the telemetrygate budget compares CPU work, not
-			// wall time — see BenchmarkProfileOverhead.
-			b.ReportMetric(float64(cpuTime(b)-start)/float64(b.N), "cpu-ns/op")
-		})
-	}
 }

@@ -25,12 +25,11 @@
 // X-Client-ID or remote host) on top of global admission, so one greedy
 // client exhausts its own budget, not everyone's.
 //
-// Telemetry: every request records spans (http.request → job → cell →
-// attempt) with deterministic IDs, exported per job as NDJSON and
-// Perfetto-loadable Chrome trace JSON; /metrics exposes the full counter
-// catalog in Prometheus text format and /debug/dashboard serves a
-// self-contained live HTML dashboard. -telemetry=false turns span
-// recording off (results are bit-identical either way).
+// Observability: each job's NDJSON event log (/v1/jobs/{id}/events) is its
+// timeline, one event per state change and per finished cell with the
+// attempts it took; /metrics exposes the full metric catalog in Prometheus
+// text format; every request is access-logged with its X-Request-ID, which
+// the job status and the journal carry too.
 //
 // Examples:
 //
@@ -38,12 +37,11 @@
 //	cachesimd -addr 127.0.0.1:7090 -data d -job-timeout 2m
 //	curl -s localhost:7090/v1/jobs -d '{"workloads":["mu3"],"sizes_kb":[2,4,8]}'
 //	curl -s localhost:7090/metrics
-//	curl -s localhost:7090/v1/jobs/<id>/trace > job.trace.json  # open in Perfetto
+//	curl -s localhost:7090/v1/jobs/<id>/events
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -57,7 +55,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -88,8 +85,7 @@ func run() error {
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM; in-flight jobs past it are checkpointed for the next start")
 		faultsSpec = flag.String("faults", "", "chaos: fault-injection plan for every job's cells (e.g. seed=1,panic=0.02,transient=0.1)")
 		profileDir = flag.String("profile", "", "capture per-job CPU+heap pprof profiles into DIR/<job-id>/ (the 16 newest are kept); read them with go tool pprof; overlapping jobs share one process-global CPU profiler, so only the first overlapping job is profiled")
-		debugAddr  = flag.String("debug-addr", "", "also serve /debug/vars, /debug/pprof, /metrics and /debug/dashboard on this address")
-		telem      = flag.Bool("telemetry", true, "record request/job/cell/attempt spans and export job traces (metrics stay on regardless)")
+		debugAddr  = flag.String("debug-addr", "", "also serve /debug/vars, /debug/pprof and /metrics on this address")
 		verbose    = flag.Bool("v", false, "debug-level logging")
 	)
 	flag.Parse()
@@ -119,7 +115,6 @@ func run() error {
 		ProfileDir:        *profileDir,
 		Logger:            logger,
 		Registry:          obs.NewRegistry(),
-		NoTelemetry:       !*telem,
 	}
 	if *faultsSpec != "" {
 		plan, err := faultinject.ParsePlan(*faultsSpec)
@@ -137,21 +132,10 @@ func run() error {
 	svc.Start()
 
 	if *debugAddr != "" {
-		// The debug server gets the same /metrics and dashboard as the API
-		// address (plus a read-only job listing the dashboard polls), so
+		// The debug server gets the same /metrics as the API address, so
 		// operators can firewall the API and still watch.
 		dbg, err := obs.Serve(*debugAddr, cfg.Registry,
 			obs.Route{Pattern: "GET /metrics", Handler: svc.MetricsHandler()},
-			obs.Route{Pattern: "GET /debug/dashboard", Handler: telemetry.Dashboard("/metrics", "/v1/jobs")},
-			obs.Route{Pattern: "GET /v1/jobs", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				jobs := svc.Jobs()
-				statuses := make([]service.JobStatus, len(jobs))
-				for i, j := range jobs {
-					statuses[i] = j.Status()
-				}
-				w.Header().Set("Content-Type", "application/json")
-				json.NewEncoder(w).Encode(statuses) //nolint:errcheck // client disconnect
-			})},
 		)
 		if err != nil {
 			return err

@@ -18,8 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 var (
@@ -279,8 +279,8 @@ func TestDaemonShedsUnderPressure(t *testing.T) {
 	}
 }
 
-// TestDaemonTelemetryEndpoints: the live process serves Prometheus metrics,
-// the dashboard page, and a per-job Chrome trace once a job completes.
+// TestDaemonTelemetryEndpoints: the live process serves Prometheus metrics
+// and, once a job completes, its NDJSON event log with one event per cell.
 func TestDaemonTelemetryEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process e2e skipped in -short mode (run via `make soak`)")
@@ -310,7 +310,7 @@ func TestDaemonTelemetryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := telemetry.ParsePromText(resp.Body)
+	series, err := obs.ParsePromText(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
@@ -318,36 +318,33 @@ func TestDaemonTelemetryEndpoints(t *testing.T) {
 	if len(series) < 20 {
 		t.Errorf("/metrics exposes %d series, want >= 20", len(series))
 	}
-	if series[telemetry.PromPrefix+"jobs_done"] < 1 {
+	if series[obs.PromPrefix+"jobs_done"] < 1 {
 		t.Error("jobs_done not counted")
 	}
 
-	// /debug/dashboard: the self-contained page.
-	resp, err = http.Get(d.url("/debug/dashboard"))
+	// /v1/jobs/{id}/events: the finished job's timeline, ending at done.
+	resp, err = http.Get(d.url("/v1/jobs/" + st.ID + "/events"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	page, _ := io.ReadAll(resp.Body)
+	var evs []service.Event
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var ev service.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		evs = append(evs, ev)
+	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(page, []byte("cachesimd dashboard")) {
-		t.Errorf("dashboard: status %d, %d bytes", resp.StatusCode, len(page))
+	cells := 0
+	for _, ev := range evs {
+		if ev.Type == "cell" {
+			cells++
+		}
 	}
-
-	// /v1/jobs/{id}/trace: loadable trace-event JSON for the finished job.
-	resp, err = http.Get(d.url("/v1/jobs/" + st.ID + "/trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&tr)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || err != nil {
-		t.Fatalf("trace: status %d, err %v", resp.StatusCode, err)
-	}
-	if len(tr.TraceEvents) < 4 { // job + 2 cells + lane metadata at least
-		t.Errorf("trace has %d events", len(tr.TraceEvents))
+	if resp.StatusCode != http.StatusOK || cells != 2 || evs[len(evs)-1].State != service.StateDone {
+		t.Errorf("events: status %d, %d cell events, log %+v", resp.StatusCode, cells, evs)
 	}
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"os"
-	"path"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -20,7 +17,7 @@ import (
 // and the latest-vs-previous diff when there are at least two runs.
 type htmlConfig struct {
 	Hash    string
-	Runs    []htmlRun
+	Runs    []ledger.Record
 	Trends  []htmlTrend
 	Explain *htmlExplain
 	Diff    *ledger.Diff
@@ -137,14 +134,6 @@ func buildExplainPanels(rep *explain.Report) []htmlExplainPanel {
 	return out
 }
 
-// htmlRun is one ledger record plus its trace link, when the service
-// exported a Chrome trace for that run ID. The href is relative to the
-// data directory, where reports are normally written.
-type htmlRun struct {
-	ledger.Record
-	Trace string
-}
-
 type htmlTrend struct {
 	Name     string
 	Polyline string // SVG points attribute
@@ -185,9 +174,8 @@ func svgPoints(vals []float64) string {
 }
 
 // buildReport groups the ledger by configuration, newest-active config
-// first, and precomputes trends and the head diff per config. traceDir,
-// when non-empty, is scanned for <run-id>.trace.json files to link.
-func buildReport(recs []ledger.Record, traceDir string) htmlReport {
+// first, and precomputes trends and the head diff per config.
+func buildReport(recs []ledger.Record) htmlReport {
 	order := []string{}
 	seen := map[string]bool{}
 	for _, r := range recs {
@@ -211,17 +199,7 @@ func buildReport(recs []ledger.Record, traceDir string) htmlReport {
 	rep := htmlReport{Total: len(recs)}
 	for _, hash := range order {
 		hist := ledger.ByConfig(recs, hash)
-		runs := make([]htmlRun, len(hist))
-		for i, r := range hist {
-			runs[i] = htmlRun{Record: r}
-			if traceDir != "" {
-				name := r.RunID + ".trace.json"
-				if _, err := os.Stat(filepath.Join(traceDir, name)); err == nil {
-					runs[i].Trace = path.Join(filepath.Base(traceDir), name)
-				}
-			}
-		}
-		hc := htmlConfig{Hash: hash, Runs: runs}
+		hc := htmlConfig{Hash: hash, Runs: hist}
 		for _, tm := range trendMetrics {
 			_, vals, ok := metricSeries(tm.name, hist)
 			if !ok || len(vals) < 2 {
@@ -251,7 +229,7 @@ func buildReport(recs []ledger.Record, traceDir string) htmlReport {
 
 var htmlTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 	"short": shortHash,
-	"utc": func(r htmlRun) string {
+	"utc": func(r ledger.Record) string {
 		return r.Time.UTC().Format("2006-01-02 15:04:05")
 	},
 	"pct": func(v float64) string { return fmt.Sprintf("%+.2f%%", v) },
@@ -287,13 +265,12 @@ var htmlTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 <h2>config {{.Hash}}</h2>
 <table>
   <tr><th>time (UTC)</th><th>run</th><th>tool</th><th>cells</th><th>refs</th>
-      <th>cycles</th><th>cpi</th><th>wall ms</th><th>outcome</th><th>trace</th></tr>
+      <th>cycles</th><th>cpi</th><th>wall ms</th><th>outcome</th></tr>
   {{range .Runs}}
   <tr><td>{{utc .}}</td><td>{{.RunID}}</td><td>{{.Tool}}</td>
       <td>{{.Cells.Done}}/{{.Cells.Planned}}</td><td>{{.Refs}}</td>
       <td>{{.TotalCycles}}</td><td>{{printf "%.4f" .CPI}}</td>
-      <td>{{.WallMs}}</td><td>{{.Outcome}}</td>
-      <td>{{if .Trace}}<a href="{{.Trace}}">trace</a>{{else}}&mdash;{{end}}</td></tr>
+      <td>{{.WallMs}}</td><td>{{.Outcome}}</td></tr>
   {{end}}
 </table>
 {{with (index .Runs 0)}}<p class="env">{{.Env}}</p>{{end}}
@@ -347,8 +324,6 @@ var htmlTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 
 // writeHTML renders the whole ledger as one self-contained HTML page — no
 // external assets, so the file can be attached to a bug or archived as is.
-// Runs with an exported Chrome trace in traceDir get a link to it
-// (Perfetto-loadable; the one outward reference, and only when present).
-func writeHTML(w io.Writer, recs []ledger.Record, traceDir string) error {
-	return htmlTmpl.Execute(w, buildReport(recs, traceDir))
+func writeHTML(w io.Writer, recs []ledger.Record) error {
+	return htmlTmpl.Execute(w, buildReport(recs))
 }

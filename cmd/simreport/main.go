@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -579,21 +578,14 @@ func cmdHTML(args []string, stdout, stderr io.Writer) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("ledger is empty")
 	}
-	// Job traces live in <data-dir>/traces; cachesimd exports one Chrome
-	// trace per finished job, keyed by the run ID the ledger records.
-	traceDir := *dir
-	if fi, err := os.Stat(traceDir); err != nil || !fi.IsDir() {
-		traceDir = filepath.Dir(traceDir)
-	}
-	traceDir = filepath.Join(traceDir, "traces")
 	if *out == "-" {
-		return writeHTML(stdout, recs, traceDir)
+		return writeHTML(stdout, recs)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	werr := writeHTML(f, recs, traceDir)
+	werr := writeHTML(f, recs)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -225,42 +225,6 @@ func TestHTMLSmoke(t *testing.T) {
 			t.Errorf("html missing %q", want)
 		}
 	}
-	// The fixture dir has no traces/ directory, so no run links a trace.
-	if strings.Contains(html, `href="traces/`) {
-		t.Error("trace link without an exported trace file")
-	}
-}
-
-// TestHTMLTraceLinks: runs whose ID has an exported Chrome trace under
-// <data-dir>/traces get a link in the report; runs without one do not.
-func TestHTMLTraceLinks(t *testing.T) {
-	dir := t.TempDir()
-	a, b := baseRecord("with-trace", 1000), baseRecord("without-trace", 1000)
-	appendLedger(t, dir, a)
-	appendLedger(t, dir, b)
-	if err := os.MkdirAll(filepath.Join(dir, "traces"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	traceFile := filepath.Join(dir, "traces", a.RunID+".trace.json")
-	if err := os.WriteFile(traceFile, []byte(`{"traceEvents":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "report.html")
-	code, _, errb := runCmd(t, "html", "-ledger", dir, "-o", out)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := string(data)
-	if !strings.Contains(html, `href="traces/`+a.RunID+`.trace.json"`) {
-		t.Errorf("run %s missing its trace link:\n%s", a.RunID, html)
-	}
-	if strings.Contains(html, b.RunID+".trace.json") {
-		t.Error("traceless run got a trace link")
-	}
 }
 
 // TestUsageAndErrors: bad invocations exit 2 and never panic.

@@ -20,16 +20,14 @@ import (
 )
 
 // ExecOptions tunes how a suite executes its sweeps: worker count, retry
-// budget, per-cell and whole-sweep deadlines, and an optional checkpoint
-// log that makes interrupted sweeps resumable. The zero value runs on
-// GOMAXPROCS workers with no deadlines and no checkpoint.
+// budget, a whole-sweep deadline, and an optional checkpoint log that makes
+// interrupted sweeps resumable. The zero value runs on GOMAXPROCS workers
+// with no deadline and no checkpoint.
 type ExecOptions struct {
 	// Workers bounds sweep concurrency; <= 0 means GOMAXPROCS.
 	Workers int
 	// Retries grants each failing cell this many extra attempts.
 	Retries int
-	// CellTimeout bounds one (organization × timing × trace) cell.
-	CellTimeout time.Duration
 	// SweepTimeout bounds one whole figure sweep.
 	SweepTimeout time.Duration
 	// Checkpoint, when set, records each completed cell and replays
@@ -84,7 +82,6 @@ func (s *Suite) runnerOptions() runner.Options {
 	return runner.Options{
 		Workers:      s.exec.Workers,
 		Retries:      s.exec.Retries,
-		CellTimeout:  s.exec.CellTimeout,
 		SweepTimeout: s.exec.SweepTimeout,
 		Checkpoint:   s.exec.Checkpoint,
 		OnCellStart:  onStart,

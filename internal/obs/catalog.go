@@ -15,8 +15,8 @@ const (
 
 // Metric names, one per Catalog row; Catalog holds each one's kind and
 // help text. The runner hooks (see RunnerHooks) feed the cell metrics,
-// internal/service the service ones, and telemetry.SyncRuntimeMetrics the
-// runtime_* gauges.
+// internal/service the service ones, and SyncRuntimeMetrics the runtime_*
+// gauges.
 const (
 	// MCellsPlanned grows as figures start, so ETA estimates cover only
 	// the work announced yet.
@@ -75,7 +75,6 @@ const (
 	MBreakerTrips         = "breaker_trips"
 	MStorageProbes        = "storage_probes"
 	MCellAttempts         = "cell_attempts"
-	MTraceSpans           = "trace_spans"
 	MUptimeSeconds        = "uptime_seconds"
 
 	// The runtime_* cumulative totals are gauges, not counters: the
@@ -156,10 +155,8 @@ var Catalog = []Def{
 	{MDegraded, KindGauge, "1 while the storage circuit breaker is open, 0 otherwise."},
 	{MBreakerTrips, KindCounter, "Storage circuit breaker trips."},
 	{MStorageProbes, KindCounter, "Degraded-mode recovery probes attempted."},
-	// Runner attempts and tracing; uptime_seconds is refreshed at scrape
-	// time.
+	// Runner attempts; uptime_seconds is refreshed at scrape time.
 	{MCellAttempts, KindCounter, "Runner attempts across all cells, retries included."},
-	{MTraceSpans, KindCounter, "Spans recorded into finished job traces."},
 	{MUptimeSeconds, KindGauge, "Seconds since the service opened."},
 	// Go runtime cost signals, refreshed from runtime/metrics at scrape
 	// time.

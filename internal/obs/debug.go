@@ -57,8 +57,9 @@ func publishRegistry(reg *Registry) {
 }
 
 // Route is one extra handler mounted on a debug server. Callers use it to
-// hang service-specific pages (a /metrics exposition, a live dashboard) off
-// the same listener as expvar and pprof without obs depending on them.
+// hang service-specific pages (a /metrics exposition with the service's
+// scrape-time gauges) off the same listener as expvar and pprof without
+// obs depending on the service.
 type Route struct {
 	// Pattern is a ServeMux pattern, method-qualified if desired
 	// (e.g. "GET /metrics").

@@ -1,21 +1,22 @@
-package telemetry
+package obs
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // metricsMarkdown renders the METRICS.md reference table from the obs
 // catalog.
 func metricsMarkdown() string {
 	var b strings.Builder
 	b.WriteString("# Metrics reference\n\n")
-	b.WriteString("<!-- Generated from the internal/obs Catalog by `go test ./internal/telemetry -run TestMetricsMarkdown -update`.\n")
+	b.WriteString("<!-- Generated from the internal/obs Catalog by `go test ./internal/obs -run TestMetricsMarkdown -update`.\n")
 	b.WriteString("     Do not edit by hand: `make metricslint` fails when this file drifts. -->\n\n")
 	b.WriteString("Every fixed-name metric the sweep stack registers, exposed in Prometheus\n")
 	b.WriteString("text format at `/metrics` with the `" + PromPrefix + "` prefix. Timings are\n")
@@ -25,9 +26,9 @@ func metricsMarkdown() string {
 	b.WriteString("their names come from simtrace component enums at runtime.\n\n")
 	b.WriteString("| Metric | Kind | Prometheus series | Help |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, d := range obs.Catalog {
+	for _, d := range Catalog {
 		series := PromPrefix + d.Name
-		if d.Kind == obs.KindTiming {
+		if d.Kind == KindTiming {
 			series = PromPrefix + d.Name + `_us{quantile="..."}`
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | `%s` | %s |\n", d.Name, d.Kind, series, d.Help)
@@ -50,6 +51,6 @@ func TestMetricsMarkdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != md {
-		t.Fatalf("METRICS.md drifted from the obs catalog; regenerate with `go test ./internal/telemetry -run TestMetricsMarkdown -update`")
+		t.Fatalf("METRICS.md drifted from the obs catalog; regenerate with `go test ./internal/obs -run TestMetricsMarkdown -update`")
 	}
 }

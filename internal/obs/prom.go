@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"bufio"
@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // PromPrefix namespaces every exposed series, so a shared Prometheus
@@ -20,20 +18,20 @@ const PromPrefix = "cachesim_"
 // dependency. Counters and gauges become one series each; timings become
 // summaries in microseconds: two quantile series plus _sum and _count.
 // Output is sorted by metric name, so scrapes diff cleanly.
-func WritePrometheus(w io.Writer, reg *obs.Registry) error {
+func WritePrometheus(w io.Writer, reg *Registry) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range reg.Export() {
 		name := PromPrefix + m.Name
 		help := "(undeclared metric)"
-		if d, ok := obs.Lookup(m.Name); ok {
+		if d, ok := Lookup(m.Name); ok {
 			help = d.Help
 		}
 		switch m.Kind {
-		case obs.KindCounter, obs.KindGauge:
+		case KindCounter, KindGauge:
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(help))
 			fmt.Fprintf(bw, "# TYPE %s %s\n", name, m.Kind)
 			fmt.Fprintf(bw, "%s %d\n", name, m.Value)
-		case obs.KindTiming:
+		case KindTiming:
 			name += "_us"
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(help))
 			fmt.Fprintf(bw, "# TYPE %s summary\n", name)
@@ -56,7 +54,7 @@ func escapeHelp(s string) string {
 // MetricsHandler serves WritePrometheus over HTTP. sync, when non-nil,
 // runs before each render — the hook services use to refresh
 // scrape-time gauges (tokens available, uptime).
-func MetricsHandler(reg *obs.Registry, sync func()) http.Handler {
+func MetricsHandler(reg *Registry, sync func()) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if sync != nil {
 			sync()

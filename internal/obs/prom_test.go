@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"bytes"
@@ -6,26 +6,24 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // TestPrometheusRoundTrip: everything WritePrometheus emits parses back
 // under the strict parser with the values intact — the format contract the
 // acceptance criteria pin.
 func TestPrometheusRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := NewRegistry()
 	reg.RegisterCatalog()
-	reg.Counter(obs.MJobsSubmitted).Add(7)
-	reg.Gauge(obs.MQueueDepth).Set(3)
+	reg.Counter(MJobsSubmitted).Add(7)
+	reg.Gauge(MQueueDepth).Set(3)
 	reg.Counter("attrib_mem_wait").Add(123) // dynamic family, no Def
-	tm := reg.Timing(obs.MHTTPRequestLatency)
+	tm := reg.Timing(MHTTPRequestLatency)
 	for i := 0; i < 10; i++ {
 		tm.Observe(time.Duration(i+1) * time.Millisecond)
 	}
 	// A non-integer mean (1.5 µs): _sum must be the exact total, not the
 	// truncated mean times the count.
-	fsync := reg.Timing(obs.MJournalFsyncLatency)
+	fsync := reg.Timing(MJournalFsyncLatency)
 	fsync.Observe(time.Microsecond)
 	fsync.Observe(2 * time.Microsecond)
 
@@ -37,23 +35,23 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("own output does not parse: %v\n%s", err, buf.String())
 	}
-	if got := series[PromPrefix+obs.MJobsSubmitted]; got != 7 {
+	if got := series[PromPrefix+MJobsSubmitted]; got != 7 {
 		t.Errorf("jobs_submitted = %v, want 7", got)
 	}
-	if got := series[PromPrefix+obs.MQueueDepth]; got != 3 {
+	if got := series[PromPrefix+MQueueDepth]; got != 3 {
 		t.Errorf("queue_depth = %v, want 3", got)
 	}
 	if got := series[PromPrefix+"attrib_mem_wait"]; got != 123 {
 		t.Errorf("attrib_mem_wait = %v, want 123", got)
 	}
-	lat := PromPrefix + obs.MHTTPRequestLatency + "_us"
+	lat := PromPrefix + MHTTPRequestLatency + "_us"
 	if got := series[lat+"_count"]; got != 10 {
 		t.Errorf("latency count = %v, want 10", got)
 	}
 	if got := series[lat+"_sum"]; got != 55000 {
 		t.Errorf("latency sum = %v, want 55000", got)
 	}
-	if got := series[PromPrefix+obs.MJournalFsyncLatency+"_us_sum"]; got != 3 {
+	if got := series[PromPrefix+MJournalFsyncLatency+"_us_sum"]; got != 3 {
 		t.Errorf("fsync latency sum = %v, want 3", got)
 	}
 	if series[lat+`{quantile="0.5"}`] <= 0 || series[lat+`{quantile="0.95"}`] <= 0 {
@@ -98,12 +96,12 @@ func TestParsePromTextRejectsMalformed(t *testing.T) {
 
 // TestMetricsHandler: correct content type, sync hook runs before render.
 func TestMetricsHandler(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := NewRegistry()
 	reg.RegisterCatalog()
 	synced := false
 	h := MetricsHandler(reg, func() {
 		synced = true
-		reg.Gauge(obs.MUptimeSeconds).Set(42)
+		reg.Gauge(MUptimeSeconds).Set(42)
 	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -117,7 +115,7 @@ func TestMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if series[PromPrefix+obs.MUptimeSeconds] != 42 {
+	if series[PromPrefix+MUptimeSeconds] != 42 {
 		t.Error("scrape-time gauge sync not reflected in output")
 	}
 }

@@ -2,7 +2,8 @@
 // registry fed by the runner's cell hooks, the one catalog of every fixed
 // metric name with its kind and help text, a progress/ETA reporter, a run
 // manifest that makes every figure reproducible and every performance
-// change diffable, and an optional expvar + pprof debug server.
+// change diffable, the registry's Prometheus text exposition (/metrics),
+// and an optional expvar + pprof debug server.
 //
 // Everything here is off by default and instruments at cell granularity
 // only — nothing in this package runs inside the simulator's inner loop.

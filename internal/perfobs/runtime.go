@@ -43,7 +43,7 @@ func resolveSupported() {
 }
 
 // RuntimeStats is one point-in-time snapshot of the Go runtime's cost
-// signals, in the units the telemetry layer exports.
+// signals, in the units the /metrics gauges export.
 type RuntimeStats struct {
 	// HeapLiveBytes is live heap object memory; HeapGoalBytes the GC's
 	// current heap-size target.

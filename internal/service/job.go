@@ -23,7 +23,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/runner"
 	"repro/internal/system"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -296,7 +295,7 @@ type JobStatus struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
 	// RequestID is the X-Request-ID of the submitting request (client-
-	// supplied or generated); it doubles as the job trace's trace ID.
+	// supplied or generated).
 	RequestID string `json:"request_id,omitempty"`
 	// Client is the submitting client's quota identity (X-Client-ID or
 	// remote host), empty for direct in-process submissions.
@@ -324,6 +323,9 @@ type Event struct {
 	Type  string   `json:"type"`
 	State JobState `json:"state,omitempty"`
 	Cell  string   `json:"cell,omitempty"`
+	// Attempts is how many times a cell event's cell ran, retries
+	// included; absent for a cell served from the memo.
+	Attempts int `json:"attempts,omitempty"`
 	// Tally snapshots progress at the event.
 	Tally CellTally `json:"tally"`
 	Err   string    `json:"err,omitempty"`
@@ -336,13 +338,6 @@ type Job struct {
 
 	runCtx context.Context         // dies on client cancel, drain abort or kill
 	cancel context.CancelCauseFunc // client cancellation, armed at submit
-
-	// tracer records this job's span tree; nil with telemetry disabled.
-	// The refs are nil-safe no-ops in that case, so span call sites never
-	// branch.
-	tracer   *telemetry.Tracer
-	rootSpan telemetry.SpanRef // http.request, ended by the HTTP handler
-	jobSpan  telemetry.SpanRef // submit → terminal, ended by finishJob
 
 	// accepted is the status at submission, which the 202 reply reports:
 	// a job worker may pick the job up before the reply is written.
@@ -376,37 +371,6 @@ func newJob(id, reqID, client string, req GridRequest, ctx context.Context, canc
 	}
 	j.accepted = j.status
 	return j
-}
-
-// startTrace arms the job's span tree: the http.request root span (when a
-// request ID ties the job to an HTTP submission) and the job span under
-// it. Span IDs derive from the job ID — deterministic across runs — while
-// the trace ID is the request ID so operators can grep client-side IDs
-// straight into traces.
-func (j *Job) startTrace() {
-	traceID := j.status.RequestID
-	if traceID == "" {
-		traceID = j.id
-	}
-	j.tracer = telemetry.NewTracer(traceID, j.id)
-	if j.status.RequestID != "" {
-		j.rootSpan = j.tracer.Start("http.request", "", "http", 0)
-		j.rootSpan.SetAttr("request_id", j.status.RequestID)
-		j.rootSpan.SetAttr("method", "POST /v1/jobs")
-	}
-	j.jobSpan = j.tracer.Start("job", j.rootSpan.ID(), "job", 1)
-	j.jobSpan.SetAttr("job", j.id)
-	j.jobSpan.SetAttr("config", j.status.ConfigHash)
-}
-
-// Tracer exposes the job's span recorder; nil when telemetry is off.
-func (j *Job) Tracer() *telemetry.Tracer { return j.tracer }
-
-// EndRequestSpan closes the http.request root span with the response
-// status, once the submission response is written.
-func (j *Job) EndRequestSpan(status int) {
-	j.rootSpan.SetAttr("http_status", fmt.Sprintf("%d", status))
-	j.rootSpan.End()
 }
 
 // ID returns the job identifier.
@@ -472,22 +436,26 @@ func (j *Job) setState(s JobState, errMsg, cause string) {
 }
 
 // noteCell folds one runner cell event into the tally and publishes it.
-func (j *Job) noteCell(key string, replayed, failed, retried bool, errMsg string) {
+func (j *Job) noteCell(ev runner.CellEvent) {
+	errMsg := ""
+	if ev.Err != nil {
+		errMsg = ev.Err.Error()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
-	case failed:
+	case ev.Err != nil:
 		j.status.Cells.Failed++
-	case replayed:
+	case ev.FromCheckpoint:
 		j.status.Cells.Replayed++
 		j.status.Cells.Done++
 	default:
 		j.status.Cells.Done++
 	}
-	if retried {
+	if ev.Attempts > 1 {
 		j.status.Cells.Retried++
 	}
-	j.publishLocked(Event{Type: "cell", Cell: key, Err: errMsg})
+	j.publishLocked(Event{Type: "cell", Cell: ev.Key, Attempts: ev.Attempts, Err: errMsg})
 }
 
 // setResults stores the final cell results, sorted by key for determinism.

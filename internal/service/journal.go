@@ -37,7 +37,7 @@ type journalEntry struct {
 	Time time.Time    `json:"time"`
 	Req  *GridRequest `json:"req,omitempty"`
 	// ReqID is the submitting request's X-Request-ID, carried on submit
-	// entries so a restored job keeps its trace identity.
+	// entries so a restored job keeps its request ID.
 	ReqID string `json:"req_id,omitempty"`
 	// Client is the submitting client's identity (X-Client-ID or remote
 	// host), carried on submit entries so quotas survive a restart's

@@ -16,7 +16,7 @@ import (
 type requestIDKey struct{}
 
 // WithRequestID stores a request ID on the context; SubmitCtx picks it up
-// as the job's RequestID and trace ID.
+// as the job's RequestID.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }
@@ -58,7 +58,8 @@ func clientIdentity(r *http.Request) string {
 }
 
 // validRequestID bounds what client-supplied X-Request-ID values we echo
-// into logs, journal records and traces: short, printable, no structure.
+// into logs, job statuses and journal records: short, printable, no
+// structure.
 var validRequestID = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // newRequestID generates a server-side request ID for clients that send
@@ -94,7 +95,7 @@ func (w *statusWriter) Flush() {
 // metrics and a structured access log: exactly one line per request with
 // method, path, status, duration and request ID. Client-supplied IDs are
 // accepted when well-formed (so a caller's ID threads through logs,
-// journal and trace); anything else is replaced, never echoed raw.
+// status and journal); anything else is replaced, never echoed raw.
 func withObservability(next http.Handler, reg *obs.Registry, log *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

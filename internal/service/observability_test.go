@@ -10,9 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +17,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // TestMetricsEndpoint: /metrics speaks valid Prometheus text format (the
@@ -37,7 +33,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The terminal-state counters land moments after the state flip that
 	// waitTerminal observes, so scrape until jobs_done reflects the job.
 	var series map[string]float64
-	p := telemetry.PromPrefix
+	p := obs.PromPrefix
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := http.Get(ts.URL + "/metrics")
@@ -47,7 +43,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 			t.Errorf("content type %q", ct)
 		}
-		series, err = telemetry.ParsePromText(resp.Body)
+		series, err = obs.ParsePromText(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("/metrics output does not parse: %v", err)
@@ -114,14 +110,44 @@ func postJobWithID(t *testing.T, url, reqID string, req GridRequest) (*http.Resp
 	return resp, st
 }
 
-// TestJobTraceNesting: a completed job with forced retries yields a Chrome
-// trace whose spans link http.request → job → cell → attempt, with more
-// attempt spans than cells and backoff gaps between a cell's attempts.
-func TestJobTraceNesting(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig(dir)
-	// Every cell fails twice transiently, so each records 3 attempt spans
-	// separated by real backoff.
+// jobEvents reads a terminal job's whole event log from GET
+// /v1/jobs/{id}/events, each line decoded both as an Event and as raw
+// fields, so a test can tell an absent field from a zero one.
+func jobEvents(t *testing.T, url, id string) ([]Event, []map[string]json.RawMessage) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []Event
+	var raws []map[string]json.RawMessage
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev Event
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+		raws = append(raws, raw)
+	}
+	if len(evs) == 0 {
+		t.Fatalf("job %s has no events", id)
+	}
+	return evs, raws
+}
+
+// TestJobEventsCountAttempts: a job's event log shows its retries. With
+// every cell failing twice transiently, each cell event reports the three
+// attempts the cell took and the final tally counts every cell as
+// retried. The same grid submitted again is served from the memo, and its
+// cell events carry no attempts.
+func TestJobEventsCountAttempts(t *testing.T) {
+	cfg := testConfig(t.TempDir())
 	cfg.Faults = &faultinject.Plan{Seed: 7, TransientRate: 1, TransientFails: 2}
 	cfg.Retries = 3
 	cfg.BackoffBase = 2 * time.Millisecond
@@ -129,137 +155,60 @@ func TestJobTraceNesting(t *testing.T) {
 	s, ts := startTestServer(t, cfg)
 	defer s.Drain(context.Background())
 
-	_, st := postJob(t, ts, smallGrid())
-	job, _ := s.Job(st.ID)
-	if got := waitTerminal(t, job, 30*time.Second); got.State != StateDone {
-		t.Fatalf("job ended %s (%s)", got.State, got.Error)
+	run := func() (JobStatus, []Event, []map[string]json.RawMessage) {
+		_, st := postJob(t, ts, smallGrid())
+		job, _ := s.Job(st.ID)
+		if got := waitTerminal(t, job, 30*time.Second); got.State != StateDone {
+			t.Fatalf("job ended %s (%s)", got.State, got.Error)
+		}
+		evs, raws := jobEvents(t, ts.URL, st.ID)
+		return st, evs, raws
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("trace status %d", resp.StatusCode)
-	}
-	var tr struct {
-		TraceEvents []struct {
-			Name  string            `json:"name"`
-			Phase string            `json:"ph"`
-			Ts    int64             `json:"ts"`
-			Dur   int64             `json:"dur"`
-			Args  map[string]string `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		t.Fatalf("trace is not valid trace-event JSON: %v", err)
-	}
-
-	byID := map[string]string{} // span_id → name
-	parent := map[string]string{}
-	counts := map[string]int{}
-	type spanT struct{ ts, dur int64 }
-	times := map[string]spanT{}
-	for _, e := range tr.TraceEvents {
-		if e.Phase != "X" {
+	st, evs, _ := run()
+	cells := 0
+	for _, ev := range evs {
+		if ev.Type != "cell" {
 			continue
 		}
-		id := e.Args["span_id"]
-		byID[id] = e.Name
-		parent[id] = e.Args["parent_id"]
-		counts[e.Name]++
-		times[id] = spanT{e.Ts, e.Dur}
+		cells++
+		if ev.Attempts != 3 {
+			t.Errorf("cell %s: attempts = %d, want 3", ev.Cell, ev.Attempts)
+		}
 	}
-	if counts["http.request"] != 1 || counts["job"] != 1 || counts["cell"] != 2 {
-		t.Fatalf("span counts = %v", counts)
+	if cells != st.Cells.Planned {
+		t.Fatalf("%d cell events for %d planned cells", cells, st.Cells.Planned)
 	}
-	if counts["attempt"] != 6 { // 2 cells × 3 attempts
-		t.Errorf("attempt spans = %d, want 6 (retries invisible)", counts["attempt"])
+	last := evs[len(evs)-1]
+	if last.Type != "state" || last.State != StateDone {
+		t.Fatalf("log does not end at done: %+v", last)
 	}
-	// Every attempt chains attempt → cell → job → http.request.
-	for id, name := range byID {
-		if name != "attempt" {
+	if last.Tally.Retried != cells {
+		t.Errorf("tally retried = %d, want %d (every cell)", last.Tally.Retried, cells)
+	}
+
+	// Resubmitted, every cell is a memo hit: nothing ran, so nothing is
+	// counted as an attempt.
+	_, evs2, raws2 := run()
+	memo := 0
+	for i, ev := range evs2 {
+		if ev.Type != "cell" {
 			continue
 		}
-		chain := []string{}
-		for cur := id; cur != ""; cur = parent[cur] {
-			chain = append(chain, byID[cur])
-		}
-		want := []string{"attempt", "cell", "job", "http.request"}
-		if !reflect.DeepEqual(chain, want) {
-			t.Fatalf("attempt %s chain = %v, want %v", id, chain, want)
+		memo++
+		if _, ok := raws2[i]["attempts"]; ok {
+			t.Errorf("memoized cell %s carries attempts %s", ev.Cell, raws2[i]["attempts"])
 		}
 	}
-	// Backoff gaps: within one cell, attempt k+1 starts after attempt k
-	// ends. Group attempts by parent cell, ordered by ts.
-	byCell := map[string][]spanT{}
-	for id, name := range byID {
-		if name == "attempt" {
-			byCell[parent[id]] = append(byCell[parent[id]], times[id])
-		}
-	}
-	for cell, as := range byCell {
-		if len(as) != 3 {
-			t.Fatalf("cell %s has %d attempts", cell, len(as))
-		}
-		for i := range as {
-			for j := i + 1; j < len(as); j++ {
-				if as[j].ts < as[i].ts {
-					as[i], as[j] = as[j], as[i]
-				}
-			}
-		}
-		for i := 1; i < len(as); i++ {
-			if as[i].ts < as[i-1].ts+as[i-1].dur {
-				t.Errorf("cell %s attempts overlap: %v", cell, as)
-			}
-		}
-	}
-
-	// The raw span form is also served.
-	resp2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace?format=ndjson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if ct := resp2.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("ndjson content type %q", ct)
-	}
-	lines := 0
-	sc := bufio.NewScanner(resp2.Body)
-	for sc.Scan() {
-		var sp telemetry.Span
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
-			t.Fatalf("bad span line: %v", err)
-		}
-		lines++
-	}
-	if lines != 10 { // request + job + 2 cells + 6 attempts
-		t.Errorf("%d span lines, want 10", lines)
-	}
-
-	// Terminal jobs export both trace files for post-mortem use. The export
-	// lands moments after the job turns terminal, so poll briefly.
-	for _, name := range []string{st.ID + ".trace.json", st.ID + ".spans.ndjson"} {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			_, err := os.Stat(filepath.Join(s.TraceDir(), name))
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("trace file not exported: %v", err)
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	tally := evs2[len(evs2)-1].Tally
+	if memo != cells || tally.Replayed != cells || tally.Retried != 0 {
+		t.Errorf("resubmission: %d cell events, tally %+v; want %d memo hits and no retries", memo, tally, cells)
 	}
 }
 
 // TestRequestIDPropagation: a well-formed client X-Request-ID is echoed in
-// the response header, the job status, the root span's trace ID and the
-// journal (it survives a restart); a malformed one is replaced.
+// the response header, the job status and the journal (it survives a
+// restart); a malformed one is replaced.
 func TestRequestIDPropagation(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := startTestServer(t, testConfig(dir))
@@ -272,9 +221,6 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Errorf("status request_id = %q", st.RequestID)
 	}
 	job, _ := s.Job(st.ID)
-	if got := job.Tracer().TraceID(); got != "client-42" {
-		t.Errorf("trace ID = %q, want the client request ID", got)
-	}
 	waitTerminal(t, job, 30*time.Second)
 
 	// Malformed IDs are never echoed; the server mints its own.
@@ -385,39 +331,6 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
-}
-
-// TestTelemetryOffBitIdentical: span recording only observes — the same
-// request returns byte-for-byte identical results with telemetry on and
-// off, and the off path exports no trace files.
-func TestTelemetryOffBitIdentical(t *testing.T) {
-	run := func(noTel bool) ([]CellResult, string) {
-		dir := t.TempDir()
-		cfg := testConfig(dir)
-		cfg.NoTelemetry = noTel
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		defer s.Drain(context.Background())
-		job, err := s.Submit(GridRequest{Workloads: []string{"mu3", "rd1n3"}, Scale: 0.01, SizesKB: []int{2, 4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := waitTerminal(t, job, 30*time.Second); st.State != StateDone {
-			t.Fatalf("job ended %s", st.State)
-		}
-		return job.Results(), s.TraceDir()
-	}
-	on, _ := run(false)
-	off, offDir := run(true)
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("results differ with telemetry off:\n on  %+v\n off %+v", on, off)
-	}
-	if ents, err := os.ReadDir(offDir); err == nil && len(ents) > 0 {
-		t.Errorf("telemetry off still exported %d trace files", len(ents))
-	}
 }
 
 // TestEventStreamResumeAcrossRestart: an events cursor taken before a crash

@@ -5,12 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // NewServer builds the HTTP API over a Service:
@@ -20,11 +16,8 @@ import (
 //	GET    /v1/jobs/{id}        poll one job            → 200 + status
 //	GET    /v1/jobs/{id}/events progress stream         → 200, NDJSON
 //	GET    /v1/jobs/{id}/result fetch results           → 200/202/409
-//	GET    /v1/jobs/{id}/trace  job trace               → 200 Chrome JSON
-//	                            (?format=ndjson for raw spans)
 //	DELETE /v1/jobs/{id}        cancel                  → 202 + status
 //	GET    /metrics             Prometheus text format  → 200
-//	GET    /debug/dashboard     live HTML dashboard     → 200
 //	GET    /healthz             liveness                → 200
 //	GET    /readyz              readiness               → 200/503
 //
@@ -65,7 +58,6 @@ func NewServer(s *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusAccepted, job.accepted)
-		job.EndRequestSpan(http.StatusAccepted)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		jobs := s.Jobs()
@@ -117,36 +109,6 @@ func NewServer(s *Service) http.Handler {
 			writeJSON(w, http.StatusConflict, st)
 		}
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := s.Job(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-			return
-		}
-		ndjson := r.URL.Query().Get("format") == "ndjson"
-		if tr := job.Tracer(); tr != nil && tr.Len() > 0 {
-			if ndjson {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				tr.WriteNDJSON(w) //nolint:errcheck // client disconnect
-			} else {
-				w.Header().Set("Content-Type", "application/json")
-				tr.WriteChromeTrace(w) //nolint:errcheck // client disconnect
-			}
-			return
-		}
-		// Jobs restored from the journal lost their in-memory tracer; a
-		// previous life may have exported the trace to disk.
-		name := job.ID() + ".trace.json"
-		if ndjson {
-			name = job.ID() + ".spans.ndjson"
-		}
-		path := filepath.Join(s.TraceDir(), name)
-		if _, err := os.Stat(path); err != nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no trace recorded for %s", job.ID()))
-			return
-		}
-		http.ServeFile(w, r, path)
-	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := s.Job(r.PathValue("id"))
 		if !ok {
@@ -181,7 +143,6 @@ func NewServer(s *Service) http.Handler {
 		writeJSON(w, code, body)
 	})
 	mux.Handle("GET /metrics", s.MetricsHandler())
-	mux.Handle("GET /debug/dashboard", telemetry.Dashboard("/metrics", "/v1/jobs"))
 	return withObservability(mux, s.Registry(), s.log)
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfobs"
 	"repro/internal/runner"
-	"repro/internal/telemetry"
 )
 
 // Cancellation causes threaded through context.Cause into the runner's
@@ -102,12 +101,6 @@ type Config struct {
 	Logger *slog.Logger
 	// Registry receives service and sweep metrics; nil creates one.
 	Registry *obs.Registry
-	// NoTelemetry disables span recording and trace-file export. Metrics
-	// stay on either way — they are counters the service maintains anyway.
-	// Simulation results are bit-identical with or without telemetry (the
-	// span layer only observes); this switch exists to prove that and to
-	// shave the last fraction of span overhead on saturated servers.
-	NoTelemetry bool
 }
 
 func (c *Config) fill() {
@@ -160,9 +153,6 @@ func (c *Config) fill() {
 		c.Registry = obs.NewRegistry()
 	}
 }
-
-// TraceDirName is the per-job trace export directory inside DataDir.
-const TraceDirName = "traces"
 
 // Service is the sweep job manager: admission, queue, job workers, the
 // shared memoized cell cache, the write-ahead journal and the ledger.
@@ -462,7 +452,7 @@ func (s *Service) Submit(req GridRequest) (*Job, error) {
 // restart. Shed submissions return *ShedError; a draining server returns
 // ErrDraining; a degraded server (breaker open or journal paused) returns
 // *DegradedError; a sick journal surfaces its write error. A request ID on
-// ctx (see WithRequestID) becomes the job's RequestID and its trace ID.
+// ctx (see WithRequestID) becomes the job's RequestID.
 func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) {
 	if err := req.Validate(s.cfg.MaxCellsPerJob); err != nil {
 		return nil, err
@@ -519,9 +509,6 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	}
 	jobCtx, cancel := context.WithCancelCause(s.ctx)
 	job := newJob(id, reqID, client, req, jobCtx, cancel)
-	if !s.cfg.NoTelemetry {
-		job.startTrace()
-	}
 	s.jobs[id] = job
 	s.order = append(s.order, id)
 	s.queue <- job // cannot block: depth checked under s.mu
@@ -655,61 +642,22 @@ func (s *Service) runJob(job *Job) {
 	regStart, regDone := obs.RunnerHooks(s.reg, s.log.With("job", job.id))
 	s.reg.Counter(obs.MCellsPlanned).Add(int64(len(cells)))
 
-	// Cell spans live on lane 2+index, attempt spans nest under them on
-	// the same lane (time containment renders the hierarchy; parallel
-	// cells get their own rows). One slot per index: the runner guarantees
-	// each index is touched by exactly one goroutine, so no lock.
-	tr := job.Tracer()
-	cellSpans := make([]telemetry.SpanRef, len(cells))
-	job.jobSpan.SetAttr("cells", fmt.Sprintf("%d", len(cells)))
 	results := runner.Run(ctx, cells, runner.Options{
 		Workers:     s.cfg.CellWorkers,
 		CellTimeout: s.cfg.CellTimeout,
 		Retries:     s.cfg.Retries,
 		Backoff:     ExpBackoff(s.cfg.BackoffBase, s.cfg.BackoffMax),
 		Checkpoint:  s.cells,
-		OnCellStart: func(key string, index int) {
-			if regStart != nil {
-				regStart(key, index)
-			}
-			cellSpans[index] = tr.Start("cell", job.jobSpan.ID(), key, 2+index)
-			cellSpans[index].SetAttr("key", key)
-		},
-		OnAttempt: func(ev runner.AttemptEvent) {
+		OnCellStart: regStart,
+		OnAttempt: func(runner.AttemptEvent) {
 			s.reg.Counter(obs.MCellAttempts).Add(1)
-			a := tr.StartAt("attempt", cellSpans[ev.Index].ID(),
-				fmt.Sprintf("%s/a%d", ev.Key, ev.Attempt), 2+ev.Index, ev.Start)
-			a.SetAttr("attempt", fmt.Sprintf("%d", ev.Attempt))
-			if ev.Err != nil {
-				a.SetAttr("err", ev.Err.Error())
-				if ev.Panicked {
-					a.SetAttr("panicked", "true")
-				}
-			}
-			a.EndAt(ev.End)
 		},
 		OnCellDone: func(ev runner.CellEvent) {
 			traces.release(specs[ev.Index])
 			if regDone != nil {
 				regDone(ev)
 			}
-			errMsg := ""
-			if ev.Err != nil {
-				errMsg = ev.Err.Error()
-			}
-			sp := cellSpans[ev.Index]
-			if ev.FromCheckpoint {
-				// Memoized cells never start a worker span; record a
-				// zero-length marker so the trace shows them explicitly.
-				sp = tr.Start("cell", job.jobSpan.ID(), ev.Key, 2+ev.Index)
-				sp.SetAttr("memoized", "true")
-			}
-			sp.SetAttr("attempts", fmt.Sprintf("%d", ev.Attempts))
-			if errMsg != "" {
-				sp.SetAttr("err", errMsg)
-			}
-			sp.End()
-			job.noteCell(ev.Key, ev.FromCheckpoint, ev.Err != nil, ev.Attempts > 1, errMsg)
+			job.noteCell(ev)
 		},
 	})
 	// Finish before finishJob so the run's wall time reaches the job's
@@ -776,12 +724,10 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 		}
 		job.setState(StateDone, "", "")
 		s.appendLedger(job, m, results)
-		s.endTrace(job, StateDone, "", "")
 		s.log.Info("job done", "job", job.id, "cells", len(results))
 		return
 	case errors.Is(cause, ErrKilled) || errors.Is(cause, ErrDrainAborted):
-		// Non-terminal: the job resumes in the next server life, so its
-		// trace stays open (and dies with the process, like a real crash).
+		// Non-terminal: the job resumes in the next server life.
 		job.setState(StateInterrupted, "", causeName(cause))
 		s.log.Warn("job interrupted", "job", job.id, "cause", causeName(cause))
 		return
@@ -792,7 +738,6 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 			s.parkUnjournaled(journalEntry{T: "cancel", Job: job.id})
 		}
 		job.setState(StateCanceled, "", causeName(cause))
-		s.endTrace(job, StateCanceled, "", causeName(cause))
 		return
 	default:
 		msg := "job failed"
@@ -805,60 +750,18 @@ func (s *Service) finishJob(job *Job, m *obs.Manifest, results []runner.Result[C
 			s.parkUnjournaled(journalEntry{T: "fail", Job: job.id, Err: msg, Cause: causeName(cause)})
 		}
 		job.setState(StateFailed, msg, causeName(cause))
-		s.endTrace(job, StateFailed, msg, causeName(cause))
 		s.log.Warn("job failed", "job", job.id, "err", msg, "cause", causeName(cause))
 	}
 }
-
-// endTrace closes the job span with the terminal outcome and exports the
-// trace to DataDir/traces as NDJSON and Chrome trace-event JSON, so the
-// timeline outlives the process and simreport can link it.
-func (s *Service) endTrace(job *Job, state JobState, errMsg, cause string) {
-	tr := job.Tracer()
-	if tr == nil {
-		return
-	}
-	job.jobSpan.SetAttr("state", string(state))
-	if errMsg != "" {
-		job.jobSpan.SetAttr("err", errMsg)
-	}
-	if cause != "" {
-		job.jobSpan.SetAttr("cause", cause)
-	}
-	job.jobSpan.End()
-	s.reg.Counter(obs.MTraceSpans).Add(int64(tr.Len()))
-	dir := filepath.Join(s.cfg.DataDir, TraceDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.log.Warn("trace dir", "job", job.id, "err", err)
-		return
-	}
-	write := func(name string, emit func(io.Writer) error) {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err == nil {
-			err = emit(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			s.log.Warn("trace export failed", "job", job.id, "file", name, "err", err)
-		}
-	}
-	write(job.id+".spans.ndjson", tr.WriteNDJSON)
-	write(job.id+".trace.json", tr.WriteChromeTrace)
-}
-
-// TraceDir is where finished jobs' trace exports land.
-func (s *Service) TraceDir() string { return filepath.Join(s.cfg.DataDir, TraceDirName) }
 
 // MetricsHandler serves the registry in Prometheus text format, syncing
 // the scrape-time gauges (admission tokens, uptime) first. Mounted at
 // /metrics by NewServer and reusable on a debug listener.
 func (s *Service) MetricsHandler() http.Handler {
-	return telemetry.MetricsHandler(s.reg, func() {
+	return obs.MetricsHandler(s.reg, func() {
 		s.reg.Gauge(obs.MTokensAvailable).Set(int64(s.bucket.Available()))
 		s.reg.Gauge(obs.MUptimeSeconds).Set(int64(s.Uptime().Seconds()))
-		telemetry.SyncRuntimeMetrics(s.reg)
+		obs.SyncRuntimeMetrics(s.reg)
 	})
 }
 
@@ -946,8 +849,8 @@ func (s *Service) Kill() {
 	s.cells.Close()   //nolint:errcheck // crash semantics
 	s.journal.Close() //nolint:errcheck // crash semantics
 	// A job that finished as the kill landed may still be writing its
-	// ledger record and trace files under DataDir; return only once every
-	// job worker has exited, so nothing of this life writes after Kill.
+	// ledger record under DataDir; return only once every job worker has
+	// exited, so nothing of this life writes after Kill.
 	s.wg.Wait()
 }
 

@@ -53,7 +53,7 @@ func soakSubmitAll(t *testing.T, s *Service, batch []GridRequest) []string {
 }
 
 // saveArtifactsOnFailure copies the service data dir (journal, cell cache,
-// ledger, quarantine sidecars, traces) to $SOAK_ARTIFACTS_DIR when the test
+// ledger, quarantine sidecars) to $SOAK_ARTIFACTS_DIR when the test
 // fails, so CI uploads the evidence instead of discarding the TempDir.
 func saveArtifactsOnFailure(t *testing.T, dir string) {
 	t.Cleanup(func() {

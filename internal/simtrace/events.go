@@ -150,12 +150,11 @@ func (r *Recorder) Match(now int64, addr uint64) {
 
 // --- Chrome trace-event export ----------------------------------------
 
-// ChromeEvent is one entry of the Chrome trace-event JSON format
+// chromeEvent is one entry of the Chrome trace-event JSON format
 // (loadable in Perfetto and chrome://tracing). The simulator writes
 // simulated cycles as microseconds one-to-one, so the viewer's time axis
-// reads directly in cycles; the service's job traces (internal/telemetry)
-// write real microseconds.
-type ChromeEvent struct {
+// reads directly in cycles.
+type chromeEvent struct {
 	Name  string            `json:"name"`
 	Cat   string            `json:"cat,omitempty"`
 	Phase string            `json:"ph"`
@@ -167,30 +166,30 @@ type ChromeEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// ChromeRow names one timeline row (a thread, in the format's terms).
-type ChromeRow struct {
+// chromeRow names one timeline row (a thread, in the format's terms).
+type chromeRow struct {
 	Tid  int
 	Name string
 }
 
 type chromeTrace struct {
-	TraceEvents     []ChromeEvent `json:"traceEvents"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChrome writes events as indented Chrome trace-event JSON, preceded
+// writeChrome writes events as indented Chrome trace-event JSON, preceded
 // by metadata naming process 1 and each of its rows, in the order given.
-func WriteChrome(w io.Writer, process string, rows []ChromeRow, events []ChromeEvent) error {
+func writeChrome(w io.Writer, process string, rows []chromeRow, events []chromeEvent) error {
 	out := chromeTrace{
-		TraceEvents:     make([]ChromeEvent, 0, 1+len(rows)+len(events)),
+		TraceEvents:     make([]chromeEvent, 0, 1+len(rows)+len(events)),
 		DisplayTimeUnit: "ms",
 	}
-	out.TraceEvents = append(out.TraceEvents, ChromeEvent{
+	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Phase: "M", Pid: 1,
 		Args: map[string]string{"name": process},
 	})
 	for _, row := range rows {
-		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "thread_name", Phase: "M", Pid: 1, Tid: row.Tid,
 			Args: map[string]string{"name": row.Name},
 		})
@@ -210,10 +209,10 @@ func WriteChrome(w io.Writer, process string, rows []ChromeRow, events []ChromeE
 // timeline rows.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	evs := r.Events()
-	out := make([]ChromeEvent, 0, len(evs))
+	out := make([]chromeEvent, 0, len(evs))
 	for _, ev := range evs {
 		tid, _ := ev.Kind.track()
-		ce := ChromeEvent{
+		ce := chromeEvent{
 			Name: ev.Kind.String(),
 			Cat:  "sim",
 			Ts:   ev.Start,
@@ -239,8 +238,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 		out = append(out, ce)
 	}
-	rows := []ChromeRow{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}}
-	if err := WriteChrome(w, "simulator", rows, out); err != nil {
+	rows := []chromeRow{{1, "I-side"}, {2, "D-side"}, {3, "write buffer"}, {4, "memory"}}
+	if err := writeChrome(w, "simulator", rows, out); err != nil {
 		return fmt.Errorf("simtrace: %w", err)
 	}
 	return nil
