@@ -13,7 +13,9 @@
 #   fuzz         — fuzz seed corpora in regression mode (no new input
 #                  generation; just replays the checked-in seeds)
 #   selfcheck    — the differential-oracle pass: every simulator run in the
-#                  lockstep tests must agree with the reference cache model
+#                  lockstep tests must agree with the reference cache model,
+#                  plus one paperfigs -selfcheck run (a counters figure and
+#                  a replay figure) through the CLI
 #   faults       — deterministic fault-injection pass: seeded panics, delays
 #                  and transient errors driven through the sweep runner
 #   soak         — the service resilience proof: the chaos soak (hundreds of
@@ -54,8 +56,8 @@
 # part of the gate.
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
-# root package's plus the workload, cache, write-buffer, memory, engine,
-# system and runner layer benchmarks, to BENCH_<date>.json via
+# root package's plus the workload, trace-decode, cache, write-buffer,
+# memory, engine, system and runner layer benchmarks, to BENCH_<date>.json via
 # cmd/bench2json. The paper's figures are timed cold by benchmark/run.sh
 # (figures-cold), not here. Compare two snapshots with:
 #
@@ -95,10 +97,15 @@ fuzz-long:
 	$(GO) test -run '^$$' -fuzz FuzzOracleLockstep -fuzztime 30s ./internal/check/
 
 # The lockstep-oracle tests across the cache, engine, system and sweep
-# layers, plus the metamorphic cache properties they rest on.
+# layers, plus the metamorphic cache properties they rest on. The
+# paperfigs run puts the oracle, the one instrument the engine carries,
+# through its CLI: fig3-1 runs counters cells and fig3-2 replay cells,
+# each checked (cachesim's instruments get theirs in attrib and
+# explaingate).
 selfcheck:
 	$(GO) test -run 'SelfCheck|Shadow|Lockstep|BufOracle|Checked|LRUAssoc|LRUSize|FullyAssoc' \
 		./internal/check/ ./internal/cache/ ./internal/system/ ./internal/engine/ ./internal/experiments/
+	$(GO) run ./cmd/paperfigs -scale 0.02 -only fig3-1,fig3-2 -selfcheck >/dev/null
 
 # The deterministic fault-injection suite: injected panics, delays,
 # transient errors and corrupt traces through the hardened runner.
@@ -240,14 +247,14 @@ vulncheck:
 	fi
 
 # The root package holds the whole-simulator, ablation and overhead-pair
-# benchmarks; the workload, cache, writebuf, mem, engine, system and
-# runner packages hold the per-layer ones (trace generation, one access
-# per geometry, write-buffer operations, memory fills and writes, the
+# benchmarks; the workload, trace, cache, writebuf, mem, engine, system
+# and runner packages hold the per-layer ones (trace generation, binary
+# and din trace decode, one access per geometry, write-buffer operations, memory fills and writes, the
 # behavioural pass and the size-family walk, the timing replay with one
 # lane and with many, the single-phase simulator and the runner's
 # per-cell cost).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/trace/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:

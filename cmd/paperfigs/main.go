@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -34,12 +33,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/check"
 	"repro/internal/experiments"
-	"repro/internal/explain"
 	"repro/internal/faultinject"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/simtrace"
 	"repro/internal/textplot"
 )
 
@@ -168,10 +165,6 @@ func run() (err error) {
 		checkEvry = flag.Int("selfcheck-every", check.DefaultEvery, "structural invariant interval in references (with -selfcheck)")
 		faultSpec = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=1,panic=0.02,slow=0.01,transient=0.1' (testing the runner)")
 
-		attrib    = flag.Bool("attrib", false, "arm cycle attribution in every freshly computed cell; the aggregate lands in the registry and run manifest")
-		explainOn = flag.Bool("explain", false, "arm 3C miss classification in every freshly computed cell; the aggregate lands in the registry and run manifest")
-		eventsOut = flag.String("events", "", "write a representative cell's timeline as Chrome trace-event JSON to this file")
-
 		progress  = flag.Duration("progress", 0, "print sweep progress/ETA lines to stderr at this interval (0 = off)")
 		debugAddr = flag.String("debug-addr", "", "serve live expvar and pprof on this address (e.g. :8080; :0 picks a free port)")
 		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept); arms the manifest, which lists them; read them with go tool pprof")
@@ -225,10 +218,9 @@ func run() (err error) {
 
 	// Observability is off by default: the registry, reporter, debug
 	// server and manifest only exist when one of their flags asks.
-	// -attrib counts as asking: its aggregate is reported via the manifest.
 	// -ledger arms the registry and the in-memory manifest (the ledger
 	// record is its projection) but writes no manifest file of its own.
-	manifestOn := *progress > 0 || *debugAddr != "" || *manifest != "" || *attrib || *explainOn || *profDir != ""
+	manifestOn := *progress > 0 || *debugAddr != "" || *manifest != "" || *profDir != ""
 	obsOn := manifestOn || *ledgerDir != ""
 	manifestPath := *manifest
 	if manifestOn && manifestPath == "" {
@@ -279,17 +271,6 @@ func run() (err error) {
 		}
 		exec.Faults = plan
 		fmt.Fprintf(os.Stderr, "fault injection armed: %s\n", *faultSpec)
-	}
-	if *attrib || *eventsOut != "" {
-		exec.Trace = &simtrace.Options{Attrib: *attrib, Events: *eventsOut != ""}
-		if *attrib {
-			fmt.Println("attrib: cycle attribution armed in every freshly computed cell")
-		}
-	}
-	if *explainOn {
-		opts := explain.All()
-		exec.Explain = &opts
-		fmt.Println("explain: 3C miss classification armed in every freshly computed cell")
 	}
 	var cp *runner.Checkpoint
 	if *ckpt != "" {
@@ -384,95 +365,8 @@ func run() (err error) {
 		}
 		fmt.Printf("[%s in %v]\n", f.name, time.Since(t0).Round(time.Millisecond))
 	}
-	if *attrib && reg != nil {
-		if err := renderAttribution(os.Stdout, reg); err != nil {
-			return err
-		}
-	}
-	if *explainOn && reg != nil {
-		if err := renderExplain(os.Stdout, reg); err != nil {
-			return err
-		}
-	}
-	if *eventsOut != "" {
-		if rec := suite.EventTrace(); rec == nil {
-			fmt.Fprintln(os.Stderr, "events: no cell was freshly computed with the event ring armed (all replayed from checkpoint?); nothing written")
-		} else {
-			f, ferr := os.Create(*eventsOut)
-			if ferr != nil {
-				return ferr
-			}
-			werr := rec.WriteChromeTrace(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-			fmt.Fprintf(os.Stderr, "events: %s (a representative cell's timeline; which cell depends on worker scheduling)\n", *eventsOut)
-		}
-	}
 	fmt.Printf("\ntotal %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// renderAttribution prints the registry's aggregate cycle attribution
-// across every freshly computed cell, largest component first.
-func renderAttribution(w io.Writer, reg *obs.Registry) error {
-	comps := reg.CounterValuesWithPrefix(obs.MAttribPrefix)
-	cells := reg.Counter(obs.MAttribCells).Value()
-	if len(comps) == 0 || cells == 0 {
-		fmt.Fprintln(w, "\nattribution: no freshly computed cells (all replayed from checkpoint?)")
-		return nil
-	}
-	names := make([]string, 0, len(comps))
-	var total int64
-	for n, v := range comps {
-		names = append(names, n)
-		total += v
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if comps[names[i]] != comps[names[j]] {
-			return comps[names[i]] > comps[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	fmt.Fprintln(w)
-	tab := textplot.NewTable(fmt.Sprintf("aggregate cycle attribution over %d freshly computed cells (warm windows)", cells),
-		"component", "cycles", "share%")
-	for _, n := range names {
-		// Zero-safe share: a degenerate run whose components all measured
-		// zero cycles reports 0 rather than NaN.
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(comps[n]) / float64(total)
-		}
-		tab.Row(n, comps[n], share)
-	}
-	return tab.Render(w)
-}
-
-// renderExplain prints the registry's aggregate 3C miss classification
-// across every freshly computed cell.
-func renderExplain(w io.Writer, reg *obs.Registry) error {
-	cells := reg.Counter(obs.MExplainCells).Value()
-	if cells == 0 {
-		fmt.Fprintln(w, "\nexplain: no freshly computed cells (all replayed from checkpoint?)")
-		return nil
-	}
-	c3 := explain.ThreeC{
-		Compulsory: reg.Counter(obs.MExplainCompulsory).Value(),
-		Capacity:   reg.Counter(obs.MExplainCapacity).Value(),
-		Conflict:   reg.Counter(obs.MExplainConflict).Value(),
-	}
-	comp, cap3, conf := c3.SharePct()
-	fmt.Fprintln(w)
-	tab := textplot.NewTable(fmt.Sprintf("aggregate 3C miss classification over %d freshly computed cells (warm windows)", cells),
-		"class", "misses", "share%")
-	tab.Row("compulsory", c3.Compulsory, comp)
-	tab.Row("capacity", c3.Capacity, cap3)
-	tab.Row("conflict", c3.Conflict, conf)
-	return tab.Render(w)
 }
 
 // parseLogLevel maps the -log flag to a slog level.

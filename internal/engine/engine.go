@@ -25,19 +25,17 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/check"
-	"repro/internal/explain"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
 
-// side is one L1 as the behavioural pass drives it. The unchecked,
-// unexplained pass (slow == nil) calls the concrete *cache.Cache directly.
-// With a checker or an explain probe attached, every access goes through
-// the decorator stack instead (see system.NewL1): the shadow oracle diffs,
-// and the probe observes, each result. Both calls return the same
-// cache.Result from the same state transition, so the two routes record
-// identical events and counters (the fast-path equivalence test pins
-// this). The branch stays because sending every access through
+// side is one L1 as the behavioural pass drives it. The unchecked pass
+// (slow == nil) calls the concrete *cache.Cache directly. With a checker
+// attached, every access goes through the decorator stack instead (see
+// system.NewL1): the shadow oracle diffs each result. Both calls return
+// the same cache.Result from the same state transition, so the two routes
+// record identical events and counters (the fast-path equivalence test
+// pins this). The branch stays because sending every access through
 // cache.Interface measured ~9% slower per reference
 // (BenchmarkBuildProfile/dm, 2-vCPU x86-64 host). The pass branches at
 // each access site rather than through a method: a method holding both
@@ -320,25 +318,21 @@ func (p *Profile) Bytes() int {
 // a system.System built from the same configs observes the identical
 // hit/miss sequence.
 func BuildProfile(org Org, t *trace.Trace) (*Profile, error) {
-	return BuildProfileExplained(org, t, nil, nil)
+	return BuildProfileChecked(org, t, nil)
 }
 
-// BuildProfileExplained is BuildProfile with the instruments attached.
-// When opts is non-nil, every cache access is diffed against the check
-// package's oracle and structural invariants run at the configured
+// BuildProfileChecked is BuildProfile with the differential oracle
+// attached. When opts is non-nil, every cache access is diffed against the
+// check package's oracle and structural invariants run at the configured
 // interval; the first divergence aborts the build with a typed
-// *check.Divergence error. When exp arms an instrument, every access also
-// feeds the recorder's shadow models (3C classification, reuse distances,
-// set pressure), and the build finishes by verifying 3C conservation
-// against the profile's own miss counters. The behavioural pass sees every
-// reference exactly once, so the recorder observes the same stream the
-// system simulator would. A nil opts and a nil or disarmed exp are exactly
-// BuildProfile.
+// *check.Divergence error. A nil opts is exactly BuildProfile. The other
+// instruments (cycle attribution, timelines, 3C explanations) attach only
+// to the system simulator.
 //
-// The L1 pair comes from system.NewL1, as the system simulator's does. With
-// no instrument attached, the pass calls the concrete cache (see side);
+// The L1 pair comes from system.NewL1, as the system simulator's does.
+// Without a checker, the pass calls the concrete cache (see side);
 // otherwise every access goes through the decorator stack.
-func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *explain.Recorder) (*Profile, error) {
+func BuildProfileChecked(org Org, t *trace.Trace, opts *check.Options) (*Profile, error) {
 	if err := org.Validate(); err != nil {
 		return nil, err
 	}
@@ -347,7 +341,7 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 	if err := t.ValidateWarmStart(); err != nil {
 		return nil, err
 	}
-	l1, err := system.NewL1(org.ICache, org.DCache, org.Unified, t.Name, opts, exp)
+	l1, err := system.NewL1(org.ICache, org.DCache, org.Unified, t.Name, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -360,16 +354,12 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 		dc:  side{c: l1.D.Real, slow: l1.D.Stack},
 		wt:  org.DCache.WritePolicy == cache.WriteThrough,
 		chk: l1.Chk,
-		exp: exp,
 	}
 	if err := w.run(t, one[:]); err != nil {
 		return nil, err
 	}
 	tally := p.total.SelfCheckTally()
 	if err := l1.Chk.Finish(&tally); err != nil {
-		return nil, err
-	}
-	if err := exp.Finish(p.total.IfetchMisses + p.total.LoadMisses + p.total.StoreMisses); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -381,7 +371,7 @@ func BuildProfileExplained(org Org, t *trace.Trace, opts *check.Options, exp *ex
 // references once, places the warm-start marker and computes every gap.
 // Only the probe differs between the two member kinds:
 //   - one cache of any organization (BuildProfile), probed through side,
-//     with the checker polled and the explain recorder marked;
+//     with the checker polled;
 //   - a direct-mapped size family (BuildFamily), probed through
 //     familySide, which stops at the first size that hits.
 //
@@ -398,7 +388,6 @@ type walk struct {
 	ic, dc side
 	wt     bool // the data cache writes through
 	chk    *check.Checker
-	exp    *explain.Recorder
 
 	fam *family // a direct-mapped size family, smallest size first
 }
@@ -591,7 +580,6 @@ func (w *walk) markWarm(ms []member) {
 		m.log.add(uint32(w.couplet-m.last.couplet), uint32(w.stores-m.last.stores), flagMarker, dNone, 0, 0, 0, 0)
 		m.last = gapMark{w.couplet, w.stores}
 	}
-	w.exp.MarkWarm()
 }
 
 // settle copies the shared reference counts into a member's totals and

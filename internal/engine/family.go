@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/check"
-	"repro/internal/explain"
 	"repro/internal/trace"
 )
 
@@ -23,11 +22,11 @@ import (
 // FamilyApplies reports whether BuildFamily builds the organizations'
 // profiles: all split or all unified, direct-mapped, one block size,
 // whole-block fetch, write-back, no write-allocate, and strictly
-// ascending sizes on each side. A run with a checker (opts) or an armed
-// explain recorder (exp) attached needs every access of every
-// configuration, so it takes the per-configuration pass.
-func FamilyApplies(orgs []Org, opts *check.Options, exp *explain.Recorder) bool {
-	if len(orgs) == 0 || opts != nil || exp.On() {
+// ascending sizes on each side. A run with a checker (opts) attached
+// needs every access of every configuration, so it takes the
+// per-configuration pass.
+func FamilyApplies(orgs []Org, opts *check.Options) bool {
+	if len(orgs) == 0 || opts != nil {
 		return false
 	}
 	block := orgs[0].DCache.BlockWords
@@ -151,7 +150,7 @@ func (fs *familySide) write(addr uint64) int {
 // FamilyApplies) in one walk of the trace. Each profile equals
 // BuildProfile's for its organization.
 func BuildFamily(orgs []Org, t *trace.Trace) ([]*Profile, error) {
-	if !FamilyApplies(orgs, nil, nil) {
+	if !FamilyApplies(orgs, nil) {
 		return nil, errors.New("engine: the organizations do not form a direct-mapped size family")
 	}
 	if err := t.ValidateWarmStart(); err != nil {

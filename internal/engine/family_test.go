@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/check"
-	"repro/internal/explain"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -107,35 +106,32 @@ func TestFamilyApplies(t *testing.T) {
 		name string
 		orgs []Org
 		opts *check.Options
-		exp  *explain.Recorder
 		want bool
 	}{
-		{"split", base(), nil, nil, true},
-		{"unified", familyOrgs([]int{4, 8, 16}, 4, true), nil, nil, true},
-		{"one size", base()[:1], nil, nil, true},
-		{"lru", mutate(1, func(c *cache.Config) { c.Replacement = cache.LRU }), nil, nil, true},
-		{"disarmed explain", base(), nil, explain.New(explain.Options{}), true},
-		{"empty", nil, nil, nil, false},
-		{"checker", base(), &check.Options{}, nil, false},
-		{"explain", base(), nil, explain.New(explain.All()), false},
-		{"write-allocate", mutate(1, func(c *cache.Config) { c.WriteAllocate = true }), nil, nil, false},
-		{"write-through", mutate(0, func(c *cache.Config) { c.WritePolicy = cache.WriteThrough }), nil, nil, false},
-		{"2-way", mutate(2, func(c *cache.Config) { c.Assoc = 2 }), nil, nil, false},
-		{"sub-blocked", mutate(1, func(c *cache.Config) { c.FetchWords = 2 }), nil, nil, false},
-		{"two block sizes", mutate(2, func(c *cache.Config) { c.BlockWords = 8 }), nil, nil, false},
-		{"i-cache 2-way", func() []Org { o := base(); o[1].ICache.Assoc = 2; return o }(), nil, nil, false},
-		{"i-cache block", func() []Org { o := base(); o[0].ICache.BlockWords = 8; return o }(), nil, nil, false},
-		{"descending", []Org{base()[1], base()[0]}, nil, nil, false},
-		{"repeated size", []Org{base()[1], base()[1]}, nil, nil, false},
-		{"i-cache not ascending", func() []Org { o := base(); o[2].ICache.SizeWords = o[1].ICache.SizeWords; return o }(), nil, nil, false},
-		{"mixed kinds", append(base()[:1], familyOrgs([]int{16}, 4, true)...), nil, nil, false},
-		{"invalid", mutate(0, func(c *cache.Config) { c.SizeWords = 3 }), nil, nil, false},
+		{"split", base(), nil, true},
+		{"unified", familyOrgs([]int{4, 8, 16}, 4, true), nil, true},
+		{"one size", base()[:1], nil, true},
+		{"lru", mutate(1, func(c *cache.Config) { c.Replacement = cache.LRU }), nil, true},
+		{"empty", nil, nil, false},
+		{"checker", base(), &check.Options{}, false},
+		{"write-allocate", mutate(1, func(c *cache.Config) { c.WriteAllocate = true }), nil, false},
+		{"write-through", mutate(0, func(c *cache.Config) { c.WritePolicy = cache.WriteThrough }), nil, false},
+		{"2-way", mutate(2, func(c *cache.Config) { c.Assoc = 2 }), nil, false},
+		{"sub-blocked", mutate(1, func(c *cache.Config) { c.FetchWords = 2 }), nil, false},
+		{"two block sizes", mutate(2, func(c *cache.Config) { c.BlockWords = 8 }), nil, false},
+		{"i-cache 2-way", func() []Org { o := base(); o[1].ICache.Assoc = 2; return o }(), nil, false},
+		{"i-cache block", func() []Org { o := base(); o[0].ICache.BlockWords = 8; return o }(), nil, false},
+		{"descending", []Org{base()[1], base()[0]}, nil, false},
+		{"repeated size", []Org{base()[1], base()[1]}, nil, false},
+		{"i-cache not ascending", func() []Org { o := base(); o[2].ICache.SizeWords = o[1].ICache.SizeWords; return o }(), nil, false},
+		{"mixed kinds", append(base()[:1], familyOrgs([]int{16}, 4, true)...), nil, false},
+		{"invalid", mutate(0, func(c *cache.Config) { c.SizeWords = 3 }), nil, false},
 	}
 	for _, c := range cases {
-		if got := FamilyApplies(c.orgs, c.opts, c.exp); got != c.want {
+		if got := FamilyApplies(c.orgs, c.opts); got != c.want {
 			t.Errorf("%s: FamilyApplies = %v, want %v", c.name, got, c.want)
 		}
-		if c.opts != nil || c.exp != nil {
+		if c.opts != nil {
 			continue
 		}
 		if _, err := BuildFamily(c.orgs, workload.Random(500, 1<<10, 0.3, 1)); (err == nil) != c.want {

@@ -7,20 +7,18 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/check"
-	"repro/internal/explain"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // TestFastPathEquivalence states where the behavioural pass's fast access
-// path applies and pins that it changes nothing. BuildProfile with neither
-// a checker nor an armed explain recorder calls the concrete *cache.Cache;
-// BuildProfileExplained with a lockstep oracle or with an armed recorder
-// calls the same Read and Write through the decorator stack
-// (cache.Interface). All three must record the same events,
-// gaps and counters, and replay to the same results, for every
-// organization the engine accepts.
+// path applies and pins that it changes nothing. BuildProfile without a
+// checker calls the concrete *cache.Cache; BuildProfileChecked with a
+// lockstep oracle calls the same Read and Write through the decorator
+// stack (cache.Interface). Both must record the same events, gaps and
+// counters, and replay to the same results, for every organization the
+// engine accepts.
 func TestFastPathEquivalence(t *testing.T) {
 	cfg := func(size, block, assoc int, rep cache.Replacement) cache.Config {
 		return cache.Config{SizeWords: size, BlockWords: block, Assoc: assoc,
@@ -62,32 +60,26 @@ func TestFastPathEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: BuildProfile: %v", name, tr.Name, err)
 			}
-			checked, err := BuildProfileExplained(org, tr, &check.Options{Every: 512}, nil)
+			checked, err := BuildProfileChecked(org, tr, &check.Options{Every: 512})
 			if err != nil {
-				t.Fatalf("%s/%s: checked BuildProfileExplained: %v", name, tr.Name, err)
+				t.Fatalf("%s/%s: BuildProfileChecked: %v", name, tr.Name, err)
 			}
-			explained, err := BuildProfileExplained(org, tr, nil, explain.New(explain.All()))
-			if err != nil {
-				t.Fatalf("%s/%s: BuildProfileExplained: %v", name, tr.Name, err)
+			if !reflect.DeepEqual(checked, fast) {
+				t.Errorf("%s/%s: checked build differs from the fast path (events %d vs %d, counters equal: %v)",
+					name, tr.Name, len(checked.events), len(fast.events), checked.total == fast.total)
+				continue
 			}
-			for route, p := range map[string]*Profile{"checked": checked, "explained": explained} {
-				if !reflect.DeepEqual(p, fast) {
-					t.Errorf("%s/%s: %s build differs from the fast path (events %d vs %d, counters equal: %v)",
-						name, tr.Name, route, len(p.events), len(fast.events), p.total == fast.total)
-					continue
+			for _, tm := range timings {
+				want, err := fast.Replay(tm)
+				if err != nil {
+					t.Fatalf("%s/%s: Replay: %v", name, tr.Name, err)
 				}
-				for _, tm := range timings {
-					want, err := fast.Replay(tm)
-					if err != nil {
-						t.Fatalf("%s/%s: Replay: %v", name, tr.Name, err)
-					}
-					got, err := p.Replay(tm)
-					if err != nil {
-						t.Fatalf("%s/%s: %s Replay: %v", name, tr.Name, route, err)
-					}
-					if got != want {
-						t.Errorf("%s/%s: %s replay at %d ns differs from the fast path", name, tr.Name, route, tm.CycleNs)
-					}
+				got, err := checked.Replay(tm)
+				if err != nil {
+					t.Fatalf("%s/%s: checked Replay: %v", name, tr.Name, err)
+				}
+				if got != want {
+					t.Errorf("%s/%s: checked replay at %d ns differs from the fast path", name, tr.Name, tm.CycleNs)
 				}
 			}
 		}

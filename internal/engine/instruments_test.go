@@ -13,12 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStackedInstrumentsSelfCheck arms all three instruments at once —
-// the lockstep checker, simtrace attribution and events, and every explain
-// instrument — so each L1 runs the full decorator stack (real cache, then
-// check.Shadow, then explain.Probe) in both cores. The checker must report
-// no divergence, the counters must equal a bare run's, the attribution and
-// events a trace-only run's, and the explain report an explain-only run's.
+// TestStackedInstrumentsSelfCheck arms all three instruments at once in
+// the system simulator — the lockstep checker, simtrace attribution and
+// events, and every explain instrument — so each L1 runs the full
+// decorator stack (real cache, then check.Shadow, then explain.Probe). The
+// checker must report no divergence, the counters must equal a bare run's,
+// the attribution and events a trace-only run's, and the explain report an
+// explain-only run's. The engine carries only the checker: a checked build
+// and a checked replay must equal the bare engine's and the armed system's
+// result.
 func TestStackedInstrumentsSelfCheck(t *testing.T) {
 	orgs := []struct {
 		name string
@@ -73,43 +76,29 @@ func TestStackedInstrumentsSelfCheck(t *testing.T) {
 			t.Errorf("%s: system explain report differs from an explain-only run's", oc.name)
 		}
 
-		// Engine core.
+		// Engine core: the checker alone.
 		plain, err := BuildProfile(oc.org, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", oc.name, err)
 		}
-		expOnly := explain.New(all)
-		if _, err := BuildProfileExplained(oc.org, tr, nil, expOnly); err != nil {
-			t.Fatalf("%s: %v", oc.name, err)
-		}
-		exp := explain.New(all)
-		prof, err := BuildProfileExplained(oc.org, tr, chk, exp)
+		prof, err := BuildProfileChecked(oc.org, tr, chk)
 		if err != nil {
-			t.Fatalf("%s: build with every instrument armed: %v", oc.name, err)
+			t.Fatalf("%s: checked build: %v", oc.name, err)
 		}
 		if prof.TotalCounters() != plain.TotalCounters() || prof.WarmCounters() != plain.WarmCounters() {
-			t.Errorf("%s: profile counters changed with every instrument armed", oc.name)
-		}
-		if !reflect.DeepEqual(exp.Report(), expOnly.Report()) {
-			t.Errorf("%s: engine explain report differs from an explain-only build's", oc.name)
+			t.Errorf("%s: profile counters changed with the checker armed", oc.name)
 		}
 		want, err := plain.Replay(tm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recOnly := simtrace.New(*trc)
-		if _, err := plain.ReplayTraced(tm, nil, recOnly); err != nil {
-			t.Fatal(err)
-		}
-		rec := simtrace.New(*trc)
-		res, err := prof.ReplayTraced(tm, chk, rec)
+		res, err := prof.ReplayChecked(tm, chk)
 		if err != nil {
-			t.Fatalf("%s: replay with every instrument armed: %v", oc.name, err)
+			t.Fatalf("%s: checked replay: %v", oc.name, err)
 		}
 		if res != want || res != got {
-			t.Errorf("%s: replay result differs from a bare replay's or the system's", oc.name)
+			t.Errorf("%s: checked replay result differs from a bare replay's or the system's", oc.name)
 		}
-		sameTrace(t, oc.name+" engine", rec, recOnly)
 	}
 }
 

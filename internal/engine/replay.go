@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/mem"
-	"repro/internal/simtrace"
 	"repro/internal/system"
 	"repro/internal/writebuf"
 )
@@ -70,12 +69,11 @@ func (m *memSink) NextFree() int64 { return m.unit.FreeAt }
 
 // lane is one cycle-domain timing's state in a replay: its memory unit and
 // write buffer, its clock and warm-boundary snapshot, and its optional
-// instruments. A replay steps every lane through the same event stream.
+// checker. A replay steps every lane through the same event stream.
 type lane struct {
 	unit *mem.Unit
 	buf  *writebuf.Buffer
-	rec  *simtrace.Recorder // nil unless instrumentation is armed
-	chk  *check.Checker     // nil unless the lane is audited
+	chk  *check.Checker // nil unless the lane is audited
 
 	ifetch, dfetch fetchUnit
 	now            int64
@@ -90,22 +88,15 @@ type fetchUnit struct {
 }
 
 // init builds the lane's memory unit and write buffer for the profile at
-// the cycle-domain timing and attaches the instruments.
-func (ln *lane) init(p *Profile, ct CycleTiming, chk *check.Checker, rec *simtrace.Recorder) error {
-	if !rec.On() {
-		rec = nil // a disarmed recorder attaches nothing, as in Attach
-	}
+// the cycle-domain timing and attaches the checker.
+func (ln *lane) init(p *Profile, ct CycleTiming, chk *check.Checker) error {
 	tm := ct.Mem
 	ln.unit = mem.NewUnit(tm)
-	ln.rec, ln.chk = rec, chk
+	ln.chk = chk
 	var err error
 	if ln.buf, err = writebuf.New(ct.WriteBufDepth, &memSink{unit: ln.unit}); err != nil {
 		return err
 	}
-	if rec.EventsOn() {
-		ln.buf.SetTracer(rec)
-	}
-	chk.AddConservation("attrib-conservation", rec)
 	chk.AuditBuffer("l1buf", ln.buf, ct.WriteBufDepth)
 	ifw, dfw := p.Org.fetchWords()
 	ln.ifetch = fetchUnit{ifw, tm.TransferCycles(ifw)}
@@ -119,23 +110,14 @@ func (ln *lane) init(p *Profile, ct CycleTiming, chk *check.Checker, rec *simtra
 func (ln *lane) missFetch(start int64, f fetchUnit, addr, vic uint64) int64 {
 	wbWords := int(vic >> wbShift)
 	fetchAddr := addr &^ uint64(f.words-1)
-	matched := false
 	if ln.buf.Len() > 0 { // an empty buffer has nothing to drain or match
 		ln.buf.Drain(start)
-		matched = ln.buf.FlushMatching(start, fetchAddr, f.words)
+		ln.buf.FlushMatching(start, fetchAddr, f.words)
 	}
-	mw0, mr0 := ln.unit.ReadWaitCycles, ln.unit.ReadRecoveryWaitCycles
-	dataAt, fillStart := ln.unit.StartFill(start, f.cycles, wbWords)
-	if ln.rec != nil { // the wait deltas cost loads an untraced replay skips
-		ln.rec.NoteFetch(ln.unit.ReadWaitCycles-mw0, ln.unit.ReadRecoveryWaitCycles-mr0, matched)
-		ln.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, f.words)
-	}
+	dataAt, _ := ln.unit.StartFill(start, f.cycles, wbWords)
 	complete := dataAt
 	if wbWords > 0 {
-		vicAddr := vic & addrMask
-		rel := ln.enqueueTracked(dataAt, vicAddr, wbWords, dataAt)
-		ln.rec.Event(simtrace.EvWriteback, dataAt, dataAt, vicAddr, wbWords)
-		if rel > complete {
+		if rel := ln.buf.Enqueue(dataAt, vic&addrMask, wbWords, dataAt); rel > complete {
 			complete = rel
 		}
 	}
@@ -147,22 +129,10 @@ func (ln *lane) missFetch(start int64, f fetchUnit, addr, vic uint64) int64 {
 // completion time, stall if the buffer is full.
 func (ln *lane) storeThrough(now, done int64, addr uint64) int64 {
 	ln.buf.Drain(now)
-	if rel := ln.enqueueTracked(done, addr, 1, done); rel > done {
+	if rel := ln.buf.Enqueue(done, addr, 1, done); rel > done {
 		done = rel
 	}
 	return done
-}
-
-// enqueueTracked wraps the write buffer's Enqueue, feeding any full-buffer
-// stall cycles to the attribution recorder.
-func (ln *lane) enqueueTracked(now int64, addr uint64, words int, ready int64) int64 {
-	if ln.rec == nil { // the stall delta costs loads an untraced replay skips
-		return ln.buf.Enqueue(now, addr, words, ready)
-	}
-	f0 := ln.buf.FullStallCycles
-	rel := ln.buf.Enqueue(now, addr, words, ready)
-	ln.rec.NoteBufFull(ln.buf.FullStallCycles - f0)
-	return rel
 }
 
 // Replay runs the timing phase over the profile and returns the same Result
@@ -170,26 +140,21 @@ func (ln *lane) enqueueTracked(now int64, addr uint64, words int, ready int64) i
 // (whole-block fetch, no L2). The cost is proportional to the number of
 // events, not the number of references.
 func (p *Profile) Replay(t Timing) (system.Result, error) {
-	return p.ReplayTraced(t, nil, nil)
+	return p.ReplayChecked(t, nil)
 }
 
-// ReplayTraced is Replay with the instruments attached. When opts is
-// non-nil, the write buffer is audited against the check package's naive
-// FIFO model: every enqueue and start is verified for FIFO order and depth
-// bounds, and the buffer's structural invariants run at the end of the
-// replay; the first violation aborts the replay with a typed
-// *check.Divergence error. When rec arms an instrument, cycle attribution
-// and the timeline event ring work exactly as in the system simulator, and
-// with a checker too the attribution's conservation joins the invariant
-// battery. Interval windows are NOT supported here — the event stream
-// compresses hit-only couplet runs into gaps, so there is no per-couplet
-// point at which to sample write-buffer depth; use the system simulator
-// for interval series. A nil opts and a nil or disarmed rec are exactly
-// Replay.
+// ReplayChecked is Replay with the differential oracle attached. When
+// opts is non-nil, the write buffer is audited against the check
+// package's naive FIFO model: every enqueue and start is verified for FIFO
+// order and depth bounds, and the buffer's structural invariants run at
+// the end of the replay; the first violation aborts the replay with a
+// typed *check.Divergence error. A nil opts is exactly Replay. Cycle
+// attribution, timelines and interval series attach only to the system
+// simulator, which reproduces the replay's Result cycle for cycle.
 //
 // The replay itself sees only the timing's cycle-domain form (see
 // CycleTiming); the cycle time is stamped on the Result afterwards.
-func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Recorder) (system.Result, error) {
+func (p *Profile) ReplayChecked(t Timing, opts *check.Options) (system.Result, error) {
 	ct, err := t.CycleDomain()
 	if err != nil {
 		return system.Result{}, err
@@ -200,7 +165,7 @@ func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Reco
 		chk.SetContext(fmt.Sprintf("trace=%s dcache=%v cycle=%dns", p.TraceName, p.Org.DCache, t.CycleNs))
 	}
 	var one [1]lane
-	if err := one[0].init(p, ct, chk, rec); err != nil {
+	if err := one[0].init(p, ct, chk); err != nil {
 		return system.Result{}, err
 	}
 	if err := p.replay(one[:]); err != nil {
@@ -218,12 +183,11 @@ func (p *Profile) ReplayTraced(t Timing, opts *check.Options, rec *simtrace.Reco
 // of its events, one lane per timing, and returns the Results in timing
 // order. Each Result equals Replay's at any timing with that cycle-domain
 // form, except that its CycleNs is zero: nothing here knows the cycle
-// time. No instrument attaches; ReplayTraced runs checked and traced
-// replays.
+// time. No checker attaches; ReplayChecked runs checked replays.
 func (p *Profile) ReplayLanes(cts []CycleTiming) ([]system.Result, error) {
 	lanes := make([]lane, len(cts))
 	for l, ct := range cts {
-		if err := lanes[l].init(p, ct, nil, nil); err != nil {
+		if err := lanes[l].init(p, ct, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -255,16 +219,13 @@ func (p *Profile) replay(lanes []lane) error {
 		iAddr, dAddr := ev.iAddr(), ev.dAddr()
 		for l := range lanes {
 			ln := &lanes[l]
-			rec := ln.rec
 			if ln.chk.Diverged() {
 				return ln.chk.Err()
 			}
-			now := ln.now + gap + gapStoreHits
 			// Gap couplets cost one base cycle each plus one store cycle
-			// per contained store hit — attributed in bulk.
-			rec.AddGap(gap, gapStoreHits, now)
+			// per contained store hit.
+			now := ln.now + gap + gapStoreHits
 			if flags&flagMarker != 0 {
-				rec.MarkWarm()
 				ln.warm = system.Counters{
 					Cycles:             now,
 					BufFullStallCycles: ln.buf.FullStallCycles,
@@ -278,58 +239,40 @@ func (p *Profile) replay(lanes []lane) error {
 				ln.now = now
 				continue
 			}
-			rec.BeginCouplet(now)
 			comp := now + 1
-			if flags&flagHasI != 0 {
-				if flags&flagIMiss != 0 {
-					c := ln.missFetch(now+1, ln.ifetch, iAddr, ev.iVic())
-					rec.NoteMiss(simtrace.Ifetch, now, c, iAddr)
-					if c > comp {
-						comp = c
-					}
-				} else {
-					rec.NoteRef(simtrace.Ifetch, now+1)
+			if flags&flagIMiss != 0 {
+				if c := ln.missFetch(now+1, ln.ifetch, iAddr, ev.iVic()); c > comp {
+					comp = c
 				}
 			}
 			switch op {
-			case dNone:
-				// no data reference in this couplet
-			case dLoadHit:
-				// one cycle, already covered by comp
-				rec.NoteRef(simtrace.Load, now+1)
+			case dNone, dLoadHit:
+				// no data reference, or a one-cycle hit covered by comp
 			case dStoreHit:
 				done := now + 2
 				if wt {
 					done = ln.storeThrough(now, done, dAddr)
 				}
-				rec.NoteRef(simtrace.Store, done)
 				if done > comp {
 					comp = done
 				}
 			case dLoadMiss:
-				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic())
-				rec.NoteMiss(simtrace.Load, now, c, dAddr)
-				if c > comp {
+				if c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic()); c > comp {
 					comp = c
 				}
 			case dStoreMissNoAlloc:
-				done := ln.storeThrough(now, now+2, dAddr)
-				rec.NoteRef(simtrace.Store, done)
-				if done > comp {
+				if done := ln.storeThrough(now, now+2, dAddr); done > comp {
 					comp = done
 				}
 			case dStoreMissAlloc:
-				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic())
-				c++
+				c := ln.missFetch(now+1, ln.dfetch, dAddr, ev.dVic()) + 1
 				if wt {
 					c = ln.storeThrough(now, c, dAddr)
 				}
-				rec.NoteMiss(simtrace.Store, now, c, dAddr)
 				if c > comp {
 					comp = c
 				}
 			}
-			rec.EndCouplet(comp)
 			ln.now = comp
 		}
 	}
@@ -337,15 +280,11 @@ func (p *Profile) replay(lanes []lane) error {
 }
 
 // finish closes the lane after the last event: the trailing gap, the
-// instruments' final checks and the Result. The Result's CycleNs is left
+// checker's final checks and the Result. The Result's CycleNs is left
 // zero: nothing here knows the cycle time.
 func (p *Profile) finish(ln *lane) (system.Result, error) {
 	now := ln.now + int64(p.tailGap) + int64(p.tailGapStoreHits)
-	ln.rec.AddGap(int64(p.tailGap), int64(p.tailGapStoreHits), now)
 	if err := ln.chk.Finish(nil); err != nil {
-		return system.Result{}, err
-	}
-	if err := ln.rec.Finish(simtrace.Sample{Refs: p.total.Refs, Cycles: now}, now); err != nil {
 		return system.Result{}, err
 	}
 

@@ -33,9 +33,9 @@ func TestBuildProfileChecked(t *testing.T) {
 		if err != nil {
 			t.Fatalf("org %d: BuildProfile: %v", i, err)
 		}
-		checked, err := BuildProfileExplained(org, tr, opts, nil)
+		checked, err := BuildProfileChecked(org, tr, opts)
 		if err != nil {
-			t.Fatalf("org %d: checked BuildProfileExplained diverged: %v", i, err)
+			t.Fatalf("org %d: BuildProfileChecked diverged: %v", i, err)
 		}
 		if checked.TotalCounters() != plain.TotalCounters() {
 			t.Errorf("org %d: checked build changed the counters", i)
@@ -50,9 +50,9 @@ func TestBuildProfileChecked(t *testing.T) {
 			if err != nil {
 				t.Fatalf("org %d: Replay: %v", i, err)
 			}
-			got, err := checked.ReplayTraced(tm, opts, nil)
+			got, err := checked.ReplayChecked(tm, opts)
 			if err != nil {
-				t.Fatalf("org %d: checked ReplayTraced diverged: %v", i, err)
+				t.Fatalf("org %d: ReplayChecked diverged: %v", i, err)
 			}
 			if got != want {
 				t.Errorf("org %d: checked replay changed the result", i)

@@ -9,9 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/engine"
-	"repro/internal/explain"
 	"repro/internal/obs"
-	"repro/internal/simtrace"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -132,9 +130,8 @@ func TestFamilySlots(t *testing.T) {
 	}
 }
 
-// TestInstrumentsBuildAlone: while the checker or the explain recorder is
-// armed, no family is declared, so every profile comes from its own
-// checked or explained pass; and while any instrument is armed, every
+// TestInstrumentsBuildAlone: while the checker is armed, no family is
+// declared, so every profile comes from its own checked pass, and every
 // replay cell replays on its own.
 func TestInstrumentsBuildAlone(t *testing.T) {
 	orgs := []engine.Org{orgFor(8, 4, 1), orgFor(16, 4, 1)}
@@ -145,8 +142,6 @@ func TestInstrumentsBuildAlone(t *testing.T) {
 	}{
 		{"bare", ExecOptions{}, true},
 		{"selfcheck", ExecOptions{SelfCheck: &check.Options{}}, false},
-		{"explain", ExecOptions{Explain: &explain.Options{ThreeC: true}}, false},
-		{"trace", ExecOptions{Trace: &simtrace.Options{Attrib: true}}, true},
 	} {
 		s := MustNewSuiteWithTracesForTest(t)
 		s.SetExec(c.exec)

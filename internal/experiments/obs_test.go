@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/explain"
+	"repro/internal/check"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/simtrace"
 )
 
 // buildManifestForTest assembles a manifest for a suite the way paperfigs
@@ -58,33 +56,26 @@ func TestSweepMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSweepMetricsInCatalog: a sweep with cycle attribution and explain
-// armed registers only catalog metrics of their declared kind, plus the
-// dynamic attrib_ counters, and its profile builds feed the
-// profile_cache_bytes gauge.
+// TestSweepMetricsInCatalog: a sweep with the differential oracle armed
+// (so every profile comes from its own checked pass and every replay cell
+// replays on its own) registers only catalog metrics of their declared
+// kind, and its profile builds feed the profile_cache_bytes gauge.
 func TestSweepMetricsInCatalog(t *testing.T) {
 	s := MustNewSuiteWithTracesForTest(t)
 	reg := obs.NewRegistry()
-	ex := explain.All()
-	s.SetExec(ExecOptions{Workers: 2, Metrics: reg,
-		Trace: &simtrace.Options{Attrib: true}, Explain: &ex})
+	s.SetExec(ExecOptions{Workers: 2, Metrics: reg, SelfCheck: &check.Options{}})
 	if _, err := s.SpeedSizeGrid(context.Background(), sweepSizes, sweepCycles, 1); err != nil {
 		t.Fatal(err)
 	}
-	attrib, explained, resident := 0, false, false
+	resident := false
 	for _, m := range reg.Export() {
-		if strings.HasPrefix(m.Name, obs.MAttribPrefix) {
-			attrib++
-			continue
-		}
-		explained = explained || m.Name == obs.MExplainCells
 		resident = resident || m.Name == obs.MProfileCacheBytes && m.Value > 0
 		if d, ok := obs.Lookup(m.Name); !ok || d.Kind != m.Kind {
 			t.Errorf("registry metric %q (%s) is not a catalog entry of that kind", m.Name, m.Kind)
 		}
 	}
-	if attrib == 0 || !explained {
-		t.Fatalf("sweep registered %d attrib_ counters, explain cells %v: instruments not armed", attrib, explained)
+	if built := reg.Counter(obs.MProfilesBuilt).Value(); built != int64(len(sweepSizes)*len(s.Traces)) {
+		t.Errorf("profiles_built = %d, want one checked pass per (size, trace) = %d", built, len(sweepSizes)*len(s.Traces))
 	}
 	if !resident {
 		t.Errorf("sweep built profiles but %s is not positive", obs.MProfileCacheBytes)

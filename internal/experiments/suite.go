@@ -18,11 +18,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/engine"
-	"repro/internal/explain"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -74,22 +72,13 @@ type Suite struct {
 
 	sumOnce   sync.Once
 	summaries []trace.Summary // Table 1, computed once
-
-	// evMu guards evRec, the first freshly computed cell's recorder with an
-	// armed event ring — the sweep's representative timeline, exported via
-	// EventTrace.
-	evMu  sync.Mutex
-	evRec *simtrace.Recorder
 }
 
 // profileEntry is one slot of the profile cache. Its build group fills
 // it: the slot is ready once the group's Once has run with g.ok set.
 type profileEntry struct {
-	g *buildGroup
-	p *engine.Profile
-	// exp is the warm-window explainability report of the behavioural
-	// pass, nil unless ExecOptions.Explain armed the recorder.
-	exp *explain.Report
+	g   *buildGroup
+	p   *engine.Profile
 	err error
 }
 
@@ -181,15 +170,6 @@ func orgFor(totalKB, blockWords, assoc int) engine.Org {
 // contending cells blocking on the builder rather than duplicating it. A
 // build error is cached like a profile; a panicked build is not.
 func (s *Suite) profile(i int, org engine.Org) (*engine.Profile, error) {
-	p, _, err := s.profileExplained(i, org)
-	return p, err
-}
-
-// profileExplained is profile plus the behavioural pass's warm-window
-// explainability report (nil unless ExecOptions.Explain is set). The
-// report rides the same single-flight slot, so it exists exactly once per
-// (organization × trace) however many replay cells share the profile.
-func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *explain.Report, error) {
 	key := profileKey{traceIdx: i, org: org}
 	for {
 		s.mu.Lock()
@@ -200,7 +180,7 @@ func (s *Suite) profileExplained(i int, org engine.Org) (*engine.Profile, *expla
 		s.mu.Unlock()
 		e.g.once.Do(func() { s.build(e.g) })
 		if e.g.ok {
-			return e.p, e.exp, e.err
+			return e.p, e.err
 		}
 		// The build panicked in another caller and dropped the slot.
 	}
@@ -225,9 +205,9 @@ func (s *Suite) group(i int, orgs []engine.Org) *buildGroup {
 
 // build fills every slot of the group. A group of several slots is a size
 // family and walks the trace once (engine.BuildFamily); a single
-// organization takes the checked or explained pass if an instrument is
-// armed. A family is never declared while one is armed, and options are
-// set before any sweep runs (SetExec). A panicking build drops the
+// organization takes the checked pass if the checker is armed. A family
+// is never declared while it is armed, and options are set before any
+// sweep runs (SetExec). A panicking build drops the
 // group's slots before the panic leaves the Once, so callers waiting on
 // it build afresh, as the cell memo does.
 func (s *Suite) build(g *buildGroup) {
@@ -248,14 +228,9 @@ func (s *Suite) build(g *buildGroup) {
 	if len(g.slots) > 1 {
 		ps, err = engine.BuildFamily(g.orgs, tr)
 	} else {
-		rec := explain.Attach(s.exec.Explain)
 		var p *engine.Profile
-		if p, err = engine.BuildProfileExplained(g.orgs[0], tr, s.exec.SelfCheck, rec); err == nil {
+		if p, err = engine.BuildProfileChecked(g.orgs[0], tr, s.exec.SelfCheck); err == nil {
 			ps = []*engine.Profile{p}
-			if rec.On() {
-				g.slots[0].exp = rec.ReportWarm()
-				s.recordExplain(g.slots[0].exp)
-			}
 		}
 	}
 	bytes := 0
@@ -279,11 +254,10 @@ func (s *Suite) build(g *buildGroup) {
 // slots of those not yet in the cache form one build group, which the
 // first cell to need one of their profiles fills in one walk. The figure
 // code declares the family; the cache never guesses one. Nothing is
-// declared when the organizations are no family, or when the checker or
-// the explain recorder is armed, since those need every access of every
-// configuration.
+// declared when the organizations are no family, or when the checker is
+// armed, since it needs every access of every configuration.
 func (s *Suite) declareFamily(orgs []engine.Org) {
-	if len(orgs) < 2 || !engine.FamilyApplies(orgs, s.exec.SelfCheck, explain.Attach(s.exec.Explain)) {
+	if len(orgs) < 2 || !engine.FamilyApplies(orgs, s.exec.SelfCheck) {
 		return
 	}
 	s.mu.Lock()

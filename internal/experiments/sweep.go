@@ -11,11 +11,9 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/engine"
-	"repro/internal/explain"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/simtrace"
 	"repro/internal/system"
 )
 
@@ -52,25 +50,6 @@ type ExecOptions struct {
 	// panics, delays, transient errors) around each cell, exercising the
 	// runner's isolation, retry and checkpoint machinery end-to-end.
 	Faults *faultinject.Plan
-	// Trace, when set, arms the simtrace recorder inside every freshly
-	// computed simulation cell: the cell output carries the warm-window
-	// cycle attribution (aggregated into the Metrics registry under
-	// obs.MAttribPrefix), and when the event ring is armed the first
-	// completed cell's timeline is retained for Suite.EventTrace. Interval
-	// windows are ignored here — replay cells compress hit runs into gaps
-	// (see engine.ReplayTraced). Instrumented cells produce bit-identical
-	// results, so checkpoint keys do not encode the option; cells replayed
-	// from a checkpoint skip simulation and contribute no attribution.
-	Trace *simtrace.Options
-	// Explain, when set, arms the explainability recorder
-	// (internal/explain) inside every behavioural pass and full-system
-	// cell: 3C miss classification, reuse-distance histograms and
-	// set-pressure heat. Counters and system cells carry the warm-window
-	// report (aggregated into the Metrics registry under the explain_*
-	// names); replay cells share their profile's single report rather
-	// than repeating it per timing. Instrumented cells produce
-	// bit-identical results, so checkpoint keys do not encode the option.
-	Explain *explain.Options
 }
 
 // SetExec configures sweep execution. Call before running figures; the
@@ -104,15 +83,6 @@ type cellOut struct {
 	// Warm holds the measured-window counters (timing fields populated
 	// for replay/system cells, zero for pure behavioural cells).
 	Warm system.Counters `json:"warm"`
-	// Attrib is the warm-window cycle attribution, present only when
-	// ExecOptions.Trace armed it (omitted otherwise, so checkpoint bytes
-	// without instrumentation are unchanged).
-	Attrib *simtrace.Attribution `json:"attrib,omitempty"`
-	// Explain is the warm-window explainability report, present only when
-	// ExecOptions.Explain armed it (same checkpoint-byte discipline as
-	// Attrib) and only on counters/system cells — replay cells would
-	// repeat their shared profile's report once per timing.
-	Explain *explain.Report `json:"explain,omitempty"`
 }
 
 // cellEntry is a single-flight slot in the Suite's cell memo.
@@ -135,11 +105,11 @@ type cellEntry struct {
 // direct-mapped cells SpeedSizeGrid(…, 1) already replayed.
 //
 // A memo hit returns the stored output without running the cell, so it
-// adds nothing to the simulated-reference and attribution metrics; it
-// counts in obs.MCellsMemoHits instead. An output computed while
-// ExecOptions.SelfCheck, Trace or Explain was armed is reused as is, like
-// the profile cache's profiles: options changed between sweeps apply to
-// cells not yet computed.
+// adds nothing to the simulated-reference metric; it counts in
+// obs.MCellsMemoHits instead. An output computed while
+// ExecOptions.SelfCheck was armed is reused as is, like the profile
+// cache's profiles: options changed between sweeps apply to cells not yet
+// computed.
 func (s *Suite) memoize(cells []runner.Cell[cellOut]) []runner.Cell[cellOut] {
 	var hits *obs.Counter
 	if s.exec.Metrics != nil {
@@ -192,70 +162,6 @@ func (s *Suite) compute(ctx context.Context, key string, e *cellEntry, run func(
 	v, err = run(ctx)
 	e.out, e.ok = v, err == nil
 	return v, err
-}
-
-// cellRecorder builds the per-cell simtrace recorder, or nil when tracing
-// is off. Interval windows are stripped: cells report attribution and
-// events only.
-func (s *Suite) cellRecorder() *simtrace.Recorder {
-	if s.exec.Trace == nil {
-		return nil
-	}
-	opts := *s.exec.Trace
-	opts.IntervalRefs = 0
-	return simtrace.Attach(&opts)
-}
-
-// offerEventTrace retains the first completed recorder with an armed event
-// ring as the sweep's representative timeline.
-func (s *Suite) offerEventTrace(rec *simtrace.Recorder) {
-	if !rec.EventsOn() {
-		return
-	}
-	s.evMu.Lock()
-	if s.evRec == nil {
-		s.evRec = rec
-	}
-	s.evMu.Unlock()
-}
-
-// EventTrace returns a representative timeline of the suite's sweeps: the
-// recorder of the first freshly computed cell that completed with the
-// event ring armed (which cell that is depends on worker scheduling), or
-// nil when ExecOptions.Trace never armed events or every cell was replayed
-// from a checkpoint.
-func (s *Suite) EventTrace() *simtrace.Recorder {
-	s.evMu.Lock()
-	defer s.evMu.Unlock()
-	return s.evRec
-}
-
-// recordExplain aggregates one freshly computed explainability report into
-// the metrics registry's explain_* counters. Called once per fresh
-// behavioural pass and once per fresh full-system cell — never per replay
-// cell, which shares its profile's already-counted report — so the rollup
-// counts each simulation exactly once however many timings reuse it.
-func (s *Suite) recordExplain(rep *explain.Report) {
-	m := s.exec.Metrics
-	if m == nil || rep == nil {
-		return
-	}
-	c3 := rep.Total3C()
-	m.Counter(obs.MExplainCells).Add(1)
-	m.Counter(obs.MExplainCompulsory).Add(c3.Compulsory)
-	m.Counter(obs.MExplainCapacity).Add(c3.Capacity)
-	m.Counter(obs.MExplainConflict).Add(c3.Conflict)
-}
-
-// attribOut packages a finished recorder's warm-window attribution for the
-// cell output and offers its event ring as the representative timeline.
-func (s *Suite) attribOut(rec *simtrace.Recorder) *simtrace.Attribution {
-	s.offerEventTrace(rec)
-	if !rec.AttribOn() {
-		return nil
-	}
-	a := rec.AttributionWarm()
-	return &a
 }
 
 // traceFingerprint identifies trace i for checkpoint keys: a content hash
@@ -313,15 +219,13 @@ func (s *Suite) replayCell(i int, org engine.Org, tm engine.Timing, g *laneGroup
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
-			if res, ok := g.lane(s, p, ct); ok {
-				return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm}, nil
+			res, ok := g.lane(s, p, ct)
+			if !ok {
+				if res, err = p.ReplayChecked(tm, s.exec.SelfCheck); err != nil {
+					return cellOut{}, err
+				}
 			}
-			rec := s.cellRecorder()
-			res, err := p.ReplayTraced(tm, s.exec.SelfCheck, rec)
-			if err != nil {
-				return cellOut{}, err
-			}
-			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm, Attrib: s.attribOut(rec)}, nil
+			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm}, nil
 		},
 	}
 }
@@ -335,11 +239,11 @@ func (s *Suite) countersCell(i int, org engine.Org) runner.Cell[cellOut] {
 			if err := ctx.Err(); err != nil {
 				return cellOut{}, err
 			}
-			p, exp, err := s.profileExplained(i, org)
+			p, err := s.profile(i, org)
 			if err != nil {
 				return cellOut{}, err
 			}
-			return cellOut{Warm: p.WarmCounters(), Explain: exp}, nil
+			return cellOut{Warm: p.WarmCounters()}, nil
 		},
 	}
 }
@@ -356,12 +260,6 @@ func (s *Suite) systemCell(i int, cfg system.Config) runner.Cell[cellOut] {
 			}
 			cfg := cfg
 			cfg.SelfCheck = s.exec.SelfCheck
-			if s.exec.Trace != nil {
-				opts := *s.exec.Trace
-				opts.IntervalRefs = 0 // no per-cell window sink; see ExecOptions.Trace
-				cfg.Trace = &opts
-			}
-			cfg.Explain = s.exec.Explain
 			sys, err := system.New(cfg)
 			if err != nil {
 				return cellOut{}, err
@@ -370,13 +268,7 @@ func (s *Suite) systemCell(i int, cfg system.Config) runner.Cell[cellOut] {
 			if err != nil {
 				return cellOut{}, err
 			}
-			var exp *explain.Report
-			if sys.Explainer().On() {
-				exp = sys.Explainer().ReportWarm()
-				s.recordExplain(exp)
-			}
-			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm,
-				Attrib: s.attribOut(sys.Recorder()), Explain: exp}, nil
+			return cellOut{CPR: res.Warm.CyclesPerRef(), Warm: res.Warm}, nil
 		},
 	}
 }
@@ -411,12 +303,6 @@ func (s *Suite) instrument(cells []runner.Cell[cellOut]) []runner.Cell[cellOut] 
 			v, err := run(ctx)
 			if err == nil {
 				refs.Add(v.Warm.Refs)
-				if v.Attrib != nil {
-					m.Counter(obs.MAttribCells).Add(1)
-					for _, comp := range v.Attrib.Components() {
-						m.Counter(obs.MAttribPrefix + comp.Name).Add(comp.Cycles)
-					}
-				}
 			}
 			return v, err
 		}}
@@ -438,8 +324,8 @@ func (s *Suite) Fingerprints() []string {
 // replayCellsFor appends the organization's replay cells: for each
 // timing in order, one cell per trace. A trace's cells of one call form a
 // lane group, which replays all their timings in one walk of the profile.
-// While the checker or either recorder is armed, every cell replays on
-// its own instead, so that each is checked or traced as itself.
+// While the checker is armed, every cell replays on its own instead, so
+// that each is checked as itself.
 func (s *Suite) replayCellsFor(cells []runner.Cell[cellOut], org engine.Org, tms ...engine.Timing) []runner.Cell[cellOut] {
 	groups := s.laneGroups(len(tms))
 	for _, tm := range tms {
@@ -452,10 +338,10 @@ func (s *Suite) replayCellsFor(cells []runner.Cell[cellOut], org engine.Org, tms
 
 // laneGroups returns one lane group per trace for a replayCellsFor call
 // over n timings, or nil groups, each cell on its own, when there is
-// nothing to share or an instrument is armed.
+// nothing to share or the checker is armed.
 func (s *Suite) laneGroups(n int) []*laneGroup {
 	groups := make([]*laneGroup, len(s.Traces))
-	if n > 1 && s.exec.SelfCheck == nil && s.exec.Trace == nil && s.exec.Explain == nil {
+	if n > 1 && s.exec.SelfCheck == nil {
 		for i := range groups {
 			groups[i] = &laneGroup{}
 		}

@@ -1,6 +1,6 @@
 // Package explain is the explainability layer of the simulator core: an
-// opt-in recorder threaded through the system and engine simulators that
-// answers *why* references miss, not just that they do.
+// opt-in recorder threaded through the system simulator that answers
+// *why* references miss, not just that they do.
 //
 // Three instruments, each armed independently through Options:
 //

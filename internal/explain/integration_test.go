@@ -59,13 +59,12 @@ func sysConfig(org engine.Org) system.Config {
 	}
 }
 
-// TestThreeCConservationGrid runs the cross-validation grid with the
-// recorder armed (and the selfcheck oracle watching its invariant) and
-// asserts, per cell: compulsory+capacity+conflict == total misses on both
-// the whole-run and warm-window reports, and that the system and engine
-// simulators produce the *identical* explain report — the two cores feed
-// the probes the same reference stream, so everything down to the heat
-// rows and histogram buckets must agree.
+// TestThreeCConservationGrid runs the cross-validation grid on the system
+// simulator with the recorder armed (and the selfcheck oracle watching
+// its invariant) and asserts, per cell: compulsory+capacity+conflict ==
+// total misses on both the whole-run and warm-window reports. The
+// recorder attaches only to the system simulator; the engine reproduces
+// its miss counts (engine.TestEngineMatchesSystem).
 func TestThreeCConservationGrid(t *testing.T) {
 	orgs := []engine.Org{
 		{ICache: l1(2048, 4, 1, cache.Random, false), DCache: l1(2048, 4, 1, cache.Random, false)},
@@ -104,19 +103,6 @@ func TestThreeCConservationGrid(t *testing.T) {
 			if got := warmRep.TotalMisses(); got != warmMisses {
 				t.Fatalf("%v/%s: warm report misses %d, counters %d",
 					org.DCache, tr.Name, got, warmMisses)
-			}
-
-			exp := explain.New(explain.Options{ThreeC: true, Reuse: true, Heat: true})
-			if _, err := engine.BuildProfileExplained(org, tr, &check.Options{}, exp); err != nil {
-				t.Fatalf("%v/%s: engine: %v", org.DCache, tr.Name, err)
-			}
-			if engRep := exp.Report(); !reflect.DeepEqual(engRep, rep) {
-				t.Fatalf("%v/%s: engine report diverges from system report:\nengine: %+v\nsystem: %+v",
-					org.DCache, tr.Name, engRep, rep)
-			}
-			if engWarm := exp.ReportWarm(); !reflect.DeepEqual(engWarm, warmRep) {
-				t.Fatalf("%v/%s: engine warm report diverges from system warm report",
-					org.DCache, tr.Name)
 			}
 		}
 	}
@@ -204,22 +190,6 @@ func TestDisabledRunsBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: result changed with disarmed explain options", tr.Name)
-		}
-
-		// Engine side: the explained build must leave the profile's
-		// counters and replay untouched.
-		prof, err := engine.BuildProfile(org, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp := explain.New(explain.All())
-		profExp, err := engine.BuildProfileExplained(org, tr, nil, exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(prof.TotalCounters(), profExp.TotalCounters()) ||
-			!reflect.DeepEqual(prof.WarmCounters(), profExp.WarmCounters()) {
-			t.Fatalf("%s: engine counters changed with explain armed", tr.Name)
 		}
 	}
 }

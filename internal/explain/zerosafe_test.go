@@ -18,7 +18,9 @@ import (
 )
 
 // TestEmptyTraceRejected: both simulator cores refuse an empty trace with
-// a clean error — no run, no report, no division by a zero ref count.
+// a clean error — no run, no report, no division by a zero ref count. The
+// explain recorder attaches only to the system simulator; the engine
+// refuses the trace before its behavioural pass.
 func TestEmptyTraceRejected(t *testing.T) {
 	org := engine.Org{
 		ICache: l1(1024, 4, 1, cache.Random, false),
@@ -33,9 +35,8 @@ func TestEmptyTraceRejected(t *testing.T) {
 		t.Fatal("system.Simulate accepted an empty trace")
 	}
 
-	exp := explain.New(explain.All())
-	if _, err := engine.BuildProfileExplained(org, empty, nil, exp); err == nil {
-		t.Fatal("engine.BuildProfileExplained accepted an empty trace")
+	if _, err := engine.BuildProfile(org, empty); err == nil {
+		t.Fatal("engine.BuildProfile accepted an empty trace")
 	}
 }
 

@@ -1,7 +1,5 @@
 package obs
 
-import "strings"
-
 // Kind is a metric's family: how a Registry stores it and how exposition
 // formats render it.
 type Kind string
@@ -36,16 +34,6 @@ const (
 	MCellsPanicked     = "cells_panicked"
 	MCellsRetried      = "cells_retried"
 	MCellsInflight     = "cells_inflight"
-	// MAttribCells sits outside the attrib_ namespace so prefix scans
-	// see only component counters. Checkpoint-replayed cells skip
-	// simulation and do not count.
-	MAttribCells = "cells_attributed"
-	// MExplainCells sits outside the explain_ namespace for the same
-	// reason.
-	MExplainCells      = "cells_explained"
-	MExplainCompulsory = "explain_compulsory"
-	MExplainCapacity   = "explain_capacity"
-	MExplainConflict   = "explain_conflict"
 	MSimRefs           = "sim_refs"
 	MCellLatency       = "cell_latency"
 
@@ -87,13 +75,6 @@ const (
 	MRuntimeSchedLatP95  = "runtime_sched_latency_p95_us"
 	MRuntimeAllocBytes   = "runtime_alloc_bytes"
 	MRuntimeAllocObjects = "runtime_alloc_objects"
-
-	// MAttribPrefix prefixes the per-component cycle-attribution
-	// counters (e.g. "attrib_mem_wait") the sweep runner aggregates when
-	// cycle attribution is armed. The suffixes are simtrace component
-	// names, known only at runtime, so the family has no Catalog rows;
-	// Lookup resolves it.
-	MAttribPrefix = "attrib_"
 )
 
 // Def is one Catalog row.
@@ -117,11 +98,6 @@ var Catalog = []Def{
 	{MCellsPanicked, KindCounter, "Failed cells whose final attempt panicked."},
 	{MCellsRetried, KindCounter, "Cells that needed more than one attempt."},
 	{MCellsInflight, KindGauge, "Cells currently on a runner worker."},
-	{MAttribCells, KindCounter, "Cells whose cycle attribution fed the attrib_ counters."},
-	{MExplainCells, KindCounter, "Simulations whose explain report fed the explain_ counters."},
-	{MExplainCompulsory, KindCounter, "Misses classified compulsory (first touch) across explained simulations."},
-	{MExplainCapacity, KindCounter, "Misses classified capacity (lost even fully associative) across explained simulations."},
-	{MExplainConflict, KindCounter, "Misses classified conflict (set-mapping collisions) across explained simulations."},
 	{MSimRefs, KindCounter, "Simulated references (warm window) across cells."},
 	{MCellLatency, KindTiming, "Per-cell wall-clock latency."},
 	// Service job lifecycle.
@@ -155,8 +131,9 @@ var Catalog = []Def{
 	{MDegraded, KindGauge, "1 while the storage circuit breaker is open, 0 otherwise."},
 	{MBreakerTrips, KindCounter, "Storage circuit breaker trips."},
 	{MStorageProbes, KindCounter, "Degraded-mode recovery probes attempted."},
-	// Runner attempts; uptime_seconds is refreshed at scrape time.
-	{MCellAttempts, KindCounter, "Runner attempts across all cells, retries included."},
+	// Runner attempts, counted as each cell ends; uptime_seconds is
+	// refreshed at scrape time.
+	{MCellAttempts, KindCounter, "Runner attempts across all cells, retries included, counted when each cell ends."},
 	{MUptimeSeconds, KindGauge, "Seconds since the service opened."},
 	// Go runtime cost signals, refreshed from runtime/metrics at scrape
 	// time.
@@ -170,16 +147,12 @@ var Catalog = []Def{
 	{MRuntimeAllocObjects, KindGauge, "Cumulative heap objects allocated since process start."},
 }
 
-// Lookup returns the definition of a registry name: its Catalog row, or
-// for a name under MAttribPrefix a counter whose help names the component.
+// Lookup returns the Catalog row of a registry name.
 func Lookup(name string) (Def, bool) {
 	for _, d := range Catalog {
 		if d.Name == name {
 			return d, true
 		}
-	}
-	if comp, ok := strings.CutPrefix(name, MAttribPrefix); ok {
-		return Def{name, KindCounter, "Cycle attribution for the " + comp + " component."}, true
 	}
 	return Def{}, false
 }

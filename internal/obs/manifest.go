@@ -53,17 +53,14 @@ type Manifest struct {
 	ProfileCacheBytes int64 `json:"profile_cache_bytes,omitempty"`
 
 	// Attribution aggregates the simtrace cycle attribution across every
-	// freshly computed cell when the run armed it (component name →
-	// cycles); AttribCells counts the cells that contributed (cells
-	// replayed from a checkpoint skip simulation and add nothing).
+	// simulation of a cachesim run that armed it (component name →
+	// cycles); AttribCells counts the simulations that contributed.
 	Attribution map[string]int64 `json:"attribution,omitempty"`
 	AttribCells int64            `json:"attrib_cells,omitempty"`
 	// Explain is the merged explainability report (3C miss classes,
-	// reuse-distance histograms, set-pressure heat) across every freshly
-	// computed cell when the run armed the explain recorder; ExplainCells
-	// counts the cells that contributed. Registry-only runs that never
-	// see full reports (paperfigs sweeps) still get a totals-only report
-	// synthesized from the explain_* counters.
+	// reuse-distance histograms, set-pressure heat) across every
+	// simulation of a cachesim run that armed the explain recorder;
+	// ExplainCells counts the simulations that contributed.
 	Explain      *explain.Report `json:"explain,omitempty"`
 	ExplainCells int64           `json:"explain_cells,omitempty"`
 	// Warmup records per-trace warm-up stabilization estimates from the
@@ -227,25 +224,6 @@ func (m *Manifest) FillFromRegistry(reg *Registry, wall time.Duration) {
 	m.Cells.Cold = m.Cells.Done - m.Cells.MemoHits
 	m.CellLatency = reg.Timing(MCellLatency).Snapshot()
 	m.ProfileCacheBytes = reg.Gauge(MProfileCacheBytes).Value()
-	if n := reg.Counter(MAttribCells).Value(); n > 0 {
-		m.AttribCells = n
-		m.Attribution = reg.CounterValuesWithPrefix(MAttribPrefix)
-	}
-	if n := reg.Counter(MExplainCells).Value(); n > 0 {
-		m.ExplainCells = n
-		if m.Explain == nil {
-			c3 := explain.ThreeC{
-				Compulsory: reg.Counter(MExplainCompulsory).Value(),
-				Capacity:   reg.Counter(MExplainCapacity).Value(),
-				Conflict:   reg.Counter(MExplainConflict).Value(),
-			}
-			m.Explain = &explain.Report{Sides: []explain.SideReport{{
-				Label:  "all",
-				Misses: c3.Total(),
-				ThreeC: c3,
-			}}}
-		}
-	}
 	refs := reg.Counter(MSimRefs).Value()
 	m.Throughput = ManifestThroughput{
 		RefsSimulated: refs,

@@ -21,9 +21,7 @@ func metricsMarkdown() string {
 	b.WriteString("Every fixed-name metric the sweep stack registers, exposed in Prometheus\n")
 	b.WriteString("text format at `/metrics` with the `" + PromPrefix + "` prefix. Timings are\n")
 	b.WriteString("rendered as summaries in microseconds (`_us` suffix, quantiles 0.5/0.95\n")
-	b.WriteString("plus `_sum`/`_count`). The dynamic per-component cycle-attribution\n")
-	b.WriteString("counters (`attrib_<component>`) are the one family outside this table;\n")
-	b.WriteString("their names come from simtrace component enums at runtime.\n\n")
+	b.WriteString("plus `_sum`/`_count`).\n\n")
 	b.WriteString("| Metric | Kind | Prometheus series | Help |\n")
 	b.WriteString("|---|---|---|---|\n")
 	for _, d := range Catalog {

@@ -16,7 +16,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	reg.RegisterCatalog()
 	reg.Counter(MJobsSubmitted).Add(7)
 	reg.Gauge(MQueueDepth).Set(3)
-	reg.Counter("attrib_mem_wait").Add(123) // dynamic family, no Def
 	tm := reg.Timing(MHTTPRequestLatency)
 	for i := 0; i < 10; i++ {
 		tm.Observe(time.Duration(i+1) * time.Millisecond)
@@ -40,9 +39,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	if got := series[PromPrefix+MQueueDepth]; got != 3 {
 		t.Errorf("queue_depth = %v, want 3", got)
-	}
-	if got := series[PromPrefix+"attrib_mem_wait"]; got != 123 {
-		t.Errorf("attrib_mem_wait = %v, want 123", got)
 	}
 	lat := PromPrefix + MHTTPRequestLatency + "_us"
 	if got := series[lat+"_count"]; got != 10 {

@@ -13,7 +13,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,27 +198,6 @@ func (r *Registry) Export() []Exported {
 		out = append(out, Exported{Name: n, Kind: KindTiming, Timing: t.Snapshot()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CounterValuesWithPrefix returns the current value of every counter whose
-// name starts with prefix, keyed by the name with the prefix stripped.
-// Empty when no such counter exists.
-func (r *Registry) CounterValuesWithPrefix(prefix string) map[string]int64 {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters))
-	counters := make([]*Counter, 0, len(r.counters))
-	for n, c := range r.counters {
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-			counters = append(counters, c)
-		}
-	}
-	r.mu.Unlock()
-	out := make(map[string]int64, len(names))
-	for i, n := range names {
-		out[strings.TrimPrefix(n, prefix)] = counters[i].Value()
-	}
 	return out
 }
 

@@ -8,15 +8,32 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestOnAttemptFiresPerAttempt: the hook sees every attempt — the failed
-// ones a retry hides from OnCellDone included — with ordered, gapped
-// timestamps when backoff sits between attempts.
-func TestOnAttemptFiresPerAttempt(t *testing.T) {
+// doneEvents runs the cells and returns each cell's one OnCellDone event
+// by key.
+func doneEvents(t *testing.T, cells []Cell[int], opts Options) map[string]CellEvent {
+	t.Helper()
+	var mu sync.Mutex
+	evs := map[string]CellEvent{}
+	opts.OnCellDone = func(ev CellEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := evs[ev.Key]; dup {
+			t.Errorf("cell %s fired OnCellDone twice", ev.Key)
+		}
+		evs[ev.Key] = ev
+	}
+	Run(context.Background(), cells, opts)
+	return evs
+}
+
+// TestCellEventAttemptsCountRetries: a cell that fails twice and then
+// succeeds fires one done event, after its final attempt, that counts
+// every attempt, the failed ones a retry hides included.
+func TestCellEventAttemptsCountRetries(t *testing.T) {
 	var tries atomic.Int32
-	cells := []Cell[int]{{
+	evs := doneEvents(t, []Cell[int]{{
 		Key: "flaky",
 		Run: func(ctx context.Context) (int, error) {
 			if tries.Add(1) < 3 {
@@ -24,73 +41,31 @@ func TestOnAttemptFiresPerAttempt(t *testing.T) {
 			}
 			return 7, nil
 		},
-	}}
-	var mu sync.Mutex
-	var evs []AttemptEvent
-	rs := Run(context.Background(), cells, Options{
-		Retries: 2,
-		Backoff: func(attempt int) time.Duration { return 5 * time.Millisecond },
-		OnAttempt: func(ev AttemptEvent) {
-			mu.Lock()
-			evs = append(evs, ev)
-			mu.Unlock()
-		},
-	})
-	if !rs[0].Done || rs[0].Value != 7 {
-		t.Fatalf("cell did not recover: %+v", rs[0])
-	}
-	if len(evs) != 3 {
-		t.Fatalf("got %d attempt events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Key != "flaky" || ev.Index != 0 {
-			t.Errorf("event %d misattributed: %+v", i, ev)
-		}
-		if ev.Attempt != i+1 {
-			t.Errorf("event %d attempt = %d, want %d", i, ev.Attempt, i+1)
-		}
-		if ev.End.Before(ev.Start) {
-			t.Errorf("event %d ends before it starts", i)
-		}
-		wantErr := i < 2
-		if (ev.Err != nil) != wantErr {
-			t.Errorf("event %d err = %v, want error: %v", i, ev.Err, wantErr)
-		}
-		if ev.Panicked {
-			t.Errorf("event %d marked panicked", i)
-		}
-	}
-	// Backoff separates consecutive attempts: each next Start is at or
-	// after the previous End plus the backoff.
-	for i := 1; i < len(evs); i++ {
-		if gap := evs[i].Start.Sub(evs[i-1].End); gap < 5*time.Millisecond {
-			t.Errorf("gap between attempts %d and %d = %v, want >= 5ms", i, i+1, gap)
-		}
+	}}, Options{Retries: 2})
+	if ev := evs["flaky"]; ev.Attempts != 3 || ev.Err != nil || ev.Panicked || ev.Index != 0 {
+		t.Fatalf("done event = %+v, want 3 attempts and success", ev)
 	}
 }
 
-// TestOnAttemptPanic: a panicking attempt still produces an event, marked.
-func TestOnAttemptPanic(t *testing.T) {
-	var evs []AttemptEvent
-	Run(context.Background(), []Cell[int]{{
+// TestCellEventAttemptsPanic: panicking attempts count as attempts, and
+// the done event marks the final one panicked.
+func TestCellEventAttemptsPanic(t *testing.T) {
+	evs := doneEvents(t, []Cell[int]{{
 		Key: "boom",
 		Run: func(ctx context.Context) (int, error) { panic("kaboom") },
-	}}, Options{
-		OnAttempt: func(ev AttemptEvent) { evs = append(evs, ev) },
-	})
-	if len(evs) != 1 || !evs[0].Panicked || evs[0].Err == nil {
-		t.Fatalf("panic attempt not reported: %+v", evs)
+	}}, Options{Retries: 1})
+	if ev := evs["boom"]; ev.Attempts != 2 || !ev.Panicked || ev.Err == nil {
+		t.Fatalf("done event = %+v, want 2 panicked attempts", ev)
 	}
 }
 
-// TestOnAttemptSkipsReplays: checkpoint-replayed cells never ran, so the
-// attempt hook must stay silent for them.
-func TestOnAttemptSkipsReplays(t *testing.T) {
+// TestCellEventAttemptsZeroOnReplay: checkpoint-replayed cells never ran,
+// so their done events carry 0 attempts; the fresh cells carry 1.
+func TestCellEventAttemptsZeroOnReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ndjson")
 	mk := func(n int) []Cell[int] {
 		cells := make([]Cell[int], n)
 		for i := 0; i < n; i++ {
-			i := i
 			cells[i] = Cell[int]{Key: fmt.Sprintf("k%d", i), Run: func(ctx context.Context) (int, error) {
 				return i, nil
 			}}
@@ -113,25 +88,18 @@ func TestOnAttemptSkipsReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Close()
-	var mu sync.Mutex
-	var keys []string
-	rs := Run(context.Background(), mk(6), Options{
-		Checkpoint: cp2,
-		OnAttempt: func(ev AttemptEvent) {
-			mu.Lock()
-			keys = append(keys, ev.Key)
-			mu.Unlock()
-		},
-	})
-	if _, err := Values(rs); err != nil {
-		t.Fatal(err)
+	evs := doneEvents(t, mk(6), Options{Checkpoint: cp2})
+	if len(evs) != 6 {
+		t.Fatalf("%d done events, want 6", len(evs))
 	}
-	if len(keys) != 2 {
-		t.Fatalf("attempt events for %d cells, want 2 (4 replayed): %v", len(keys), keys)
-	}
-	for _, k := range keys {
-		if k != "k4" && k != "k5" {
-			t.Errorf("replayed cell %s fired an attempt event", k)
+	for k, ev := range evs {
+		fresh := k == "k4" || k == "k5"
+		want := 0
+		if fresh {
+			want = 1
+		}
+		if ev.Attempts != want || ev.FromCheckpoint == fresh {
+			t.Errorf("cell %s: attempts %d, from checkpoint %v; want %d, %v", k, ev.Attempts, ev.FromCheckpoint, want, !fresh)
 		}
 	}
 }

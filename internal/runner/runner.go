@@ -115,23 +115,6 @@ type CellEvent struct {
 	Err error
 }
 
-// AttemptEvent describes one attempt of one cell for Options.OnAttempt: the
-// wall-clock window the attempt occupied a worker and how it ended. The gap
-// between one attempt's End and the next attempt's Start on the same cell is
-// the retry backoff wait.
-type AttemptEvent struct {
-	Key     string
-	Index   int // position in the input cell slice
-	Attempt int // 1-based attempt number
-	Start   time.Time
-	End     time.Time
-	// Panicked reports whether this attempt panicked.
-	Panicked bool
-	// Err is the attempt's failure, nil on success. A later attempt may
-	// still succeed; OnCellDone carries the terminal outcome.
-	Err error
-}
-
 // Options configures a sweep.
 type Options struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
@@ -158,11 +141,6 @@ type Options struct {
 	// first attempt. Called concurrently from worker goroutines; must be
 	// safe for concurrent use. Checkpoint replays do not fire it.
 	OnCellStart func(key string, index int)
-	// OnAttempt, when set, fires after every attempt of every cell — including
-	// attempts whose failure will retry — before any backoff wait. Called
-	// concurrently from worker goroutines; must be safe for concurrent use.
-	// Checkpoint replays never attempt and fire nothing.
-	OnAttempt func(AttemptEvent)
 	// OnCellDone, when set, fires once per finished cell: after the final
 	// attempt (success or failure) and once per checkpoint replay. Called
 	// concurrently from worker goroutines; must be safe for concurrent
@@ -226,7 +204,7 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) []Result[T] 
 					opts.OnCellStart(cells[i].Key, i)
 				}
 				start := time.Now()
-				results[i] = runCell(ctx, cells[i], i, opts, results[i])
+				results[i] = runCell(ctx, cells[i], opts, results[i])
 				results[i].Duration = time.Since(start)
 				if opts.OnCellDone != nil {
 					ev := CellEvent{
@@ -272,7 +250,7 @@ feed:
 }
 
 // runCell drives one cell through its bounded attempts.
-func runCell[T any](ctx context.Context, cell Cell[T], index int, opts Options, res Result[T]) Result[T] {
+func runCell[T any](ctx context.Context, cell Cell[T], opts Options, res Result[T]) Result[T] {
 	var last *CellError
 	for attempt := 1; attempt <= 1+opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -282,18 +260,7 @@ func runCell[T any](ctx context.Context, cell Cell[T], index int, opts Options, 
 			break
 		}
 		res.Attempts = attempt
-		attemptStart := time.Now()
 		v, cerr := runAttempt(ctx, cell, opts.CellTimeout)
-		if opts.OnAttempt != nil {
-			ev := AttemptEvent{
-				Key: cell.Key, Index: index, Attempt: attempt,
-				Start: attemptStart, End: time.Now(),
-			}
-			if cerr != nil {
-				ev.Panicked, ev.Err = cerr.Panicked, cerr.Err
-			}
-			opts.OnAttempt(ev)
-		}
 		if cerr == nil {
 			res.Value, res.Done, res.Err = v, true, nil
 			if opts.Checkpoint != nil && cell.Key != "" {

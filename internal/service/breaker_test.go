@@ -261,3 +261,26 @@ func TestSubmitOnPausedJournalIsDegraded(t *testing.T) {
 		t.Errorf("%d jobs accepted on a paused journal", n)
 	}
 }
+
+// TestKillClosedJournalNotDiskEvidence: a job that finishes as Kill lands
+// appends to the journal Kill closed. That append is dropped, like a
+// write after a process death, and says nothing about the disk: even at
+// BreakerThreshold 1 the breaker must not trip.
+func TestKillClosedJournalNotDiskEvidence(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.BreakerThreshold = 1
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	if err := s.journal.Done("late-job"); !errors.Is(err, ErrJournalClosed) {
+		t.Fatalf("append after Kill: %v, want ErrJournalClosed", err)
+	}
+	if trips := s.Registry().Counter(obs.MBreakerTrips).Value(); trips != 0 {
+		t.Errorf("breaker_trips = %d after an append to the closed journal, want 0", trips)
+	}
+	if open, reason := s.Degraded(); open {
+		t.Errorf("Degraded() = true (%s) after an append to the closed journal", reason)
+	}
+}

@@ -245,8 +245,8 @@ func crashConsistency(t *testing.T, seed uint64, faulty bool) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		trips += cfg.Registry.Counter(obs.MBreakerTrips).Value()
 		s.Kill()
+		trips += cfg.Registry.Counter(obs.MBreakerTrips).Value()
 		if disk != nil {
 			damaged += disk.torn.Faults + disk.flipped.Faults + disk.sick.Faults
 		}
@@ -310,6 +310,9 @@ func crashConsistency(t *testing.T, seed uint64, faulty bool) {
 	}
 	if faulty && damaged == 0 {
 		t.Fatalf("seed %d: no journal write was damaged; the faulted run is vacuous", seed)
+	}
+	if !faulty && trips != 0 {
+		t.Errorf("seed %d: the breaker tripped %d times on a clean disk", seed, trips)
 	}
 	t.Logf("seed %d: %d jobs, %d replayed terminal states checked; %d journal writes damaged; %d breaker trips",
 		seed, len(accepted), checks, damaged, trips)

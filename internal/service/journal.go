@@ -25,6 +25,11 @@ const CellCacheName = "cells.ndjson"
 // degraded mode.
 var ErrJournalPaused = errors.New("service: journal paused (degraded mode)")
 
+// ErrJournalClosed reports an append after Close: a job that finished as
+// Service.Kill landed. Like a write after a process death it is dropped,
+// and it is no evidence about the disk.
+var ErrJournalClosed = errors.New("service: journal closed")
+
 // journalEntry is one write-ahead record of the job lifecycle. "submit"
 // carries the request; "start" marks a worker picking the job up; "done",
 // "fail" and "cancel" are terminal; "probe" is a breaker recovery probe,
@@ -173,7 +178,7 @@ func (j *Journal) appendOpts(e journalEntry, probe bool) error {
 
 func (j *Journal) appendLocked(e journalEntry, line []byte, probe bool) error {
 	if j.f == nil {
-		return fmt.Errorf("service: journal %s is closed", j.path)
+		return fmt.Errorf("%w: %s", ErrJournalClosed, j.path)
 	}
 	if j.paused && !probe {
 		return ErrJournalPaused

@@ -144,8 +144,9 @@ func jobEvents(t *testing.T, url, id string) ([]Event, []map[string]json.RawMess
 // TestJobEventsCountAttempts: a job's event log shows its retries. With
 // every cell failing twice transiently, each cell event reports the three
 // attempts the cell took and the final tally counts every cell as
-// retried. The same grid submitted again is served from the memo, and its
-// cell events carry no attempts.
+// retried, and cell_attempts rises by three per cell. The same grid
+// submitted again is served from the memo: its cell events carry no
+// attempts, and cell_attempts does not move.
 func TestJobEventsCountAttempts(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Faults = &faultinject.Plan{Seed: 7, TransientRate: 1, TransientFails: 2}
@@ -165,6 +166,7 @@ func TestJobEventsCountAttempts(t *testing.T) {
 		return st, evs, raws
 	}
 
+	counted := s.Registry().Counter(obs.MCellAttempts)
 	st, evs, _ := run()
 	cells := 0
 	for _, ev := range evs {
@@ -186,6 +188,10 @@ func TestJobEventsCountAttempts(t *testing.T) {
 	if last.Tally.Retried != cells {
 		t.Errorf("tally retried = %d, want %d (every cell)", last.Tally.Retried, cells)
 	}
+	attempts := counted.Value()
+	if attempts != int64(3*cells) {
+		t.Errorf("cell_attempts = %d, want 3 × %d cells", attempts, cells)
+	}
 
 	// Resubmitted, every cell is a memo hit: nothing ran, so nothing is
 	// counted as an attempt.
@@ -203,6 +209,9 @@ func TestJobEventsCountAttempts(t *testing.T) {
 	tally := evs2[len(evs2)-1].Tally
 	if memo != cells || tally.Replayed != cells || tally.Retried != 0 {
 		t.Errorf("resubmission: %d cell events, tally %+v; want %d memo hits and no retries", memo, tally, cells)
+	}
+	if got := counted.Value(); got != attempts {
+		t.Errorf("cell_attempts moved from %d to %d over a memoized resubmission", attempts, got)
 	}
 }
 

@@ -340,11 +340,12 @@ func (s *Service) Start() {
 }
 
 // observeStorage builds the breaker's observer for one persistence
-// surface. Paused-journal rejections are the breaker's own doing, not new
-// disk evidence, so they are not counted.
+// surface. Paused-journal rejections are the breaker's own doing, and
+// appends to a journal Kill closed are dropped writes of a dead life;
+// neither is disk evidence, so neither is counted.
 func (s *Service) observeStorage(source string) func(error) {
 	return func(err error) {
-		if errors.Is(err, ErrJournalPaused) {
+		if errors.Is(err, ErrJournalPaused) || errors.Is(err, ErrJournalClosed) {
 			return
 		}
 		if s.breaker.observe(err) {
@@ -641,6 +642,7 @@ func (s *Service) runJob(job *Job) {
 
 	regStart, regDone := obs.RunnerHooks(s.reg, s.log.With("job", job.id))
 	s.reg.Counter(obs.MCellsPlanned).Add(int64(len(cells)))
+	attempts := s.reg.Counter(obs.MCellAttempts)
 
 	results := runner.Run(ctx, cells, runner.Options{
 		Workers:     s.cfg.CellWorkers,
@@ -649,14 +651,12 @@ func (s *Service) runJob(job *Job) {
 		Backoff:     ExpBackoff(s.cfg.BackoffBase, s.cfg.BackoffMax),
 		Checkpoint:  s.cells,
 		OnCellStart: regStart,
-		OnAttempt: func(runner.AttemptEvent) {
-			s.reg.Counter(obs.MCellAttempts).Add(1)
-		},
 		OnCellDone: func(ev runner.CellEvent) {
 			traces.release(specs[ev.Index])
 			if regDone != nil {
 				regDone(ev)
 			}
+			attempts.Add(int64(ev.Attempts))
 			job.noteCell(ev)
 		},
 	})
@@ -844,8 +844,8 @@ func (s *Service) Kill() {
 	}
 	s.mu.Unlock()
 	// Closing invalidates the handles; late cell completions hit the
-	// checkpoint's sticky error and are dropped, like writes after a
-	// process death.
+	// checkpoint's sticky error and late journal appends ErrJournalClosed,
+	// and both are dropped, like writes after a process death.
 	s.cells.Close()   //nolint:errcheck // crash semantics
 	s.journal.Close() //nolint:errcheck // crash semantics
 	// A job that finished as the kill landed may still be writing its

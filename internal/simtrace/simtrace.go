@@ -1,8 +1,8 @@
 // Package simtrace is the in-run observability layer for the simulator
-// core: an opt-in recorder threaded through the system and engine
-// simulators that decomposes where cycles go (attribution), samples
-// windowed statistics every N references (intervals), and keeps a bounded
-// ring of typed timeline events exportable as Chrome trace-event JSON.
+// core: an opt-in recorder threaded through the system simulator that
+// decomposes where cycles go (attribution), samples windowed statistics
+// every N references (intervals), and keeps a bounded ring of typed
+// timeline events exportable as Chrome trace-event JSON.
 //
 // The package is strictly passive: nothing in here influences simulated
 // timing. A run whose Options arm nothing gets no recorder at all (Attach),
@@ -57,7 +57,7 @@ const (
 )
 
 // Recorder accumulates one run's instrumentation. Construct with New,
-// thread through a simulator via the system/engine configuration, read
+// thread through a simulator via the system configuration, read
 // the results after the run. Not safe for concurrent use; a recorder
 // belongs to exactly one run.
 type Recorder struct {
@@ -113,9 +113,6 @@ func Attach(opts *Options) *Recorder {
 // instrument. A core handed a recorder that is not On drops it, by the
 // same rule as Attach.
 func (r *Recorder) On() bool { return r != nil && r.opts.Any() }
-
-// AttribOn reports whether cycle attribution is armed.
-func (r *Recorder) AttribOn() bool { return r != nil && r.opts.Attrib }
 
 // IntervalsOn reports whether interval windows are armed.
 func (r *Recorder) IntervalsOn() bool { return r != nil && r.opts.IntervalRefs > 0 }
@@ -260,19 +257,6 @@ func (r *Recorder) endCouplet(comp int64) {
 		a.LoadMissStall += rem
 	}
 	a.Cycles = comp
-}
-
-// AddGap banks a run of couplets that never touched the memory system:
-// gap couplets of one base cycle each, storeHits of which paid one extra
-// store cycle. newNow is the simulated clock after the run. Used by the
-// two-phase engine, whose event stream compresses such couplets.
-func (r *Recorder) AddGap(gap, storeHits, newNow int64) {
-	if r == nil || !r.opts.Attrib {
-		return
-	}
-	r.attrib.BaseIssue += gap
-	r.attrib.StoreCycles += storeHits
-	r.attrib.Cycles = newNow
 }
 
 // MarkWarm snapshots the attribution at the warm-start boundary, so warm

@@ -53,7 +53,7 @@ func TestCarveClamps(t *testing.T) {
 // match bucket, not the memory buckets.
 func TestMatchedFetch(t *testing.T) {
 	r := New(Options{Attrib: true})
-	r.AddGap(10, 0, 10) // cover cycles 0..10 so conservation can hold
+	hits(r, 0, 10) // cover cycles 0..10 so conservation can hold
 	r.BeginCouplet(10)
 	r.NoteFetch(5, 2, true)
 	r.NoteRef(Load, 21)
@@ -89,11 +89,25 @@ func TestCriticalRefLatestWins(t *testing.T) {
 	}
 }
 
-// TestAddGapAndWarm verifies bulk gap attribution and the warm-window
-// subtraction.
-func TestAddGapAndWarm(t *testing.T) {
+// hits records n one-cycle ifetch hits from cycle now.
+func hits(r *Recorder, now, n int64) {
+	for c := now; c < now+n; c++ {
+		r.BeginCouplet(c)
+		r.NoteRef(Ifetch, c+1)
+		r.EndCouplet(c + 1)
+	}
+}
+
+// TestWarmWindow verifies the warm-window subtraction: the attribution
+// after MarkWarm is the whole run minus the snapshot.
+func TestWarmWindow(t *testing.T) {
 	r := New(Options{Attrib: true})
-	r.AddGap(10, 3, 13)
+	hits(r, 0, 7)
+	for c := int64(7); c < 13; c += 2 { // three two-cycle store hits
+		r.BeginCouplet(c)
+		r.NoteRef(Store, c+2)
+		r.EndCouplet(c + 2)
+	}
 	r.MarkWarm()
 	r.BeginCouplet(13)
 	r.NoteRef(Store, 15)
@@ -190,7 +204,7 @@ func TestComponentsCoverSum(t *testing.T) {
 // recorder, the flags-off fast path.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.AttribOn() || r.IntervalsOn() || r.EventsOn() {
+	if r.On() || r.IntervalsOn() || r.EventsOn() {
 		t.Fatal("nil recorder claims to be armed")
 	}
 	r.MarkWarm()

@@ -27,7 +27,8 @@ func (s L1Side) Route() cache.Interface {
 
 // L1 is one run's first-level cache pair with its instruments attached.
 // Both cores build theirs with NewL1: the System for each Run, the engine
-// for each behavioural pass.
+// for each behavioural pass (with the checker at most; explain probes
+// attach only to the System).
 type L1 struct {
 	I, D L1Side // the same side when the cache is unified
 	// Chk is the run's lockstep checker, nil unless check options were
