@@ -57,7 +57,8 @@
 #
 # `make bench` snapshots the benchmark suite (with allocation stats), the
 # root package's plus the workload, trace-decode, cache, write-buffer,
-# memory, engine, system and runner layer benchmarks, to BENCH_<date>.json via
+# memory, engine, system, runner, durable-append and journal layer
+# benchmarks, to BENCH_<date>.json via
 # cmd/bench2json. The paper's figures are timed cold by benchmark/run.sh
 # (figures-cold), not here. Compare two snapshots with:
 #
@@ -226,7 +227,7 @@ profilegate:
 # disabled (Options present, nothing armed) — a disarmed Options attaches
 # no recorder, so both take the identical code path, and this gate trips
 # only if someone reintroduces a cost on the unexplained path.
-# The armed variants (threec/reuse/full) are deliberately not gated:
+# The armed variants (threec/full) are deliberately not gated:
 # shadow simulation has an inherent price, the contract is that only runs
 # asking for explanations pay it.
 explaingate:
@@ -247,14 +248,15 @@ vulncheck:
 	fi
 
 # The root package holds the whole-simulator, ablation and overhead-pair
-# benchmarks; the workload, trace, cache, writebuf, mem, engine, system
-# and runner packages hold the per-layer ones (trace generation, binary
-# and din trace decode, one access per geometry, write-buffer operations, memory fills and writes, the
-# behavioural pass and the size-family walk, the timing replay with one
-# lane and with many, the single-phase simulator and the runner's
-# per-cell cost).
+# benchmarks; the workload, trace, cache, writebuf, mem, engine, system,
+# runner, durable and service packages hold the per-layer ones (trace
+# generation, binary and din trace decode, one access per geometry,
+# write-buffer operations, memory fills and writes, the behavioural pass
+# and the size-family walk, the timing replay with one lane and with
+# many, the single-phase simulator, the runner's per-cell cost, one
+# framed append + fsync ack, and one job's journal submit → done).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/trace/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ \
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/workload/ ./internal/trace/ ./internal/cache/ ./internal/writebuf/ ./internal/mem/ ./internal/engine/ ./internal/system/ ./internal/runner/ ./internal/durable/ ./internal/service/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_$$(date +%Y%m%d).json
 
 clean:

@@ -204,8 +204,7 @@ func BenchmarkSimtraceOverhead(b *testing.B) {
 		{"absent", nil},
 		{"disabled", &simtrace.Options{}},
 		{"attrib", &simtrace.Options{Attrib: true}},
-		{"events", &simtrace.Options{Events: true}},
-		{"full", &simtrace.Options{Attrib: true, IntervalRefs: 10000, Events: true}},
+		{"full", &simtrace.Options{Attrib: true, IntervalRefs: 10000}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -226,7 +225,8 @@ func BenchmarkSimtraceOverhead(b *testing.B) {
 // the same way BenchmarkSimtraceOverhead guards simtrace: "absent" is the
 // nil fast path every unexplained run takes, "disabled" a config with a
 // zero-valued (disarmed) Options, and the remaining variants arm each
-// instrument. `make explaingate` holds absent-vs-disabled within 2% on
+// instrument ("full" is their union; with 3C the one instrument left, it
+// arms what "threec" does). `make explaingate` holds absent-vs-disabled within 2% on
 // cpu-ns/op (from getrusage, like ProfileOverhead — the unexplained path's
 // cost is CPU work, and wall time on a shared runner absorbs stalls that
 // land unevenly); the armed variants are reported, not gated — shadow
@@ -241,8 +241,7 @@ func BenchmarkExplainOverhead(b *testing.B) {
 		{"absent", nil},
 		{"disabled", &explain.Options{}},
 		{"threec", &explain.Options{ThreeC: true}},
-		{"reuse", &explain.Options{Reuse: true}},
-		{"full", func() *explain.Options { o := explain.All(); return &o }()},
+		{"full", &explain.Options{ThreeC: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

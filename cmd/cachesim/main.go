@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -43,43 +45,69 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "cachesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		specPath  = flag.String("spec", "", "JSON system spec file (default: the paper's base system)")
-		wl        = flag.String("workload", "", "Table 1 workload name, or 'all'")
-		scale     = flag.Float64("scale", 0.25, "workload scale (1.0 = the paper's trace lengths)")
-		trPath    = flag.String("trace", "", "trace file (.din text or binary)")
-		totalKB   = flag.Int("size", 0, "override: total L1 size in KB (split evenly)")
-		blockW    = flag.Int("block", 0, "override: block size in words")
-		fetchW    = flag.Int("fetch", 0, "override: fetch size in words (sub-block placement)")
-		assoc     = flag.Int("assoc", 0, "override: set size (1 = direct mapped)")
-		cycleNs   = flag.Int("cycle", 0, "override: cycle time in ns")
-		l2KB      = flag.Int("l2", 0, "add a second-level cache of this many KB")
-		l2Access  = flag.Int("l2access", 3, "L2 access time in cycles")
-		l2BlockW  = flag.Int("l2block", 16, "L2 block size in words")
-		memLatNs  = flag.Int("memlat", 0, "override: uniform memory latency in ns")
-		unified   = flag.Bool("unified", false, "unified cache instead of split I/D")
-		showTotal = flag.Bool("total", false, "report the whole trace, not just the warm window")
-		showHist  = flag.Bool("hist", false, "report couplet service-time percentiles")
-		selfcheck = flag.Bool("selfcheck", false, "run in lockstep with the reference cache model, failing on any divergence")
-		checkEvry = flag.Int("selfcheck-every", check.DefaultEvery, "structural invariant interval in references (with -selfcheck)")
+// errUsage reports a command-line mistake. The message and the flag
+// summary are already on stderr when run returns it, and main exits 2, as
+// the flag package does for a malformed flag.
+var errUsage = errors.New("usage error")
 
-		attrib    = flag.Bool("attrib", false, "decompose the cycle count into attribution components (conservation-checked)")
-		explainOn = flag.Bool("explain", false, "classify every miss as compulsory/capacity/conflict and record reuse-distance and set-pressure profiles (reported after the tables)")
-		intervals = flag.Int("intervals", 0, "emit an interval window every N references: CPI sparkline, warm-up estimate, window records")
-		intervOut = flag.String("intervals-out", "", "write interval windows to this file (.csv for CSV, anything else NDJSON; with -intervals)")
-		eventsOut = flag.String("events", "", "write the run's timeline events to this file as Chrome trace-event JSON (load in Perfetto)")
-		manifest  = flag.String("manifest", "", "write a run manifest JSON here (includes attribution and warm-up when armed)")
-		ledgerDir = flag.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
-		profDir   = flag.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept) and list them in the manifest; read them with go tool pprof")
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		specPath  = fs.String("spec", "", "JSON system spec file (default: the paper's base system)")
+		wl        = fs.String("workload", "", "Table 1 workload name, or 'all'")
+		scale     = fs.Float64("scale", 0.25, "workload scale (1.0 = the paper's trace lengths)")
+		trPath    = fs.String("trace", "", "trace file (.din text or binary)")
+		totalKB   = fs.Int("size", 0, "override: total L1 size in KB (split evenly)")
+		blockW    = fs.Int("block", 0, "override: block size in words")
+		fetchW    = fs.Int("fetch", 0, "override: fetch size in words (sub-block placement)")
+		assoc     = fs.Int("assoc", 0, "override: set size (1 = direct mapped)")
+		cycleNs   = fs.Int("cycle", 0, "override: cycle time in ns")
+		l2KB      = fs.Int("l2", 0, "add a second-level cache of this many KB")
+		l2Access  = fs.Int("l2access", 3, "L2 access time in cycles")
+		l2BlockW  = fs.Int("l2block", 16, "L2 block size in words")
+		memLatNs  = fs.Int("memlat", 0, "override: uniform memory latency in ns")
+		unified   = fs.Bool("unified", false, "unified cache instead of split I/D")
+		showTotal = fs.Bool("total", false, "report the whole trace, not just the warm window")
+		showHist  = fs.Bool("hist", false, "report couplet service-time percentiles")
+		selfcheck = fs.Bool("selfcheck", false, "run in lockstep with the reference cache model, failing on any divergence")
+		checkEvry = fs.Int("selfcheck-every", check.DefaultEvery, "structural invariant interval in references (with -selfcheck)")
+
+		attrib    = fs.Bool("attrib", false, "decompose the cycle count into attribution components (conservation-checked)")
+		explainOn = fs.Bool("explain", false, "classify every miss as compulsory/capacity/conflict")
+		intervals = fs.Int("intervals", 0, "emit an interval window every N references: CPI sparkline, warm-up estimate, window records")
+		intervOut = fs.String("intervals-out", "", "write interval windows to this file (.csv for CSV, anything else NDJSON; with -intervals)")
+		manifest  = fs.String("manifest", "", "write a run manifest JSON here (includes attribution and warm-up when armed)")
+		ledgerDir = fs.String("ledger", "", "append a compact run record to the ledger in this directory (inspect with simreport)")
+		profDir   = fs.String("profile", "", "capture CPU+heap pprof profiles into DIR/<run-id>/ (the 16 newest runs are kept) and list them in the manifest; read them with go tool pprof")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	usage := func(msg string) error {
+		fmt.Fprintln(stderr, msg)
+		fs.Usage()
+		return errUsage
+	}
+	if *intervals < 0 {
+		return usage("-intervals must be a positive window length in references, or 0 for off")
+	}
+	if *intervOut != "" && *intervals == 0 {
+		return usage("-intervals-out needs -intervals N: there are no windows to write")
+	}
 
 	spec := config.Default()
 	if *specPath != "" {
@@ -148,27 +176,22 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("system: %d ns cycle, I %s, D %s", cfg.CycleNs, describe(cfg.ICache, cfg.Unified), cfg.DCache.String())
+	fmt.Fprintf(stdout, "system: %d ns cycle, I %s, D %s", cfg.CycleNs, describe(cfg.ICache, cfg.Unified), cfg.DCache.String())
 	if cfg.L2 != nil {
-		fmt.Printf(", L2 %s (+%d cycles)", cfg.L2.Cache.String(), cfg.L2.AccessCycles)
+		fmt.Fprintf(stdout, ", L2 %s (+%d cycles)", cfg.L2.Cache.String(), cfg.L2.AccessCycles)
 	}
-	fmt.Printf(", memory %d/%d/%d ns @ %s\n\n", cfg.Mem.ReadNs, cfg.Mem.WriteNs, cfg.Mem.RecoverNs, cfg.Mem.Transfer)
+	fmt.Fprintf(stdout, ", memory %d/%d/%d ns @ %s\n\n", cfg.Mem.ReadNs, cfg.Mem.WriteNs, cfg.Mem.RecoverNs, cfg.Mem.Transfer)
 
 	cfg.CollectLatencies = *showHist
 	if *selfcheck {
 		cfg.SelfCheck = &check.Options{Every: *checkEvry}
-		fmt.Println("selfcheck: differential oracle enabled; divergences abort the run")
+		fmt.Fprintln(stdout, "selfcheck: differential oracle enabled; divergences abort the run")
 	}
-	if *attrib || *intervals > 0 || *eventsOut != "" {
-		cfg.Trace = &simtrace.Options{
-			Attrib:       *attrib,
-			IntervalRefs: *intervals,
-			Events:       *eventsOut != "",
-		}
+	if *attrib || *intervals > 0 {
+		cfg.Trace = &simtrace.Options{Attrib: *attrib, IntervalRefs: *intervals}
 	}
 	if *explainOn {
-		opts := explain.All()
-		cfg.Explain = &opts
+		cfg.Explain = &explain.Options{ThreeC: true}
 	}
 
 	// Ctrl-C cancels the sweep; traces that already finished are still
@@ -203,7 +226,7 @@ func run() error {
 					return simOut{}, err
 				}
 				out := simOut{res: res, hist: sys.CoupletLatencies(), rec: sys.Recorder()}
-				if exp := sys.Explainer(); exp.On() {
+				if exp := sys.Explainer(); exp != nil {
 					out.expWarm, out.expTotal = exp.ReportWarm(), exp.Report()
 				}
 				return out, nil
@@ -214,7 +237,7 @@ func run() error {
 	// serializes each record into a single write — traces failing
 	// concurrently on the worker pool can no longer interleave their
 	// error text on stderr.
-	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("run", run.ID()))
+	logger := obs.NewLogger(stderr, slog.LevelInfo, slog.String("run", run.ID()))
 	// The registry exists only for ledgered runs (it feeds the ledger
 	// record's cell tallies and latency percentiles); without -ledger the
 	// hooks and output are exactly as before.
@@ -274,23 +297,23 @@ func run() error {
 			exps = append(exps, expRow{traces[i].Name, r.Value.expWarm, r.Value.expTotal})
 		}
 	}
-	if err := tab.Render(os.Stdout); err != nil {
+	if err := tab.Render(stdout); err != nil {
 		return err
 	}
 	if *showHist {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		ht := textplot.NewTable("couplet service time (cycles; percentile upper bounds)",
 			"trace", "mean", "p50", "p90", "p99", "max")
 		for _, hr := range hists {
 			ht.Row(hr.name, hr.h.Mean(), hr.h.Percentile(0.5), hr.h.Percentile(0.9),
 				hr.h.Percentile(0.99), hr.h.Max)
 		}
-		if err := ht.Render(os.Stdout); err != nil {
+		if err := ht.Render(stdout); err != nil {
 			return err
 		}
 	}
 	if *attrib {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		at := textplot.NewTable("cycle attribution (sum of components == cycles, by construction)",
 			"trace", "component", "cycles", "share%")
 		for _, rr := range recs {
@@ -311,7 +334,7 @@ func run() error {
 				at.Row(rr.name, comp.Name, comp.Cycles, share)
 			}
 		}
-		if err := at.Render(os.Stdout); err != nil {
+		if err := at.Render(stdout); err != nil {
 			return err
 		}
 	}
@@ -325,16 +348,16 @@ func run() error {
 			if *showTotal {
 				rep = er.total
 			}
-			fmt.Printf("\nexplain: %s (%s)\n", er.name, window)
-			if err := explain.RenderText(os.Stdout, rep); err != nil {
+			fmt.Fprintf(stdout, "\nexplain: %s (%s)\n", er.name, window)
+			if err := explain.RenderText(stdout, rep); err != nil {
 				return err
 			}
 		}
 	}
 	var warmups []obs.ManifestWarmup
 	if *intervals > 0 {
-		fmt.Println()
-		fmt.Printf("interval CPI (one glyph per %d-ref window):\n", *intervals)
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "interval CPI (one glyph per %d-ref window):\n", *intervals)
 		for _, rr := range recs {
 			line := fmt.Sprintf("  %-8s %s", rr.name, textplot.Sparkline(rr.rec.CPISeries()))
 			if w, ref, ok := rr.rec.WarmupEstimate(0); ok {
@@ -343,7 +366,7 @@ func run() error {
 			} else {
 				line += "  warm-up: no stable point"
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 		if *intervOut != "" {
 			for _, rr := range recs {
@@ -351,21 +374,7 @@ func run() error {
 				if err := writeIntervals(path, rr.rec); err != nil {
 					return err
 				}
-				fmt.Fprintf(os.Stderr, "intervals: %s\n", path)
-			}
-		}
-	}
-	if *eventsOut != "" {
-		for _, rr := range recs {
-			path := splicePath(*eventsOut, rr.name, len(recs) > 1)
-			if err := writeChromeTrace(path, rr.rec); err != nil {
-				return err
-			}
-			if n := rr.rec.DroppedEvents(); n > 0 {
-				fmt.Fprintf(os.Stderr, "events: %s (ring overflowed; newest %d events kept, %d dropped)\n",
-					path, len(rr.rec.Events()), n)
-			} else {
-				fmt.Fprintf(os.Stderr, "events: %s\n", path)
+				fmt.Fprintf(stderr, "intervals: %s\n", path)
 			}
 		}
 	}
@@ -378,7 +387,7 @@ func run() error {
 		return err
 	}
 	if sum.Dir != "" {
-		fmt.Fprintf(os.Stderr, "profiles: %s\n", sum)
+		fmt.Fprintf(stderr, "profiles: %s\n", sum)
 	}
 	if *manifest != "" || *ledgerDir != "" {
 		m := run.Manifest
@@ -399,9 +408,7 @@ func run() error {
 			// same thing whatever -total displayed.
 			merged := &explain.Report{}
 			for _, er := range exps {
-				if err := merged.Merge(er.warm); err != nil {
-					return err
-				}
+				merged.Merge(er.warm)
 				m.ExplainCells++
 			}
 			m.Explain = merged
@@ -415,7 +422,7 @@ func run() error {
 			if err := m.Write(*manifest); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "manifest: %s\n", *manifest)
+			fmt.Fprintf(stderr, "manifest: %s\n", *manifest)
 		}
 		if *ledgerDir != "" {
 			rec := ledger.FromManifest(m, "cachesim")
@@ -436,14 +443,14 @@ func run() error {
 			if lerr != nil {
 				return lerr
 			}
-			fmt.Fprintf(os.Stderr, "ledger: %s\n", path)
+			fmt.Fprintf(stderr, "ledger: %s\n", path)
 		}
 	}
 	if len(failed) > 0 {
 		// Each failure was already logged through the slog handler as it
 		// happened; finish with the tally only.
 		s := runner.Summarize(results)
-		fmt.Fprintf(os.Stderr, "\npartial results: %d/%d traces done, %d failed or not run\n",
+		fmt.Fprintf(stderr, "\npartial results: %d/%d traces done, %d failed or not run\n",
 			s.Done, s.Total, s.Failed+s.NotRun)
 		return fmt.Errorf("%d trace(s) did not complete", len(failed))
 	}
@@ -473,20 +480,6 @@ func writeIntervals(path string, rec *simtrace.Recorder) error {
 	} else {
 		err = rec.WriteWindowsNDJSON(f)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeChromeTrace writes the recorder's event ring as Chrome trace-event
-// JSON.
-func writeChromeTrace(path string, rec *simtrace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = rec.WriteChromeTrace(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

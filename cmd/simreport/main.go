@@ -7,8 +7,6 @@
 //	simreport show -ledger DIR [RUN]        # one run in full, with trends
 //	simreport diff -ledger DIR [OLD NEW]    # two runs metric by metric
 //	simreport gate -ledger DIR [-tolerance 5]  # exit 1 on regression
-//	simreport explain -ledger DIR [RUN]     # an explained run's 3C/reuse/heat panels
-//	simreport html -ledger DIR -o report.html  # self-contained HTML report
 //
 // RUN selectors are "latest", "prev", a run id, or a unique run-id prefix.
 // `gate` compares the newest run of a configuration against its baseline
@@ -28,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/explain"
 	"repro/internal/ledger"
 	"repro/internal/perfobs"
 	"repro/internal/textplot"
@@ -46,8 +43,6 @@ commands:
   show   render one run in full, with trend sparklines for its config
   diff   compare two runs metric by metric (-json for machine output)
   gate   fail (exit 1) when the newest run regressed beyond tolerance
-  explain  render an explained run's 3C classification, reuse and heat panels
-  html   write a self-contained HTML report of the whole ledger
 
 common flags:
   -ledger DIR   ledger directory or .ndjson file (default ".")
@@ -78,10 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return code
 		}
 		err = gerr
-	case "explain":
-		err = cmdExplain(rest, stdout, stderr)
-	case "html":
-		err = cmdHTML(rest, stdout, stderr)
 	case "help", "-h", "-help", "--help":
 		usage(stdout)
 		return 0
@@ -274,37 +265,11 @@ func renderShow(w io.Writer, rec ledger.Record, all []ledger.Record, trendN int)
 	}
 	if rec.Explain != nil {
 		comp, cap3, conf := rec.Explain.Total3C().SharePct()
-		fmt.Fprintf(w, "\n3C       compulsory %.1f%%  capacity %.1f%%  conflict %.1f%% of %d misses (see `simreport explain %s`)\n",
-			comp, cap3, conf, rec.Explain.TotalMisses(), rec.RunID)
+		fmt.Fprintf(w, "\n3C       compulsory %.1f%%  capacity %.1f%%  conflict %.1f%% of %d misses\n",
+			comp, cap3, conf, rec.Explain.TotalMisses())
 	}
 	renderTrend(w, rec, all, trendN)
 	return nil
-}
-
-// cmdExplain renders one explained run's full report: the 3C table, the
-// reuse-distance histograms and the set-pressure sparklines.
-func cmdExplain(args []string, stdout, stderr io.Writer) error {
-	fs, dir := newFlagSet("explain", stderr)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sel := "latest"
-	if fs.NArg() > 0 {
-		sel = fs.Arg(0)
-	}
-	recs, err := readLedger(*dir, stderr)
-	if err != nil {
-		return err
-	}
-	rec, err := ledger.FindRun(recs, sel)
-	if err != nil {
-		return err
-	}
-	if rec.Explain == nil {
-		return fmt.Errorf("run %s carries no explain report (rerun with -explain)", rec.RunID)
-	}
-	fmt.Fprintf(stdout, "run %s (%s), warm windows\n\n", rec.RunID, rec.Tool)
-	return explain.RenderText(stdout, rec.Explain)
 }
 
 // renderAttribution prints the record's cycle-attribution rollup, largest
@@ -563,35 +528,4 @@ func cmdGate(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 	fmt.Fprintf(stdout, "gate: ok — no watched metric regressed beyond threshold\n")
 	return 0, nil
-}
-
-func cmdHTML(args []string, stdout, stderr io.Writer) error {
-	fs, dir := newFlagSet("html", stderr)
-	out := fs.String("o", "simreport.html", "output file (- for stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	recs, err := readLedger(*dir, stderr)
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("ledger is empty")
-	}
-	if *out == "-" {
-		return writeHTML(stdout, recs)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	werr := writeHTML(f, recs)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	fmt.Fprintf(stderr, "report: %s\n", *out)
-	return nil
 }

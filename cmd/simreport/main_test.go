@@ -209,21 +209,24 @@ func TestGateConfigPrefix(t *testing.T) {
 	}
 }
 
-func TestHTMLSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "report.html")
-	code, _, errb := runCmd(t, "html", "-ledger", fixture, "-o", out)
-	if code != 0 {
+// TestShowRecordWithRetiredExplainKeys: a record written while explain
+// reports still carried reuse-distance and set-heat rows shows its 3C
+// line, and diffs against a 3C-only record.
+func TestShowRecordWithRetiredExplainKeys(t *testing.T) {
+	const upgrade = "../../internal/ledger/testdata/explain_upgrade.ndjson"
+	code, out, errb := runCmd(t, "show", "-ledger", upgrade, "20261020T215313Z-5991")
+	if code != 0 || errb != "" {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	if want := "3C       compulsory 87.8%  capacity 0.0%  conflict 12.2% of 1578 misses\n"; !strings.Contains(out, want) {
+		t.Errorf("show lacks %q:\n%s", want, out)
 	}
-	html := string(data)
-	for _, want := range []string{"<!DOCTYPE html>", "a1b2c3d4e5f60718", "ffee998877665544", "polyline", "total_cycles"} {
-		if !strings.Contains(html, want) {
-			t.Errorf("html missing %q", want)
-		}
+	code, out, errb = runCmd(t, "diff", "-ledger", upgrade)
+	if code != 0 || errb != "" {
+		t.Fatalf("diff: exit %d, stderr: %s", code, errb)
+	}
+	if !strings.Contains(out, "3C miss composition") {
+		t.Errorf("diff lacks the 3C composition table:\n%s", out)
 	}
 }
 
@@ -232,6 +235,8 @@ func TestUsageAndErrors(t *testing.T) {
 	cases := [][]string{
 		nil,
 		{"bogus"},
+		{"explain", "-ledger", fixture},
+		{"html", "-ledger", fixture},
 		{"show", "-ledger", os.DevNull + ".nope"},
 		{"diff", "-ledger", fixture, "only-one-selector"},
 		{"show", "-ledger", fixture, "no-such-run"},

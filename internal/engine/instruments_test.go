@@ -15,11 +15,12 @@ import (
 
 // TestStackedInstrumentsSelfCheck arms all three instruments at once in
 // the system simulator — the lockstep checker, simtrace attribution and
-// events, and every explain instrument — so each L1 runs the full
-// decorator stack (real cache, then check.Shadow, then explain.Probe). The
-// checker must report no divergence, the counters must equal a bare run's,
-// the attribution and events a trace-only run's, and the explain report an
-// explain-only run's. The engine carries only the checker: a checked build
+// interval windows, and the explain 3C classification — so each L1 runs
+// the full decorator stack (real cache, then check.Shadow, then
+// explain.Probe). The checker must report no divergence, the counters must
+// equal a bare run's, the attribution and windows an unchecked run's (the
+// windows carry the 3C columns, so that run arms explain too), and the
+// explain report an explain-only run's. The engine carries only the checker: a checked build
 // and a checked replay must equal the bare engine's and the armed system's
 // result.
 func TestStackedInstrumentsSelfCheck(t *testing.T) {
@@ -39,8 +40,8 @@ func TestStackedInstrumentsSelfCheck(t *testing.T) {
 	tr := mu3.MustGenerate(0.02)
 	tm := Timing{CycleNs: 40, Mem: mem.DefaultConfig(), WriteBufDepth: 4}
 	chk := &check.Options{Every: 256}
-	trc := &simtrace.Options{Attrib: true, Events: true}
-	all := explain.All()
+	trc := &simtrace.Options{Attrib: true, IntervalRefs: 1000}
+	c3 := &explain.Options{ThreeC: true}
 
 	for _, oc := range orgs {
 		// System core.
@@ -60,18 +61,18 @@ func TestStackedInstrumentsSelfCheck(t *testing.T) {
 		}
 		_, bare := run(base)
 		traced := base
-		traced.Trace = trc
-		traceOnly, _ := run(traced)
+		traced.Trace, traced.Explain = trc, c3
+		unchecked, _ := run(traced)
 		explained := base
-		explained.Explain = &all
+		explained.Explain = c3
 		explainOnly, _ := run(explained)
 		armed := base
-		armed.SelfCheck, armed.Trace, armed.Explain = chk, trc, &all
+		armed.SelfCheck, armed.Trace, armed.Explain = chk, trc, c3
 		sys, got := run(armed)
 		if got != bare {
 			t.Errorf("%s: system counters changed with every instrument armed", oc.name)
 		}
-		sameTrace(t, oc.name+" system", sys.Recorder(), traceOnly.Recorder())
+		sameTrace(t, oc.name+" system", sys.Recorder(), unchecked.Recorder())
 		if !reflect.DeepEqual(sys.Explainer().Report(), explainOnly.Explainer().Report()) {
 			t.Errorf("%s: system explain report differs from an explain-only run's", oc.name)
 		}
@@ -103,18 +104,18 @@ func TestStackedInstrumentsSelfCheck(t *testing.T) {
 }
 
 // sameTrace fails unless two recorders hold the same attribution, warm
-// attribution and event timeline.
+// attribution and interval windows.
 func sameTrace(t *testing.T, name string, got, want *simtrace.Recorder) {
 	t.Helper()
-	if len(want.Events()) == 0 || want.Attribution().Cycles == 0 {
-		t.Fatalf("%s: the trace-only run recorded nothing; the comparison shows nothing", name)
+	if len(want.Windows()) == 0 || want.Attribution().Cycles == 0 {
+		t.Fatalf("%s: the reference run recorded nothing; the comparison shows nothing", name)
 	}
 	if !reflect.DeepEqual(got.Attribution(), want.Attribution()) ||
 		!reflect.DeepEqual(got.AttributionWarm(), want.AttributionWarm()) {
-		t.Errorf("%s: attribution differs from a trace-only run's\ngot:  %+v\nwant: %+v",
+		t.Errorf("%s: attribution differs from an unchecked run's\ngot:  %+v\nwant: %+v",
 			name, got.Attribution(), want.Attribution())
 	}
-	if !reflect.DeepEqual(got.Events(), want.Events()) {
-		t.Errorf("%s: event timeline differs from a trace-only run's", name)
+	if !reflect.DeepEqual(got.Windows(), want.Windows()) {
+		t.Errorf("%s: interval windows differ from an unchecked run's", name)
 	}
 }

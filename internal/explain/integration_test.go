@@ -81,7 +81,7 @@ func TestThreeCConservationGrid(t *testing.T) {
 	for _, org := range orgs {
 		for _, tr := range gridTraces(t) {
 			cfg := sysConfig(org)
-			cfg.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
+			cfg.Explain = &explain.Options{ThreeC: true}
 			cfg.SelfCheck = &check.Options{}
 			sys := system.MustNew(cfg)
 			res, err := sys.Run(tr)
@@ -174,7 +174,7 @@ func TestDisabledRunsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		armed := base
-		armed.Explain = &explain.Options{ThreeC: true, Reuse: true, Heat: true}
+		armed.Explain = &explain.Options{ThreeC: true}
 		got, err := system.Simulate(armed, tr)
 		if err != nil {
 			t.Fatal(err)

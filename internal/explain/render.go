@@ -7,11 +7,9 @@ import (
 	"repro/internal/textplot"
 )
 
-// RenderText writes the report as the standard terminal panel set shared by
-// cachesim, paperfigs and simreport: the 3C classification table, one
-// reuse-distance histogram per side that recorded one, and per-set pressure
-// sparklines per side that recorded heat. Every percentage is zero-safe —
-// a run with no references or no misses renders 0.0%, never NaN.
+// RenderText writes the report's 3C classification table, one row per
+// cache side. Every percentage is zero-safe — a run with no references or
+// no misses renders 0.0%, never NaN.
 func RenderText(w io.Writer, rep *Report) error {
 	if rep == nil || len(rep.Sides) == 0 {
 		_, err := fmt.Fprintln(w, "explain: no report recorded")
@@ -25,51 +23,5 @@ func RenderText(w io.Writer, rep *Report) error {
 			s.ThreeC.Compulsory, s.ThreeC.Capacity, s.ThreeC.Conflict,
 			comp, cap3, conf)
 	}
-	if err := tab.Render(w); err != nil {
-		return err
-	}
-	for _, s := range rep.Sides {
-		if s.Reuse == nil {
-			continue
-		}
-		fmt.Fprintln(w)
-		h := textplot.NewHistogram(fmt.Sprintf("reuse distance, side %s (distinct blocks between touches)", s.Label))
-		h.Bin("cold", s.Reuse.Cold)
-		for b, n := range s.Reuse.Buckets {
-			h.Bin(BucketLabel(b), n)
-		}
-		if err := h.Render(w); err != nil {
-			return err
-		}
-	}
-	for _, s := range rep.Sides {
-		if len(s.HeatAccesses) == 0 {
-			continue
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "set pressure, side %s (%d sets, %d per cell; low▁..█high per row)\n",
-			s.Label, s.Sets, s.SetsPerCell)
-		fmt.Fprintf(w, "  accesses  %s\n", textplot.Sparkline(toFloats(s.HeatAccesses)))
-		fmt.Fprintf(w, "  misses    %s\n", textplot.Sparkline(toFloats(s.HeatMisses)))
-		fmt.Fprintf(w, "  evictions %s\n", textplot.Sparkline(toFloats(s.HeatEvictions)))
-	}
-	return nil
-}
-
-// BucketLabel renders one reuse-distance histogram bucket's range, the way
-// every renderer labels it: "0", "1", "2-3", "4-7", ...
-func BucketLabel(b int) string {
-	lo, hi := BucketLow(b), BucketHigh(b)
-	if lo == hi {
-		return fmt.Sprint(lo)
-	}
-	return fmt.Sprintf("%d-%d", lo, hi)
-}
-
-func toFloats(v []int64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
+	return tab.Render(w)
 }

@@ -1,7 +1,5 @@
 package explain
 
-import "fmt"
-
 // ThreeC is a compulsory/capacity/conflict miss breakdown.
 type ThreeC struct {
 	Compulsory int64 `json:"compulsory"`
@@ -51,18 +49,6 @@ type SideReport struct {
 	Misses int64  `json:"misses"`
 
 	ThreeC ThreeC `json:"three_c"`
-
-	// Reuse is the log2-bucketed reuse-distance histogram (nil unless the
-	// Reuse instrument was armed).
-	Reuse *Hist `json:"reuse,omitempty"`
-
-	// Heat rows, downsampled to at most Options.HeatBuckets cells of
-	// SetsPerCell consecutive sets each (nil unless Heat was armed).
-	Sets          int     `json:"sets,omitempty"`
-	SetsPerCell   int     `json:"sets_per_cell,omitempty"`
-	HeatAccesses  []int64 `json:"heat_accesses,omitempty"`
-	HeatMisses    []int64 `json:"heat_misses,omitempty"`
-	HeatEvictions []int64 `json:"heat_evictions,omitempty"`
 }
 
 // MissRatio returns misses/refs, zero-safe.
@@ -155,105 +141,29 @@ func (r *Recorder) ReportWarm() *Report {
 // report builds a side summary relative to a snapshot (zero value =
 // whole run).
 func (p *Probe) report(since probeSnap) SideReport {
-	s := SideReport{
+	return SideReport{
 		Label:  p.label,
 		Refs:   p.refs - since.refs,
 		Misses: p.misses - since.misses,
 		ThreeC: p.c3.Sub(since.c3),
 	}
-	if p.opts.Reuse {
-		h := p.hist.Sub(since.hist)
-		s.Reuse = &h
-	}
-	if p.opts.Heat {
-		s.Sets = p.sets
-		s.SetsPerCell = (p.sets + p.opts.HeatBuckets - 1) / p.opts.HeatBuckets
-		s.HeatAccesses = downsample(subInts(p.setAcc, since.setAcc), s.SetsPerCell)
-		s.HeatMisses = downsample(subInts(p.setMiss, since.setMiss), s.SetsPerCell)
-		s.HeatEvictions = downsample(subInts(p.setEvict, since.setEvict), s.SetsPerCell)
-	}
-	return s
-}
-
-func subInts(a, b []int64) []int64 {
-	out := cloneInts(a)
-	for i, v := range b {
-		out[i] -= v
-	}
-	return out
-}
-
-// downsample folds consecutive groups of `per` cells into their sum.
-func downsample(v []int64, per int) []int64 {
-	if per <= 1 {
-		return v
-	}
-	out := make([]int64, (len(v)+per-1)/per)
-	for i, x := range v {
-		out[i/per] += x
-	}
-	return out
 }
 
 // Merge folds another report into r side-by-side (matching labels),
-// summing counters, histograms and heat rows — how multi-trace runs
-// aggregate per-trace reports into one manifest rollup. Heat rows only
-// merge across identical geometries.
-func (r *Report) Merge(o *Report) error {
+// summing counters — how multi-trace runs aggregate per-trace reports
+// into one manifest rollup.
+func (r *Report) Merge(o *Report) {
 	if o == nil {
-		return nil
+		return
 	}
 	for _, os := range o.Sides {
 		s := r.Side(os.Label)
 		if s == nil {
-			c := os
-			c.Reuse = cloneHistPtr(os.Reuse)
-			c.HeatAccesses = cloneInts(os.HeatAccesses)
-			c.HeatMisses = cloneInts(os.HeatMisses)
-			c.HeatEvictions = cloneInts(os.HeatEvictions)
-			r.Sides = append(r.Sides, c)
+			r.Sides = append(r.Sides, os)
 			continue
-		}
-		if s.Sets != os.Sets || s.SetsPerCell != os.SetsPerCell {
-			return fmt.Errorf("explain: cannot merge side %s: %d sets/%d per cell vs %d/%d",
-				os.Label, s.Sets, s.SetsPerCell, os.Sets, os.SetsPerCell)
 		}
 		s.Refs += os.Refs
 		s.Misses += os.Misses
 		s.ThreeC = s.ThreeC.Add(os.ThreeC)
-		if os.Reuse != nil {
-			if s.Reuse == nil {
-				s.Reuse = cloneHistPtr(os.Reuse)
-			} else {
-				s.Reuse.Cold += os.Reuse.Cold
-				for len(s.Reuse.Buckets) < len(os.Reuse.Buckets) {
-					s.Reuse.Buckets = append(s.Reuse.Buckets, 0)
-				}
-				for i, v := range os.Reuse.Buckets {
-					s.Reuse.Buckets[i] += v
-				}
-			}
-		}
-		addInts(&s.HeatAccesses, os.HeatAccesses)
-		addInts(&s.HeatMisses, os.HeatMisses)
-		addInts(&s.HeatEvictions, os.HeatEvictions)
-	}
-	return nil
-}
-
-func cloneHistPtr(h *Hist) *Hist {
-	if h == nil {
-		return nil
-	}
-	c := h.clone()
-	return &c
-}
-
-func addInts(dst *[]int64, src []int64) {
-	for len(*dst) < len(src) {
-		*dst = append(*dst, 0)
-	}
-	for i, v := range src {
-		(*dst)[i] += v
 	}
 }

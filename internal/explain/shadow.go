@@ -1,6 +1,10 @@
 package explain
 
-import "repro/internal/cache"
+import (
+	"math/bits"
+
+	"repro/internal/cache"
+)
 
 // The shadow models replicate internal/cache's placement semantics —
 // fetch-unit fills, sub-block validity, the promote-before-validity-check
@@ -28,7 +32,7 @@ type shadowGeom struct {
 
 func newShadowGeom(cfg cache.Config) shadowGeom {
 	return shadowGeom{
-		blockShift: uint(log2(cfg.BlockWords)),
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockWords))),
 		blockMask:  uint64(cfg.BlockWords - 1),
 		fetchWords: cfg.EffectiveFetchWords(),
 		subBlocked: cfg.SubBlocked(),

@@ -29,8 +29,7 @@ func TestEmptyTraceRejected(t *testing.T) {
 	empty := &trace.Trace{Name: "empty"}
 
 	cfg := sysConfig(org)
-	opts := explain.All()
-	cfg.Explain = &opts
+	cfg.Explain = &explain.Options{ThreeC: true}
 	if _, err := system.Simulate(cfg, empty); err == nil {
 		t.Fatal("system.Simulate accepted an empty trace")
 	}
@@ -82,8 +81,7 @@ func TestZeroMissWarmWindowRenders(t *testing.T) {
 
 	for _, tr := range []*trace.Trace{allhit, degen} {
 		cfg := sysConfig(org)
-		opts := explain.All()
-		cfg.Explain = &opts
+		cfg.Explain = &explain.Options{ThreeC: true}
 		sys := system.MustNew(cfg)
 		res, err := sys.Run(tr)
 		if err != nil {

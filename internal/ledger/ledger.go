@@ -98,9 +98,10 @@ type Record struct {
 	// Warmup maps trace name → first warm-stable reference, from the
 	// interval instrument's stabilization estimator.
 	Warmup map[string]int64 `json:"warmup,omitempty"`
-	// Explain is the run's merged explainability report (3C miss classes,
-	// reuse-distance histograms, set pressure), present when the run armed
-	// -explain. `simreport diff` turns its 3C totals into composition-shift
+	// Explain is the run's merged explainability report (3C miss
+	// classes), present when the run armed -explain. Records written
+	// while the report also carried reuse and set-heat rows still load:
+	// decoding ignores those keys. `simreport diff` turns its 3C totals into composition-shift
 	// deltas; like attribution, they explain rather than gate.
 	Explain *explain.Report `json:"explain,omitempty"`
 

@@ -57,10 +57,9 @@ type Manifest struct {
 	// cycles); AttribCells counts the simulations that contributed.
 	Attribution map[string]int64 `json:"attribution,omitempty"`
 	AttribCells int64            `json:"attrib_cells,omitempty"`
-	// Explain is the merged explainability report (3C miss classes,
-	// reuse-distance histograms, set-pressure heat) across every
-	// simulation of a cachesim run that armed the explain recorder;
-	// ExplainCells counts the simulations that contributed.
+	// Explain is the merged explainability report (3C miss classes)
+	// across every simulation of a cachesim run that armed the explain
+	// recorder; ExplainCells counts the simulations that contributed.
 	Explain      *explain.Report `json:"explain,omitempty"`
 	ExplainCells int64           `json:"explain_cells,omitempty"`
 	// Warmup records per-trace warm-up stabilization estimates from the

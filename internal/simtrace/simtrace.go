@@ -1,8 +1,7 @@
 // Package simtrace is the in-run observability layer for the simulator
 // core: an opt-in recorder threaded through the system simulator that
 // decomposes where cycles go (attribution), samples windowed statistics
-// every N references (intervals), and keeps a bounded ring of typed
-// timeline events exportable as Chrome trace-event JSON.
+// every N references (intervals).
 //
 // The package is strictly passive: nothing in here influences simulated
 // timing. A run whose Options arm nothing gets no recorder at all (Attach),
@@ -36,16 +35,10 @@ type Options struct {
 	// IntervalRefs, when positive, emits a window record every that many
 	// references.
 	IntervalRefs int
-	// Events enables the timeline event ring.
-	Events bool
-	// EventCap bounds the event ring; zero selects DefaultEventCap.
-	// When the ring is full the oldest events are dropped, so an export
-	// holds the tail of the run.
-	EventCap int
 }
 
 // Any reports whether at least one instrument is armed.
-func (o Options) Any() bool { return o.Attrib || o.IntervalRefs > 0 || o.Events }
+func (o Options) Any() bool { return o.Attrib || o.IntervalRefs > 0 }
 
 // RefKind classifies the reference whose completion closed a couplet.
 type RefKind uint8
@@ -79,20 +72,12 @@ type Recorder struct {
 	levelOwn  []int64
 	numLevels int
 
-	win  windowState
-	ring eventRing
+	win windowState
 }
 
 // New builds a recorder for one run.
 func New(opts Options) *Recorder {
 	r := &Recorder{opts: opts}
-	if opts.Events {
-		cap := opts.EventCap
-		if cap <= 0 {
-			cap = DefaultEventCap
-		}
-		r.ring.init(cap)
-	}
 	if opts.IntervalRefs > 0 {
 		r.win.init(opts.IntervalRefs)
 	}
@@ -116,9 +101,6 @@ func (r *Recorder) On() bool { return r != nil && r.opts.Any() }
 
 // IntervalsOn reports whether interval windows are armed.
 func (r *Recorder) IntervalsOn() bool { return r != nil && r.opts.IntervalRefs > 0 }
-
-// EventsOn reports whether the event ring is armed.
-func (r *Recorder) EventsOn() bool { return r != nil && r.opts.Events }
 
 // BeginCouplet opens a couplet issued at cycle now, resetting the
 // carving scratch.
@@ -150,22 +132,6 @@ func (r *Recorder) NoteRef(kind RefKind, complete int64) {
 		r.critKind = kind
 		r.critComp = complete
 	}
-}
-
-// NoteMiss records a reference that missed in L1: NoteRef, plus its miss
-// span from issue to completion when the event ring is armed.
-func (r *Recorder) NoteMiss(kind RefKind, issue, complete int64, addr uint64) {
-	if r != nil {
-		r.noteMiss(kind, issue, complete, addr)
-	}
-}
-
-// missEvents maps a missing reference's kind to its timeline event.
-var missEvents = [...]EventKind{Ifetch: EvIfetchMiss, Load: EvLoadMiss, Store: EvStoreMiss}
-
-func (r *Recorder) noteMiss(kind RefKind, issue, complete int64, addr uint64) {
-	r.NoteRef(kind, complete)
-	r.Event(missEvents[kind], issue, complete, addr, 0)
 }
 
 // NoteFetch records the memory-unit wait observed across one downstream

@@ -204,11 +204,11 @@ func TestComponentsCoverSum(t *testing.T) {
 // recorder, the flags-off fast path.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.On() || r.IntervalsOn() || r.EventsOn() {
+	if r.On() || r.IntervalsOn() {
 		t.Fatal("nil recorder claims to be armed")
 	}
 	r.MarkWarm()
-	r.Event(EvFill, 0, 1, 0, 4)
+	r.NoteRef(Load, 1)
 	if err := r.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,23 +284,6 @@ func TestWarmupEstimate(t *testing.T) {
 	}
 	if _, _, ok := emit([]float64{1}).WarmupEstimate(0); ok {
 		t.Fatal("single window reported stable")
-	}
-}
-
-// TestEventRing verifies the ring keeps the newest events in order.
-func TestEventRing(t *testing.T) {
-	r := New(Options{Events: true, EventCap: 4})
-	for i := int64(0); i < 6; i++ {
-		r.Event(EvFill, i, i+1, uint64(i), 4)
-	}
-	evs := r.Events()
-	if len(evs) != 4 || r.DroppedEvents() != 2 {
-		t.Fatalf("%d events, %d dropped", len(evs), r.DroppedEvents())
-	}
-	for i, ev := range evs {
-		if ev.Start != int64(i+2) {
-			t.Fatalf("event %d starts at %d", i, ev.Start)
-		}
 	}
 }
 

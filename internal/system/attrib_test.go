@@ -270,36 +270,6 @@ func TestIntervalWindowsFromSystem(t *testing.T) {
 	}
 }
 
-// TestEventRingFromSystem checks the system emits timeline events of the
-// expected kinds with sane bounds.
-func TestEventRingFromSystem(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Trace = &simtrace.Options{Events: true}
-	sys := MustNew(cfg)
-	res, err := sys.Run(workload.Random(3000, 1<<14, 0.4, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := make(map[simtrace.EventKind]int64)
-	for _, ev := range sys.Recorder().Events() {
-		kinds[ev.Kind]++
-		if ev.Start < 0 || ev.End < ev.Start || ev.End > res.Total.Cycles {
-			t.Fatalf("event out of run bounds: %+v", ev)
-		}
-	}
-	if kinds[simtrace.EvLoadMiss] != res.Total.LoadMisses {
-		t.Fatalf("load-miss events %d != misses %d",
-			kinds[simtrace.EvLoadMiss], res.Total.LoadMisses)
-	}
-	if kinds[simtrace.EvIfetchMiss] != res.Total.IfetchMisses {
-		t.Fatalf("ifetch-miss events %d != misses %d",
-			kinds[simtrace.EvIfetchMiss], res.Total.IfetchMisses)
-	}
-	if kinds[simtrace.EvFill] == 0 || kinds[simtrace.EvDrain] == 0 {
-		t.Fatalf("missing fill/drain events: %v", kinds)
-	}
-}
-
 // TestCountersSubReflect exercises the reflection-based subtraction: every
 // field participates, verified against a couple of hand-set fields and a
 // round trip through a real run snapshot.

@@ -101,19 +101,18 @@ type Config struct {
 	// enabling it.
 	SelfCheck *check.Options `json:"-"`
 	// Trace, when non-nil, arms the in-run instrumentation recorder
-	// (internal/simtrace): cycle attribution, interval windows and the
-	// timeline event ring, retrievable via (*System).Recorder after a
-	// Run. Purely passive — simulated timing and all counters are
-	// bit-identical with it on or off. Excluded from JSON for the same
+	// (internal/simtrace): cycle attribution and interval windows,
+	// retrievable via (*System).Recorder after a Run. Purely passive —
+	// simulated timing and all counters are bit-identical with it on or
+	// off. Excluded from JSON for the same
 	// reason as SelfCheck: runner checkpoint keys hash the encoded
 	// config and must not change when instrumentation is enabled.
 	Trace *simtrace.Options `json:"-"`
 	// Explain, when non-nil, arms the explainability recorder
 	// (internal/explain): 3C miss classification against shadow infinite
-	// and fully-associative LRU caches, reuse-distance histograms, and
-	// per-set pressure counters, retrievable via (*System).Explainer
-	// after a Run. Purely passive and excluded from JSON for the same
-	// reasons as Trace.
+	// and fully-associative LRU caches, retrievable via
+	// (*System).Explainer after a Run. Purely passive and excluded from
+	// JSON for the same reasons as Trace.
 	Explain *explain.Options `json:"-"`
 }
 

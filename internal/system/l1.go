@@ -47,9 +47,6 @@ func NewL1(icfg, dcfg cache.Config, unified bool, traceName string, opts *check.
 		l1.Chk = check.New(opts)
 		l1.Chk.SetContext(fmt.Sprintf("trace=%s dcache=%v", traceName, dcfg))
 	}
-	if !exp.On() {
-		exp = nil
-	}
 	label := "D"
 	if unified {
 		label = "U"

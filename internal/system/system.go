@@ -110,9 +110,6 @@ func (s *System) reset(traceName string) error {
 	if s.rec != nil {
 		s.svc = make([]int64, len(s.levels)+1)
 	}
-	if s.rec.EventsOn() {
-		s.l1buf.SetTracer(s.rec)
-	}
 	s.chk.AddConservation("attrib-conservation", s.rec)
 	return nil
 }
@@ -315,7 +312,6 @@ func (s *System) missFetch(start int64, c cache.Interface, addr uint64, res cach
 			s.rec.NoteLevelService(i, d-below)
 			below = d
 		}
-		s.rec.Event(simtrace.EvFill, fillStart, dataAt, fetchAddr, fw)
 	}
 	complete = dataAt
 	switch s.cfg.Fetch {
@@ -332,7 +328,6 @@ func (s *System) missFetch(start int64, c cache.Interface, addr uint64, res cach
 	busy = dataAt
 	if victimOut > 0 {
 		rel := s.enqueueTracked(dataAt, res.Victim.BlockAddr, victimOut, dataAt)
-		s.rec.Event(simtrace.EvWriteback, dataAt, dataAt, res.Victim.BlockAddr, victimOut)
 		if rel > complete {
 			complete = rel
 		}
@@ -398,7 +393,7 @@ func (s *System) readRef(now int64, c cache.Interface, r trace.Ref, isIfetch boo
 		s.live.LoadMisses++
 	}
 	complete, busy := s.missFetch(now+1, c, addr, res)
-	s.rec.NoteMiss(kind, now, complete, addr)
+	s.rec.NoteRef(kind, complete)
 	if isIfetch {
 		s.iBusy = busy
 	} else {
@@ -469,7 +464,7 @@ func (s *System) writeRef(now int64, r trace.Ref) int64 {
 		busy = complete
 	}
 	s.dBusy = busy
-	s.rec.NoteMiss(simtrace.Store, now, complete, addr)
+	s.rec.NoteRef(simtrace.Store, complete)
 	return complete
 }
 

@@ -219,74 +219,6 @@ func Bar(v, max float64, width int) string {
 	return b.String()
 }
 
-// HistBin is one row of a Histogram: a labelled count.
-type HistBin struct {
-	Label string
-	Count int64
-}
-
-// Histogram renders labelled bins — typically log-bucketed, like the
-// explain recorder's reuse-distance histograms or per-set heat rows — as
-// a table of counts, shares and proportional bars. Rendering is zero-safe:
-// an all-zero histogram draws empty bars and 0.0% shares, never NaN.
-type Histogram struct {
-	Title string
-	Width int // bar width in cells (default 40)
-	bins  []HistBin
-}
-
-// NewHistogram creates a histogram.
-func NewHistogram(title string) *Histogram {
-	return &Histogram{Title: title, Width: 40}
-}
-
-// Bin appends one labelled count.
-func (h *Histogram) Bin(label string, count int64) {
-	h.bins = append(h.bins, HistBin{Label: label, Count: count})
-}
-
-// Render writes the histogram.
-func (h *Histogram) Render(w io.Writer) error {
-	if len(h.bins) == 0 {
-		return fmt.Errorf("textplot: histogram %q has no bins", h.Title)
-	}
-	width := h.Width
-	if width <= 0 {
-		width = 40
-	}
-	var total, max int64
-	labelW := 0
-	countW := 0
-	for _, b := range h.bins {
-		total += b.Count
-		if b.Count > max {
-			max = b.Count
-		}
-		if n := len(b.Label); n > labelW {
-			labelW = n
-		}
-		if n := len(fmt.Sprint(b.Count)); n > countW {
-			countW = n
-		}
-	}
-	var b strings.Builder
-	if h.Title != "" {
-		fmt.Fprintf(&b, "%s\n", h.Title)
-	}
-	for _, bin := range h.bins {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(bin.Count) / float64(total)
-		}
-		line := fmt.Sprintf("%*s %*d %5.1f%% %s",
-			labelW, bin.Label, countW, bin.Count, pct,
-			Bar(float64(bin.Count), float64(max), width))
-		fmt.Fprintf(&b, "%s\n", strings.TrimRight(line, " "))
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // sparkRunes are the eight block glyphs of a sparkline, lowest to highest.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 

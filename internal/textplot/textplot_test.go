@@ -1,15 +1,10 @@
 package textplot
 
 import (
-	"flag"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestTableRender(t *testing.T) {
 	tab := NewTable("title", "name", "value")
@@ -181,66 +176,5 @@ func TestSparklineWidthMatchesInput(t *testing.T) {
 	}
 	if got := len([]rune(Sparkline(vals))); got != len(vals) {
 		t.Fatalf("sparkline has %d glyphs for %d values", got, len(vals))
-	}
-}
-
-func histogramFixture() *Histogram {
-	h := NewHistogram("reuse distance (blocks)")
-	h.Width = 24
-	h.Bin("cold", 137)
-	h.Bin("0", 4105)
-	h.Bin("1", 906)
-	h.Bin("2-3", 512)
-	h.Bin("4-7", 0)
-	h.Bin("8-15", 73)
-	h.Bin("16-31", 2210)
-	return h
-}
-
-// TestHistogramGolden pins the exact rendering against a checked-in
-// golden file; regenerate with -update after an intentional change.
-func TestHistogramGolden(t *testing.T) {
-	var b strings.Builder
-	if err := histogramFixture().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "histogram.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Errorf("histogram render drifted from golden file:\ngot:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-func TestHistogramZeroSafe(t *testing.T) {
-	h := NewHistogram("")
-	h.Bin("a", 0)
-	h.Bin("b", 0)
-	var b strings.Builder
-	if err := h.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, "NaN") {
-		t.Fatalf("zero histogram rendered NaN:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasSuffix(line, " ") {
-			t.Fatalf("trailing whitespace in %q", line)
-		}
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := NewHistogram("x").Render(&b); err == nil {
-		t.Error("empty histogram rendered")
 	}
 }

@@ -29,19 +29,6 @@ type Sink interface {
 	NextFree() int64
 }
 
-// Tracer observes the buffer's timing behaviour, for event tracing:
-// WriteStarted fires when a queued write is handed to the sink (with the
-// cycle it was ready, and the cycle the sink accepted it), FullStall when
-// the writer lost cycles to a full buffer, and Match when a read matched a
-// buffered address. Unlike the Auditor — which checks FIFO *order* — the
-// tracer sees *cycles*, so a recorder can turn drains and stalls into
-// timeline spans. Tracing is off the hot path unless attached.
-type Tracer interface {
-	WriteStarted(ready int64, addr uint64, words int, accepted int64)
-	FullStall(from, until int64)
-	Match(now int64, addr uint64)
-}
-
 // Auditor observes buffer state transitions, for the selfcheck layer:
 // Enqueued fires when a write enters the queue (or passes straight
 // through an unbuffered depth-0 buffer), Started when a queued write is
@@ -63,7 +50,6 @@ type Buffer struct {
 	depth int
 	sink  Sink
 	aud   Auditor
-	tr    Tracer
 	queue []entry // unstarted writes only; started writes leave the queue
 
 	// Statistics.
@@ -98,9 +84,6 @@ func MustNew(depth int, sink Sink) *Buffer {
 // path unless attached.
 func (b *Buffer) SetAuditor(a Auditor) { b.aud = a }
 
-// SetTracer attaches a tracer (nil detaches).
-func (b *Buffer) SetTracer(t Tracer) { b.tr = t }
-
 // Depth returns the configured capacity.
 func (b *Buffer) Depth() int { return b.depth }
 
@@ -121,10 +104,7 @@ func (b *Buffer) Drain(now int64) {
 		if start >= now {
 			return
 		}
-		accepted := b.sink.StartWrite(head.ready, head.addr, head.words)
-		if b.tr != nil {
-			b.tr.WriteStarted(head.ready, head.addr, head.words, accepted)
-		}
+		b.sink.StartWrite(head.ready, head.addr, head.words)
 		b.pop()
 	}
 }
@@ -155,14 +135,8 @@ func (b *Buffer) Enqueue(now int64, addr uint64, words int, ready int64) int64 {
 			b.aud.Enqueued(addr, words)
 			b.aud.Started(addr, words)
 		}
-		if b.tr != nil {
-			b.tr.WriteStarted(ready, addr, words, accepted)
-		}
 		if accepted > now {
 			b.FullStallCycles += accepted - now
-			if b.tr != nil {
-				b.tr.FullStall(now, accepted)
-			}
 			return accepted
 		}
 		return now
@@ -171,9 +145,6 @@ func (b *Buffer) Enqueue(now int64, addr uint64, words int, ready int64) int64 {
 	for len(b.queue) >= b.depth {
 		head := b.queue[0]
 		accepted := b.sink.StartWrite(head.ready, head.addr, head.words)
-		if b.tr != nil {
-			b.tr.WriteStarted(head.ready, head.addr, head.words, accepted)
-		}
 		b.pop()
 		if accepted > release {
 			release = accepted
@@ -181,9 +152,6 @@ func (b *Buffer) Enqueue(now int64, addr uint64, words int, ready int64) int64 {
 	}
 	if release > now {
 		b.FullStallCycles += release - now
-		if b.tr != nil {
-			b.tr.FullStall(now, release)
-		}
 	}
 	b.queue = append(b.queue, entry{addr: addr, words: words, ready: ready})
 	if b.aud != nil {
@@ -217,21 +185,15 @@ func (b *Buffer) FlushMatching(now int64, addr uint64, words int) bool {
 		return false
 	}
 	b.MatchEvents++
-	if b.tr != nil {
-		b.tr.Match(now, addr)
-	}
 	for i := 0; i <= match; i++ {
 		e := b.queue[i]
 		start := e.ready
 		if start < now {
 			start = now
 		}
-		accepted := b.sink.StartWrite(start, e.addr, e.words)
+		b.sink.StartWrite(start, e.addr, e.words)
 		if b.aud != nil {
 			b.aud.Started(e.addr, e.words)
-		}
-		if b.tr != nil {
-			b.tr.WriteStarted(start, e.addr, e.words, accepted)
 		}
 	}
 	b.queue = b.queue[:copy(b.queue, b.queue[match+1:])]
@@ -251,9 +213,6 @@ func (b *Buffer) FlushAll(now int64) int64 {
 			start = now
 		}
 		last = b.sink.StartWrite(start, e.addr, e.words)
-		if b.tr != nil {
-			b.tr.WriteStarted(start, e.addr, e.words, last)
-		}
 		b.pop()
 	}
 	return last
