@@ -227,7 +227,7 @@ profilegate:
 # disabled (Options present, nothing armed) — a disarmed Options attaches
 # no recorder, so both take the identical code path, and this gate trips
 # only if someone reintroduces a cost on the unexplained path.
-# The armed variants (threec/full) are deliberately not gated:
+# The armed variant (threec) is deliberately not gated:
 # shadow simulation has an inherent price, the contract is that only runs
 # asking for explanations pay it.
 explaingate:

@@ -224,12 +224,11 @@ func BenchmarkSimtraceOverhead(b *testing.B) {
 // BenchmarkExplainOverhead guards the cost of the explainability recorder
 // the same way BenchmarkSimtraceOverhead guards simtrace: "absent" is the
 // nil fast path every unexplained run takes, "disabled" a config with a
-// zero-valued (disarmed) Options, and the remaining variants arm each
-// instrument ("full" is their union; with 3C the one instrument left, it
-// arms what "threec" does). `make explaingate` holds absent-vs-disabled within 2% on
+// zero-valued (disarmed) Options, and "threec" arms 3C, the one explain
+// instrument. `make explaingate` holds absent-vs-disabled within 2% on
 // cpu-ns/op (from getrusage, like ProfileOverhead — the unexplained path's
 // cost is CPU work, and wall time on a shared runner absorbs stalls that
-// land unevenly); the armed variants are reported, not gated — shadow
+// land unevenly); the armed variant is reported, not gated — shadow
 // simulation has an inherent cost, the contract is only that nobody pays
 // it by default.
 func BenchmarkExplainOverhead(b *testing.B) {
@@ -241,7 +240,6 @@ func BenchmarkExplainOverhead(b *testing.B) {
 		{"absent", nil},
 		{"disabled", &explain.Options{}},
 		{"threec", &explain.Options{ThreeC: true}},
-		{"full", &explain.Options{ThreeC: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -12,18 +12,15 @@
 // failures, graceful drain on SIGTERM/SIGINT (stop admitting, finish
 // in-flight work, flush the ledger, exit 0), /healthz and /readyz.
 //
-// Bad disks and greedy clients: every persistence surface (journal, cell
-// cache, ledger) writes checksummed records and runs a
-// scan-quarantine-repair pass on open — corrupt or torn lines move to a
-// `*.quarantine` sidecar, never silently poison a replay. Journal appends
-// are read back and verified, so even a disk that lies about success
-// cannot lose an acknowledged job. Persistent write failures trip a
-// storage circuit breaker into degraded mode: in-flight jobs keep
-// computing, new submissions get 503 + Retry-After, /readyz says why, and
-// a periodic probe (-probe-interval) self-heals when the disk recovers.
-// -client-rate layers cost-aware per-client token buckets (keyed by
-// X-Client-ID or remote host) on top of global admission, so one greedy
-// client exhausts its own budget, not everyone's.
+// Bad disks: every persistence surface (journal, cell cache, ledger)
+// writes checksummed records and runs a scan-quarantine-repair pass on
+// open — corrupt or torn lines move to a `*.quarantine` sidecar, never
+// silently poison a replay. Journal appends are read back and verified,
+// so even a disk that lies about success cannot lose an acknowledged job.
+// Persistent write failures trip a storage circuit breaker into degraded
+// mode: in-flight jobs keep computing, new submissions get 503 +
+// Retry-After, /readyz says why, and a periodic probe (-probe-interval)
+// self-heals when the disk recovers.
 //
 // Observability: each job's NDJSON event log (/v1/jobs/{id}/events) is its
 // timeline, one event per state change and per finished cell with the
@@ -78,9 +75,6 @@ func run() error {
 		jobTO      = flag.Duration("job-timeout", 0, "default job deadline when the request has none (0 = none)")
 		maxJobTO   = flag.Duration("max-job-timeout", 0, "cap on requested job deadlines (0 = none)")
 		maxCells   = flag.Int("max-cells", 0, "largest admissible grid (0 = default)")
-		clientRate = flag.Float64("client-rate", 0, "per-client quota refill, cost-tokens/s (0 = quotas off); clients are keyed by X-Client-ID or remote host and charged each job's cell-count × scale cost")
-		clientBur  = flag.Int("client-burst", 0, "per-client quota burst, cost-tokens (0 = default 25)")
-		maxClients = flag.Int("max-clients", 0, "tracked per-client quota buckets before evicting the idlest (0 = default 1024)")
 		probeIv    = flag.Duration("probe-interval", 0, "degraded-mode storage probe cadence, also the Retry-After on degraded refusals (0 = default 2s)")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM; in-flight jobs past it are checkpointed for the next start")
 		faultsSpec = flag.String("faults", "", "chaos: fault-injection plan for every job's cells (e.g. seed=1,panic=0.02,transient=0.1)")
@@ -108,9 +102,6 @@ func run() error {
 		DefaultJobTimeout: *jobTO,
 		MaxJobTimeout:     *maxJobTO,
 		MaxCellsPerJob:    *maxCells,
-		ClientRate:        *clientRate,
-		ClientBurst:       *clientBur,
-		MaxClients:        *maxClients,
 		ProbeInterval:     *probeIv,
 		ProfileDir:        *profileDir,
 		Logger:            logger,

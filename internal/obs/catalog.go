@@ -48,9 +48,7 @@ const (
 	MShedQueue            = "shed_queue"
 	MShedRate             = "shed_rate"
 	MShedDraining         = "shed_draining"
-	MShedClient           = "shed_client"
 	MShedDegraded         = "shed_degraded"
-	MQuotaClients         = "quota_clients"
 	MHTTPRequests         = "http_requests"
 	MHTTPErrors           = "http_errors"
 	MHTTPRequestLatency   = "http_request_latency"
@@ -114,9 +112,7 @@ var Catalog = []Def{
 	{MShedQueue, KindCounter, "Submissions shed on the queue-depth limit (429)."},
 	{MShedRate, KindCounter, "Submissions shed on the rate limit (429)."},
 	{MShedDraining, KindCounter, "Submissions refused while draining (503)."},
-	{MShedClient, KindCounter, "Submissions shed on a per-client quota (429)."},
 	{MShedDegraded, KindCounter, "Submissions refused while storage is degraded (503)."},
-	{MQuotaClients, KindGauge, "Per-client quota buckets currently tracked."},
 	// HTTP API.
 	{MHTTPRequests, KindCounter, "API requests served."},
 	{MHTTPErrors, KindCounter, "API requests answered with status >= 400."},

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/perfobs"
 )
 
 // TestRunFinishRecordsPhases: a run finished with no reporter and no
@@ -63,5 +66,27 @@ func TestRunProgressReadsRunMarks(t *testing.T) {
 		if !strings.Contains(out, "[obs]   "+p.Name) {
 			t.Errorf("breakdown lacks manifest phase %q: %q", p.Name, out)
 		}
+	}
+}
+
+// TestRunWithoutProfileDirCapturesNothing: a run given no profile
+// directory leaves the process-global CPU profiler free and heap sampling
+// at its rate, so an unprofiled run pays nothing for the capture.
+func TestRunWithoutProfileDirCapturesNothing(t *testing.T) {
+	prevRate := runtime.MemProfileRate
+	run, err := StartRun("run-1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Finish(nil)
+	if runtime.MemProfileRate != prevRate {
+		t.Errorf("MemProfileRate = %d after StartRun, want %d", runtime.MemProfileRate, prevRate)
+	}
+	c, err := perfobs.Start(t.TempDir(), "probe")
+	if err != nil {
+		t.Fatalf("CPU profiler held by an unprofiled run: %v", err)
+	}
+	if _, err := c.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }

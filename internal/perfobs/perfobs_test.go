@@ -19,9 +19,14 @@ import (
 
 func TestCaptureStartStop(t *testing.T) {
 	dir := t.TempDir()
+	prevRate := runtime.MemProfileRate
 	c, err := Start(dir, "run1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Heap sampling runs at the repository's rate only while armed.
+	if runtime.MemProfileRate != DefaultMemProfileRate {
+		t.Errorf("armed MemProfileRate = %d, want %d", runtime.MemProfileRate, DefaultMemProfileRate)
 	}
 	// The CPU profiler is process-global: a second capture must refuse.
 	if _, err := Start(dir, "run2"); !errors.Is(err, ErrBusy) {
@@ -36,6 +41,9 @@ func TestCaptureStartStop(t *testing.T) {
 	sum, err := c.Stop()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runtime.MemProfileRate != prevRate {
+		t.Errorf("MemProfileRate after Stop = %d, want %d", runtime.MemProfileRate, prevRate)
 	}
 	if sum.CPUBytes <= 0 || sum.HeapBytes <= 0 {
 		t.Fatalf("summary = %+v, want both profiles written", sum)

@@ -124,7 +124,8 @@ type Options struct {
 	CellTimeout time.Duration
 	// SweepTimeout bounds the whole sweep; 0 means no sweep deadline.
 	SweepTimeout time.Duration
-	// Retries is how many additional attempts a failing cell gets.
+	// Retries is how many additional attempts a failing cell gets; a
+	// negative budget counts as 0, so every cell runs at least once.
 	Retries int
 	// RetryIf filters which failures retry; nil retries every failure
 	// (other than sweep cancellation) up to Retries times. Errors marked
@@ -252,7 +253,7 @@ feed:
 // runCell drives one cell through its bounded attempts.
 func runCell[T any](ctx context.Context, cell Cell[T], opts Options, res Result[T]) Result[T] {
 	var last *CellError
-	for attempt := 1; attempt <= 1+opts.Retries; attempt++ {
+	for attempt := 1; attempt <= 1+max(opts.Retries, 0); attempt++ {
 		if err := ctx.Err(); err != nil {
 			if last == nil {
 				last = &CellError{Key: cell.Key, Attempts: attempt - 1, Err: err, Cause: context.Cause(ctx)}

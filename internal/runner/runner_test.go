@@ -153,6 +153,18 @@ func TestBoundedRetry(t *testing.T) {
 	}
 }
 
+// TestNegativeRetriesRunOnce: a negative retry budget still runs each
+// cell once; it only takes the retries away.
+func TestNegativeRetriesRunOnce(t *testing.T) {
+	rs := Run(context.Background(), []Cell[int]{cellN(7)}, Options{Retries: -1})
+	if !rs[0].Done || rs[0].Value != 7 || rs[0].Attempts != 1 {
+		t.Fatalf("Retries -1: %+v, want one attempt and Done", rs[0])
+	}
+	if s := Summarize(rs); s.Done != 1 || s.Failed != 0 {
+		t.Errorf("tally %+v, want Done 1", s)
+	}
+}
+
 func TestRetryIfFilter(t *testing.T) {
 	var tries atomic.Int32
 	permanent := errors.New("permanent")

@@ -128,3 +128,62 @@ func TestLegacyUnframedFilesCompat(t *testing.T) {
 		t.Errorf("ledger records = %+v", recs)
 	}
 }
+
+// TestJournalClientKeysCompat: a journal written by a server that still
+// kept per-client quotas carries a "client" key on each submit entry
+// (testdata/journal-client-keys.ndjson: one job submitted over HTTP as
+// client alice and finished, one submitted anonymously and running when
+// the server was drained). It replays with nothing quarantined, both jobs
+// keep their request IDs and states, the in-flight one runs to done, and
+// no status a client reads carries the retired client and cost fields.
+func TestJournalClientKeysCompat(t *testing.T) {
+	dir := t.TempDir()
+	old, err := os.ReadFile(filepath.Join("testdata", "journal-client-keys.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, JournalName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(testConfig(dir))
+	if err != nil {
+		t.Fatalf("opening a journal with client keys: %v", err)
+	}
+	defer s.Drain(context.Background())
+	if v := s.Registry().Counter(obs.MJournalQuarantined).Value(); v != 0 {
+		t.Errorf("%s = %d, want 0", obs.MJournalQuarantined, v)
+	}
+	done, ok := s.Job("jd89106db7dfd53e5")
+	if !ok {
+		t.Fatal("finished job not restored")
+	}
+	if st := done.Status(); st.State != StateDone || st.RequestID != "compat-alice-1" {
+		t.Errorf("finished job restored as %s, request_id %q", st.State, st.RequestID)
+	}
+	queued, ok := s.Job("j08025c152cfd2422")
+	if !ok {
+		t.Fatal("in-flight job not restored")
+	}
+	if st := queued.Status(); st.State != StateQueued || st.RequestID != "compat-anon-2" {
+		t.Errorf("in-flight job restored as %s, request_id %q", st.State, st.RequestID)
+	}
+	s.Start()
+	if st := waitTerminal(t, queued, 30*time.Second); st.State != StateDone {
+		t.Fatalf("requeued job ended %s (%s)", st.State, st.Error)
+	}
+	for _, job := range []*Job{done, queued} {
+		raw, err := json.Marshal(job.Status())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"client", "cost"} {
+			if _, ok := fields[k]; ok {
+				t.Errorf("job %s status carries %q: %s", job.ID(), k, raw)
+			}
+		}
+	}
+}

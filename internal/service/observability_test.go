@@ -80,6 +80,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if series[p+"uptime_seconds"] < 0 {
 		t.Error("uptime gauge missing")
 	}
+	// The server keeps no per-client quota, so it exposes no quota series.
+	for name := range series {
+		if strings.HasPrefix(name, p+"shed_client") || strings.HasPrefix(name, p+"quota_clients") {
+			t.Errorf("/metrics exposes per-client quota series %s", name)
+		}
+	}
 	for _, m := range s.Registry().Export() {
 		if d, ok := obs.Lookup(m.Name); !ok || d.Kind != m.Kind {
 			t.Errorf("registry metric %q (%s) is not a catalog entry of that kind", m.Name, m.Kind)

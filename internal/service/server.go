@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// maxRequestBytes bounds a POST /v1/jobs body. A grid at the default
+// 4096-cell limit encodes in tens of KB, so a larger body is refused (413)
+// before it is decoded.
+const maxRequestBytes = 1 << 20
+
 // NewServer builds the HTTP API over a Service:
 //
 //	POST   /v1/jobs             submit a GridRequest    → 202 + status
@@ -21,7 +26,8 @@ import (
 //	GET    /healthz             liveness                → 200
 //	GET    /readyz              readiness               → 200/503
 //
-// Load-shed submissions return 429 with Retry-After; a draining server
+// A submission body over maxRequestBytes gets 413. Load-shed
+// submissions return 429 with Retry-After; a draining server
 // returns 503 for submissions and readiness. Every response carries an
 // X-Request-ID (echoing a well-formed client one) and every request is
 // access-logged with it.
@@ -29,8 +35,13 @@ func NewServer(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req GridRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 		job, err := s.SubmitCtx(r.Context(), req)

@@ -211,6 +211,16 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: %d", r2.StatusCode)
 	}
+	// A well-formed body padded past maxRequestBytes is refused unread.
+	padded := `{"workloads":["mu3"]` + strings.Repeat(" ", maxRequestBytes) + `}`
+	r3, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3.Body.Close()
+	if r3.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d", r3.StatusCode)
+	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/jdeadbeef", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: %d", code)
 	}

@@ -55,8 +55,9 @@ type Config struct {
 	SubmitRate  float64
 	SubmitBurst int
 	// Retries is each cell's extra-attempt budget for transient failures
-	// (default 2). Permanent errors (check.Divergence and anything else
-	// implementing Permanent) never retry.
+	// (default 2; a negative budget means none). Permanent errors
+	// (check.Divergence and anything else implementing Permanent) never
+	// retry.
 	Retries int
 	// BackoffBase/BackoffMax shape the exponential backoff with jitter
 	// between cell retries (defaults 10ms / 1s).
@@ -70,15 +71,6 @@ type Config struct {
 	MaxJobTimeout     time.Duration
 	// MaxCellsPerJob rejects oversized grids at validation (default 4096).
 	MaxCellsPerJob int
-	// ClientRate and ClientBurst parameterize per-client quota buckets,
-	// charged the request's cost estimate (GridRequest.Cost). ClientRate 0
-	// disables quotas entirely (the default — single-tenant servers need no
-	// fairness layer).
-	ClientRate  float64
-	ClientBurst int
-	// MaxClients bounds tracked quota buckets; the idlest is evicted
-	// beyond it (default 1024).
-	MaxClients int
 	// BreakerThreshold is how many consecutive journal or cell-cache write
 	// failures trip the storage circuit breaker into degraded mode
 	// (default 3).
@@ -134,12 +126,6 @@ func (c *Config) fill() {
 	if c.MaxCellsPerJob <= 0 {
 		c.MaxCellsPerJob = 4096
 	}
-	if c.ClientBurst <= 0 {
-		c.ClientBurst = 25
-	}
-	if c.MaxClients <= 0 {
-		c.MaxClients = 1024
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -165,7 +151,6 @@ type Service struct {
 
 	journal *Journal
 	cells   *runner.Checkpoint
-	quota   *ClientQuota // nil when quotas are disabled
 
 	// ctx dies on Kill (hard stop); draining is the soft path.
 	ctx  context.Context
@@ -243,9 +228,6 @@ func Open(cfg Config) (*Service, error) {
 		unjournaled: make(map[string]journalEntry),
 		stopProbe:   make(chan struct{}),
 	}
-	if cfg.ClientRate > 0 {
-		s.quota = NewClientQuota(cfg.ClientRate, cfg.ClientBurst, cfg.MaxClients)
-	}
 	// Pre-register the full metric catalog so a fresh server's /metrics
 	// exposes every series at zero instead of growing them as code paths
 	// first fire, and attach journal latency timings.
@@ -274,7 +256,7 @@ func Open(cfg Config) (*Service, error) {
 	var pending []*Job
 	for _, jj := range replayed {
 		jobCtx, cancel := context.WithCancelCause(s.ctx)
-		job := newJob(jj.ID, jj.ReqID, jj.Client, jj.Req, jobCtx, cancel)
+		job := newJob(jj.ID, jj.ReqID, jj.Req, jobCtx, cancel)
 		job.mu.Lock()
 		job.restored = true
 		job.status.Submitted = jj.Submitted
@@ -467,26 +449,11 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	if open, reason := s.breaker.state(); open {
 		return nil, s.refuseDegraded(reason)
 	}
-	// Depth first (cheap, sheds the burst), then the client quota — before
-	// the global bucket, so a greedy client is charged its own budget
-	// without draining everyone's — then the global rate bucket.
+	// Depth first (cheap, sheds the burst), then the global rate bucket.
 	if len(s.queue) >= s.cfg.MaxQueue {
 		s.reg.Counter(obs.MJobsShed).Add(1)
 		s.reg.Counter(obs.MShedQueue).Add(1)
 		return nil, &ShedError{Reason: "queue", RetryAfter: s.estimateDrain()}
-	}
-	client := ClientFrom(ctx)
-	if s.quota != nil {
-		qc := client
-		if qc == "" {
-			qc = "local"
-		}
-		if ok, retryAfter := s.quota.Take(qc, req.Cost()); !ok {
-			s.reg.Counter(obs.MJobsShed).Add(1)
-			s.reg.Counter(obs.MShedClient).Add(1)
-			return nil, &ShedError{Reason: "client", RetryAfter: retryAfter}
-		}
-		s.reg.Gauge(obs.MQuotaClients).Set(int64(s.quota.Len()))
 	}
 	if ok, retryAfter := s.bucket.Take(); !ok {
 		s.reg.Counter(obs.MJobsShed).Add(1)
@@ -495,7 +462,7 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 	}
 	id := newJobID()
 	reqID := RequestIDFrom(ctx)
-	if err := s.journal.Submit(id, reqID, client, req); err != nil {
+	if err := s.journal.Submit(id, reqID, "", req); err != nil {
 		// Not durable — reject rather than risk losing an accepted job.
 		if errors.Is(err, ErrJournalPaused) {
 			// Another job's write tripped the breaker since the check
@@ -509,14 +476,14 @@ func (s *Service) SubmitCtx(ctx context.Context, req GridRequest) (*Job, error) 
 		return nil, err
 	}
 	jobCtx, cancel := context.WithCancelCause(s.ctx)
-	job := newJob(id, reqID, client, req, jobCtx, cancel)
+	job := newJob(id, reqID, req, jobCtx, cancel)
 	s.jobs[id] = job
 	s.order = append(s.order, id)
 	s.queue <- job // cannot block: depth checked under s.mu
 	s.reg.Counter(obs.MJobsSubmitted).Add(1)
 	s.reg.Gauge(obs.MQueueDepth).Add(1)
 	s.log.Info("job accepted", "job", id, "cells", req.cellCount(),
-		"config", job.status.ConfigHash, "request_id", reqID, "client", client)
+		"config", job.status.ConfigHash, "request_id", reqID)
 	return job, nil
 }
 

@@ -468,6 +468,20 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 			t.Errorf("case %d admitted: %+v", i, req)
 		}
 	}
+	// 2^16 entries on each axis: 2^64 cells, a count that wraps int to 0.
+	huge := GridRequest{
+		Workloads:   make([]string, 1<<16),
+		SizesKB:     make([]int, 1<<16),
+		Assocs:      make([]int, 1<<16),
+		BlocksWords: make([]int, 1<<16),
+	}
+	for i := range huge.Workloads {
+		huge.Workloads[i] = "mu3"
+		huge.SizesKB[i], huge.Assocs[i], huge.BlocksWords[i] = 1, 1, 1
+	}
+	if err := huge.Validate(4096); err == nil || !strings.Contains(err.Error(), "cells, limit 4096") {
+		t.Errorf("2^64-cell grid: err = %v, want the cell-limit error", err)
+	}
 	good := smallGrid()
 	if err := good.Validate(4); err != nil {
 		t.Errorf("valid request rejected: %v", err)

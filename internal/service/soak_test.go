@@ -479,159 +479,3 @@ func TestChaosSoakDiskFaults(t *testing.T) {
 	}
 	t.Logf("verified %d done jobs over %d distinct cells", done, len(direct))
 }
-
-// TestChaosSoakGreedyClient: one client hammering submissions is shed by
-// its own quota bucket while polite clients keep being admitted promptly —
-// and nothing accepted is ever lost.
-func TestChaosSoakGreedyClient(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in -short mode (run via `make soak`)")
-	}
-	dir := t.TempDir()
-	saveArtifactsOnFailure(t, dir)
-	cfg := Config{
-		DataDir:     dir,
-		JobWorkers:  4,
-		CellWorkers: 2,
-		MaxQueue:    300,
-		SubmitRate:  1e6,
-		SubmitBurst: 1e6,
-		ClientRate:  5,
-		ClientBurst: 2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Registry:    obs.NewRegistry(),
-	}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-
-	tiny := GridRequest{Workloads: []string{"mu3"}, Scale: 0.01, SizesKB: []int{2}}
-	var mu sync.Mutex
-	var accepted []string
-	greedyShed := 0
-
-	// The greedy client: submit as fast as possible, never backing off,
-	// until the polite clients are done.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ctx := WithClient(context.Background(), "greedy")
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			job, err := s.SubmitCtx(ctx, tiny)
-			var shed *ShedError
-			switch {
-			case err == nil:
-				mu.Lock()
-				accepted = append(accepted, job.ID())
-				mu.Unlock()
-			case errors.As(err, &shed) && shed.Reason == "client":
-				mu.Lock()
-				greedyShed++
-				mu.Unlock()
-				time.Sleep(time.Millisecond)
-			default:
-				t.Errorf("greedy submit: %v", err)
-				return
-			}
-		}
-	}()
-
-	// Three polite clients, four jobs each, retrying sheds with the hinted
-	// backoff. Their admission latency is the fairness measure: the greedy
-	// client must not starve them.
-	var maxWait time.Duration
-	for _, client := range []string{"alice", "bob", "carol"} {
-		wg.Add(1)
-		go func(client string) {
-			defer wg.Done()
-			ctx := WithClient(context.Background(), client)
-			for i := 0; i < 4; i++ {
-				start := time.Now()
-				for {
-					job, err := s.SubmitCtx(ctx, tiny)
-					var shed *ShedError
-					if errors.As(err, &shed) {
-						time.Sleep(min(shed.RetryAfter, 50*time.Millisecond))
-						continue
-					}
-					if err != nil {
-						t.Errorf("%s submit: %v", client, err)
-						return
-					}
-					mu.Lock()
-					accepted = append(accepted, job.ID())
-					if w := time.Since(start); w > maxWait {
-						maxWait = w
-					}
-					mu.Unlock()
-					break
-				}
-			}
-		}(client)
-	}
-	politeDone := make(chan struct{})
-	go func() {
-		// The polite goroutines finish first; the greedy one needs stop.
-		wg.Wait()
-		close(politeDone)
-	}()
-	select {
-	case <-politeDone:
-		t.Fatal("unreachable: greedy goroutine exits only via stop")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Give the contest a moment, then wait for the polite clients by
-	// polling their accepted count.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		mu.Lock()
-		n := len(accepted)
-		mu.Unlock()
-		if n >= 12 { // all polite jobs in (greedy's may add more)
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("polite clients starved: only %d accepted", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-
-	if greedyShed == 0 {
-		t.Error("greedy client was never shed; quota not enforced")
-	}
-	if got := cfg.Registry.Counter(obs.MShedClient).Value(); got == 0 {
-		t.Error("jobs_shed_client counter never moved")
-	}
-	// Fairness bound: a polite submission waits at most a few refill
-	// periods (1 token at 5/s = 200ms), never the greedy client's backlog.
-	if maxWait > 10*time.Second {
-		t.Errorf("polite client waited %v for admission", maxWait)
-	}
-	t.Logf("greedy shed %d times; slowest polite admission %v", greedyShed, maxWait)
-
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("drain not clean: %v", err)
-	}
-	for _, id := range accepted {
-		job, ok := s.Job(id)
-		if !ok {
-			t.Fatalf("accepted job %s lost", id)
-		}
-		if st := job.Status(); !st.State.Terminal() {
-			t.Errorf("job %s ended non-terminal: %+v", id, st)
-		}
-	}
-	t.Logf("%d accepted jobs all terminal", len(accepted))
-}
